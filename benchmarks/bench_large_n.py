@@ -6,33 +6,27 @@ that make those sweeps feasible:
 
 * **engine throughput** — simulated CONGEST rounds per second of the full
   deterministic-APSP run, on the vectorized strict engine, the fast path,
-  the per-phase round-compressed mode (``compress=True, batch=False`` —
-  the PR-3 baseline), the batched compressed pipeline (``compress=True``,
-  the default: batched Step-1/3/7 Bellman-Ford, compressed Step-6
-  delivery pipeline, multi-tree convergecast batches), and (at the
-  smallest size) the frozen seed engine's run loop;
-* **compressed equivalence + speedups** — every compressed mode must hash
+  the round-compressed mode (``compress=True``: batched Step-1/3/7
+  Bellman-Ford, compressed Step-6 delivery pipeline, multi-tree
+  convergecast batches), and (at the smallest size) the frozen seed
+  engine's run loop;
+* **compressed equivalence + speedup** — the compressed run must hash
   identically to the fast run (distances, predecessors, rounds,
-  messages); at n=256 the batched pipeline must clear >= 3x the fast
-  path's rounds/sec (the ISSUE 3 bar) *and* >= 2x the per-phase
-  compressed baseline's wall clock (the ISSUE 4 bar), measured as
-  interleaved gc-paused CPU-time medians so co-tenant noise cancels;
+  messages); at n=256 it must clear >= 3x the fast path's rounds/sec;
 * **Step-5 closure** — wall-clock of the numpy blocked min-plus closure
   vs the retained Python oracle, with a bit-identical-records check.
 
 Every run also writes machine-readable
 ``benchmarks/results/BENCH_large_n.json`` — schema'd
 :class:`~repro.analysis.trajectory.BenchRecord` payloads (wall seconds
-and rounds/sec per engine mode plus the measured speedup ratios) that
+and rounds/sec per engine mode plus the measured speedup ratio) that
 ``repro perf --records``/``--update`` can gate or promote into the
-committed ``HISTORY.jsonl`` trajectory.  The gc-paused interleaved
-CPU-median methodology lives in :mod:`repro.analysis.trajectory`
-(hoisted from this bench) and is shared with ``repro perf``.
+committed ``HISTORY.jsonl`` trajectory.
 
 ``--smoke`` runs the CI-sized subset: the n=64 engine comparison plus a
 full n=128 deterministic-APSP run under both closure backends and all
 execution modes, asserting the records identical (the sweep smoke job
-wires this in).  The full run adds n=256 (with both speedup assertions)
+wires this in).  The full run adds n=256 (with the speedup assertion)
 and the seed engine at n=128.
 
 Usage::
@@ -46,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import statistics
 import sys
 import time
 from typing import Dict, List, Optional
@@ -54,7 +47,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis import render_table
-from repro.analysis.trajectory import gc_paused_cpu, make_engine_net, make_record
+from repro.analysis.trajectory import make_engine_net, make_record
 from repro.apsp import deterministic_apsp
 from repro.experiments.registry import make_graph
 
@@ -66,9 +59,8 @@ SMOKE_SIZES = [64, 128]
 FULL_SIZES = [64, 128, 256]
 
 #: Engine execution modes measured per size (seed is added at the
-#: smallest size; "compressed-phase" is the PR-3 per-phase baseline the
-#: batched pipeline is asserted against).
-ENGINES = ["strict", "fast", "compressed-phase", "compressed"]
+#: smallest size).
+ENGINES = ["strict", "fast", "compressed"]
 
 
 def _dist_hash(dist: np.ndarray) -> str:
@@ -83,15 +75,8 @@ def _record_hash(result) -> str:
     return hashlib.sha256(dist.tobytes() + pred.tobytes()).hexdigest()[:16]
 
 
-#: The ISSUE 3 acceptance bar: compressed rounds/sec at n=256 vs fast.
+#: The acceptance bar: compressed rounds/sec at n=256 vs fast.
 COMPRESSED_MIN_SPEEDUP = 3.0
-
-#: The ISSUE 4 acceptance bar: the batched compressed pipeline's wall
-#: clock at n=256 vs the per-phase compressed (PR-3) baseline.
-BATCHED_MIN_SPEEDUP = 2.0
-
-#: Interleaved repetitions for the baseline-vs-batched CPU-time medians.
-RATIO_REPS = 3
 
 
 def make_net(graph, engine: str):
@@ -108,27 +93,6 @@ def run_apsp(graph, engine: str, closure: str = "auto"):
     return result, time.perf_counter() - t0
 
 
-def _cpu_run(graph, engine: str) -> float:
-    """gc-paused CPU seconds of one run (for the interleaved medians)."""
-    net = make_net(graph, engine)
-    _, cpu = gc_paused_cpu(lambda: deterministic_apsp(net, graph))
-    return cpu
-
-
-def batched_speedup(graph) -> float:
-    """Median CPU-time ratio: per-phase compressed baseline / batched.
-
-    Interleaved repetitions with gc paused, so background load and
-    allocator state perturb both modes alike.
-    """
-    base: List[float] = []
-    batched: List[float] = []
-    for _ in range(RATIO_REPS):
-        base.append(_cpu_run(graph, "compressed-phase"))
-        batched.append(_cpu_run(graph, "compressed"))
-    return statistics.median(base) / statistics.median(batched)
-
-
 def write_records(rows: List[dict], speedups: Dict[str, float]) -> None:
     """Persist the machine-readable perf records for trend tracking.
 
@@ -136,7 +100,7 @@ def write_records(rows: List[dict], speedups: Dict[str, float]) -> None:
     through the shared :func:`_common.emit_records` path (atomic,
     sorted keys) like the sweep report's ``REPORT.json``: rounds and
     messages are exact metrics, wall/rounds-per-sec and the speedup
-    ratios are noise-banded timing metrics.
+    ratio are noise-banded timing metrics.
     """
     records = [
         make_record(
@@ -179,8 +143,8 @@ def large_n_report(sizes: List[int], smoke: bool):
                     "messages": result.stats.messages,
                     "hash": _record_hash(result),
                 }
-            if engine.startswith("compressed"):
-                # Every compressed mode must be an *equivalent* execution:
+            if engine == "compressed":
+                # The compressed mode must be an *equivalent* execution:
                 # identical records and identical round accounting.
                 assert rounds == fast["rounds"], (
                     f"{engine} rounds diverged at n={n}: "
@@ -192,7 +156,7 @@ def large_n_report(sizes: List[int], smoke: bool):
                 assert _record_hash(result) == fast["hash"], (
                     f"{engine} records diverged at n={n}"
                 )
-                if engine == "compressed" and n >= 256:
+                if n >= 256:
                     speed = fast["wall"] / wall
                     speedups["compressed_vs_fast"] = speed
                     assert speed >= COMPRESSED_MIN_SPEEDUP, (
@@ -214,23 +178,10 @@ def large_n_report(sizes: List[int], smoke: bool):
                 "wall_s": round(wall, 4),
                 "rounds_per_sec": round(rounds / wall, 1),
             })
-        if n >= 256:
-            # The ISSUE 4 bar: the batched delivery pipeline must at
-            # least halve the PR-3 per-phase compressed wall clock.
-            ratio = batched_speedup(graph)
-            speedups["batched_vs_compressed_phase"] = round(ratio, 3)
-            assert ratio >= BATCHED_MIN_SPEEDUP, (
-                f"batched compressed pipeline only {ratio:.2f}x of the "
-                f"per-phase compressed baseline at n={n} "
-                f"(need >= {BATCHED_MIN_SPEEDUP}x)"
-            )
-            rows.append([
-                n, "batched-vs-phase", "--", "--", "--", f"{ratio:.2f}x",
-            ])
     report = render_table(
         ["n", "engine", "rounds", "wall (s)", "rounds/sec", "vs seed"],
         rows,
-        title="L1: deterministic APSP at large n (er graphs; every "
+        title="L1: deterministic APSP at large n (er graphs; the "
               "compressed mode asserted record-identical to fast)",
     )
     return report, json_rows, speedups

@@ -513,21 +513,20 @@ class PerfScenario:
     family: str
     n: int
     seed: int
-    engine: str  # strict | fast | compressed-phase | compressed
+    engine: str  # strict | fast | compressed
 
     def make_net(self, graph):
         """A fresh engine for ``graph`` in this scenario's mode."""
         return make_engine_net(graph, self.engine)
 
 
-#: the four engine modes, pinned at the CI-sized n=64 ER instance the
+#: the three engine modes, pinned at the CI-sized n=64 ER instance the
 #: large-n bench also uses — exact rounds/messages are identical across
 #: modes (the differential matrix proves it), so the gate additionally
 #: pins that equivalence PR-over-PR
 PERF_SCENARIOS: Tuple[PerfScenario, ...] = (
     PerfScenario("er-n64-strict", "er", 64, 1, "strict"),
     PerfScenario("er-n64-fast", "er", 64, 1, "fast"),
-    PerfScenario("er-n64-compressed-phase", "er", 64, 1, "compressed-phase"),
     PerfScenario("er-n64-compressed", "er", 64, 1, "compressed"),
 )
 
@@ -537,7 +536,7 @@ PERF_BENCH = "perf_smoke"
 
 def make_engine_net(graph, engine: str):
     """A :class:`~repro.congest.network.CongestNetwork` in one of the
-    four measured execution modes (shared by ``repro perf`` and the
+    three measured execution modes (shared by ``repro perf`` and the
     benches)."""
     from repro.congest.network import CongestNetwork
 
@@ -547,11 +546,9 @@ def make_engine_net(graph, engine: str):
         return CongestNetwork(graph, strict=False)
     if engine == "compressed":
         return CongestNetwork(graph, strict=False, compress=True)
-    if engine == "compressed-phase":
-        return CongestNetwork(graph, strict=False, compress=True, batch=False)
     raise ValueError(
         f"unknown engine {engine!r}; expected one of "
-        f"strict/fast/compressed-phase/compressed"
+        f"strict/fast/compressed"
     )
 
 

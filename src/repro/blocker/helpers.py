@@ -64,71 +64,16 @@ class _ViCountProgram(NodeProgram):
         self.active = False
 
 
-class _CompressedViCount(CompressedPhase):
-    """Round-compressed `_ViCountProgram`: the beta flood, evaluated top-down.
+class _CompressedViCountBatch(CompressedPhase):
+    """Round-compressed `_ViCountProgram`: every tree's beta flood as one phase.
 
     The flood is a synchronized wave — a live node at depth ``d``
-    forwards the running count to each live child in round ``d`` — so the
-    schedule is one message per live non-root node and the wave ends one
-    round after the deepest live internal node fires.
-    """
-
-    def __init__(self, tree: TreeView, h: int, vi: Set[int], label: str) -> None:
-        self.tree = tree
-        self.h = h
-        self.vi = vi
-        self.label = label
-        self._parent, self._depth, self._live = tree_arrays(tree)
-        self._lc = live_child_counts(self._parent, self._live, tree.n)
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        t = self.tree
-        internal = self._live & (self._lc > 0)
-        if not internal.any() or not t.live(t.root):
-            return PhaseSchedule()
-        idx = np.flatnonzero(internal)
-        per_node = dict(zip(idx.tolist(), self._lc[idx].tolist()))
-        per_edge = None
-        if net.track_edges:
-            kids = np.flatnonzero(self._live & (self._parent >= 0))
-            per_edge = {
-                (p, c): 1
-                for c, p in zip(kids.tolist(), self._parent[kids].tolist())
-            }
-        return PhaseSchedule(
-            rounds=int(self._depth[idx].max()) + 1,
-            messages=int(self._lc[idx].sum()),
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> Dict[int, int]:
-        t = self.tree
-        if not t.live(t.root):
-            return {}
-        parent, depth, live = self._parent, self._depth, self._live
-        n = t.n
-        in_vi = np.zeros(n, dtype=np.int64)
-        for v in self.vi:
-            if 0 <= v < n:
-                in_vi[v] = 1
-        beta = np.zeros(n, dtype=np.int64)
-        for d in range(1, self.h + 1):
-            idx = np.flatnonzero(live & (depth == d))
-            if len(idx):
-                # The root slot never counts, so beta[root] stays 0.
-                beta[idx] = beta[parent[idx]] + in_vi[idx]
-        leaves = np.flatnonzero(live & (depth == self.h))
-        return dict(zip(leaves.tolist(), beta[leaves].tolist()))
-
-
-class _CompressedViCountBatch(CompressedPhase):
-    """Every tree's beta flood (Algorithms 3/4) evaluated as one phase.
-
-    The stacked counterpart of `_CompressedViCount`: the per-tree
+    forwards the running count to each live child in round ``d`` — so a
+    tree's schedule is one message per live non-root node, ending one
+    round after the deepest live internal node fires.  The per-tree
     schedules sum (rounds add per tree with a live root and at least one
-    live internal node), and the synchronized top-down wave runs level by
-    level over the ``(T, n)`` arrays for all trees at once.
+    live internal node), and the top-down wave runs level by level over
+    the ``(T, n)`` arrays for all trees at once.
     """
 
     def __init__(self, coll: CSSSPCollection, xs: Sequence[int],
@@ -237,23 +182,15 @@ def compute_vi_counts(
     ``compress`` selects the round-compressed execution mode (default:
     the network's setting).
     """
-    if net.use_compressed_batched(compress) and coll.trees:
+    if net.use_compressed(compress) and coll.trees:
         xs = list(coll.trees)
         phase = _CompressedViCountBatch(coll, xs, vi, label)
         beta, stats = net.run_compressed(phase)
         stats.label = label
         return beta, stats
-    compressed = net.use_compressed(compress)
     total = RoundStats(label=label)
     beta: Dict[int, Dict[int, int]] = {}
     for x, t in coll.trees.items():
-        if compressed:
-            per_leaf, stats = net.run_compressed(
-                _CompressedViCount(t, coll.h, vi, f"{label}({x})")
-            )
-            total.merge(stats)
-            beta[x] = per_leaf
-            continue
         programs = [_ViCountProgram(v, t, v in vi) for v in range(coll.n)]
         total.merge(net.run(programs, label=f"{label}({x})"))
         beta[x] = {

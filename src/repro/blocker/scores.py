@@ -24,7 +24,6 @@ from repro.congest.compressed import (
     CompressedPhase,
     PhaseSchedule,
     collection_arrays,
-    tree_arrays,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -62,87 +61,15 @@ class _SubtreeSumProgram(NodeProgram):
         self.active = t.live(v) and ctx.round < fire
 
 
-class _CompressedSubtreeSum(CompressedPhase):
-    """Round-compressed `_SubtreeSumProgram`: the bottom-up tree sum.
+class _CompressedSubtreeSumBatch(CompressedPhase):
+    """Round-compressed `_SubtreeSumProgram` over a stack of trees.
 
     Every live non-root node sends exactly one message — in round
-    ``h - depth(v)`` — so the schedule is immediate.  The sums accumulate
-    level by level with ``np.add.at`` when the values are integer-valued
-    (the score/indicator workloads — exact in float64 regardless of add
-    order); otherwise a Python fold replays the engine's exact
-    accumulation order (live children in ascending id).
-    """
-
-    def __init__(
-        self, tree: TreeView, h: int, values: Sequence[float], label: str
-    ) -> None:
-        self.tree = tree
-        self.h = h
-        self.values = values
-        self.label = label
-        self._parent, self._depth, self._live = tree_arrays(tree)
-        self._senders = self._live & (self._parent >= 0)
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        senders = self._senders
-        count = int(senders.sum())
-        if not count:
-            return PhaseSchedule()
-        idx = np.flatnonzero(senders)
-        per_edge = None
-        if net.track_edges:
-            per_edge = {
-                (v, p): 1
-                for v, p in zip(idx.tolist(), self._parent[idx].tolist())
-            }
-        return PhaseSchedule(
-            rounds=self.h - int(self._depth[idx].min()) + 1,
-            messages=count,
-            per_node_sent=dict.fromkeys(idx.tolist(), 1),
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> List[float]:
-        t = self.tree
-        parent, depth, live = self._parent, self._depth, self._live
-        vals = np.asarray(self.values, dtype=np.float64)
-        acc = np.where(live, vals, 0.0)
-        if np.array_equal(acc, np.trunc(acc)):
-            # Integer-valued: float addition is exact in any order, so the
-            # level-by-level vectorized accumulation matches the engine.
-            senders = self._senders
-            for d in range(int(depth.max(initial=0)), 0, -1):
-                idx = np.flatnonzero(senders & (depth == d))
-                if len(idx):
-                    np.add.at(acc, parent[idx], acc[idx])
-            return acc.tolist()
-        # General floats: replay the engine's exact fold order.
-        out = [0.0] * t.n
-        if not t.live(t.root):
-            return out
-        order: List[int] = []
-        stack = [t.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(t.live_children(v))
-        for v in reversed(order):
-            total = self.values[v]
-            for c in sorted(t.live_children(v)):
-                total += out[c]
-            out[v] = total
-        return out
-
-
-class _CompressedSubtreeSumBatch(CompressedPhase):
-    """All trees' subtree-sum convergecasts evaluated as one phase.
-
-    Valid for integer-valued inputs only (float addition is exact in any
-    order, so the level-by-level ``np.add.at`` accumulation over the
-    stacked ``(T, n)`` arrays matches every engine fold) — which covers
-    all the batch call sites: leaf indicators (scores / score_ij) and
-    live counts (Algorithm 14).  The schedule is the sum of the per-tree
-    schedules, computed in one vectorized pass.
+    ``h - depth(v)`` — so each tree's schedule is immediate, and the
+    batch's schedule is the sum of the per-tree schedules, computed in
+    one vectorized pass over the stacked ``(T, n)`` arrays.  The sums
+    replay the engine's fold exactly, for any float values: deepest level
+    first, each node adding its live children in ascending id.
     """
 
     def __init__(
@@ -197,15 +124,12 @@ class _CompressedSubtreeSumBatch(CompressedPhase):
             return self._acc
         senders, depth, parent = self._senders, self._depth, self._parent
         acc = np.where(self._live, self._values, 0.0)
-        if not np.array_equal(acc, np.trunc(acc)):
-            raise ValueError(
-                "batched subtree sums require integer-valued inputs "
-                "(float addition must be order-independent); use the "
-                "per-tree subtree_sums for general floats"
-            )
         # One bottom-up np.add.at per depth level, over depth-sorted
         # sender coordinates (a single nonzero + argsort instead of a
-        # full-matrix mask per level).
+        # full-matrix mask per level).  ``nonzero`` yields each tree's
+        # senders in ascending id and the sort is stable, and ``add.at``
+        # applies repeated indices one by one in array order, so every
+        # parent folds its children in the engine's inbox order.
         rows, cols = np.nonzero(senders)
         if len(rows):
             d = depth[rows, cols]
@@ -236,7 +160,7 @@ def batched_subtree_sums(
     internally, as the per-tree calls do).  Returns ``(acc, depth, live,
     stats)`` with ``acc[i]`` the live-subtree sums of tree ``xs[i]`` —
     bit-identical to the per-tree runs, whose merged stats equal
-    ``stats``.  Integer-valued inputs only (asserted).
+    ``stats``.
     """
     if arrays is None:
         arrays = collection_arrays(coll, xs)
@@ -262,18 +186,18 @@ def subtree_sums(
     rounds.  ``compress`` selects the round-compressed execution mode
     (default: the network's setting).
     """
-    t = coll.trees[x]
+    label = label or f"subtree-sums({x})"
     if net.use_compressed(compress):
-        phase = _CompressedSubtreeSum(
-            t, coll.h, [values[v] if t.live(v) else 0.0 for v in range(coll.n)],
-            label or f"subtree-sums({x})",
+        acc, _depth, _live, stats = batched_subtree_sums(
+            net, coll, [x], np.asarray([values], dtype=np.float64), label
         )
-        return net.run_compressed(phase)
+        return acc[0].tolist(), stats
+    t = coll.trees[x]
     programs = [
         _SubtreeSumProgram(v, t, coll.h, values[v] if t.live(v) else 0.0)
         for v in range(coll.n)
     ]
-    stats = net.run(programs, label=label or f"subtree-sums({x})")
+    stats = net.run(programs, label=label)
     sums = [programs[v].acc if t.live(v) else 0.0 for v in range(coll.n)]
     return sums, stats
 
@@ -304,7 +228,7 @@ def compute_scores(
     rescore loop of Algorithm 2 only reads the totals) and returns an
     empty dict in their place.
     """
-    if net.use_compressed_batched(compress) and coll.trees:
+    if net.use_compressed(compress) and coll.trees:
         xs = list(coll.trees)
         arrays = collection_arrays(coll, xs)
         _, depth0, live0 = arrays
@@ -351,7 +275,7 @@ def compute_score_ij(
     :func:`compute_scores`, ``O(|S| \\cdot h)`` rounds.
     """
     xs = [x for x in coll.trees if pij_leaf.get(x)]
-    if net.use_compressed_batched(compress) and xs:
+    if net.use_compressed(compress) and xs:
         vals = np.zeros((len(xs), coll.n))
         for i, x in enumerate(xs):
             vals[i, pij_leaf[x]] = 1.0

@@ -329,7 +329,7 @@ def cmd_perf(args) -> int:
               f"{', '.join(args.records)}", file=sys.stderr)
     else:
         scenarios = list(trajectory.PERF_SCENARIOS)
-        serving = True  # the serving scenario is pinned alongside the four
+        serving = True  # the serving scenario is pinned alongside the three
         if args.scenarios:
             by_key = {s.key: s for s in scenarios}
             known = set(by_key) | {trajectory.SERVING_SCENARIO_KEY}

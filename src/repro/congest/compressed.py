@@ -34,8 +34,11 @@ formulas below against engine runs on random trees.
 Soundness caveat: compressed evaluation assumes the tree state it reads
 is *subtree-consistent* (removals always detach whole subtrees — the
 invariant every pruning protocol in this repository maintains).  Phases
-whose schedule depends on message contents (adaptive protocols such as
-Bellman-Ford) cannot be compressed and always run through the engine.
+whose schedule depends on message contents (adaptive protocols) are
+compressed only where their dynamics are deterministic and replayed
+exactly — Bellman-Ford, see
+:class:`repro.primitives.bellman_ford._BatchedBellmanFordSolver`; every
+other adaptive phase runs through the engine.
 """
 
 from __future__ import annotations

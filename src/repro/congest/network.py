@@ -160,16 +160,11 @@ class CongestNetwork:
         a per-call ``compress`` override, analogous to how ``strict``
         selects the validation path globally.  Results and
         :class:`RoundStats` are bit-identical in both modes; adaptive
-        phases always use the engine regardless of this flag.
-    batch:
-        When compressing, additionally allow the *batched* replays: the
-        Step-6 delivery-pipeline phases, the multi-source Bellman-Ford
-        solver, and the multi-tree convergecast batches (one
-        :meth:`run_compressed` call covering what the engine runs as many
-        phases — still bit-identical stats in aggregate).  ``batch=False``
-        pins an otherwise-compressed network to the per-phase compressed
-        mode, which is the A/B baseline ``bench_large_n`` measures the
-        batched pipeline against.
+        phases always use the engine regardless of this flag.  Primitives
+        over many sources or trees (multi-source Bellman-Ford, the
+        multi-tree convergecasts, the Step-6 delivery pipeline) replay
+        all their phases in one :meth:`run_compressed` call; a single
+        phase is a batch of one.
     faults:
         An optional :class:`~repro.congest.faults.FaultPlan` applied at
         delivery time in the message-level engine (see
@@ -190,7 +185,6 @@ class CongestNetwork:
         strict: bool = True,
         track_edges: bool = False,
         compress: bool = False,
-        batch: bool = True,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.graph = graph
@@ -200,7 +194,6 @@ class CongestNetwork:
         self.strict = strict
         self.track_edges = track_edges
         self.compress = compress
-        self.batch = batch
         #: the plan this network was built with (``None`` = no plan)
         self.fault_plan = faults
         #: accumulated :class:`~repro.congest.faults.FaultTrace` of every
@@ -267,19 +260,6 @@ class CongestNetwork:
     def use_compressed(self, override: Optional[bool] = None) -> bool:
         """Resolve a primitive's per-call ``compress`` flag against the default."""
         return self.compress if override is None else bool(override)
-
-    def use_compressed_batched(self, override: Optional[bool] = None) -> bool:
-        """Resolve a batched replay's per-call flag.
-
-        The batched fast paths (Step-6 delivery pipeline, multi-source
-        Bellman-Ford, multi-tree convergecast batches) run when the
-        network compresses *and* batching is enabled; an explicit
-        per-call override wins over both flags (so the differential
-        tests can force either path on any network).
-        """
-        if override is not None:
-            return bool(override)
-        return self.compress and self.batch
 
     def run_compressed(self, phase, label: str = ""):
         """Execute a fixed-schedule phase analytically (no messages).

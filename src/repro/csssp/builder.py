@@ -42,7 +42,7 @@ from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
 from repro.csssp.collection import CSSSPCollection, TreeView
-from repro.graphs.spec import Cost, Graph, INF_COST, add_cost
+from repro.graphs.spec import Graph, add_cost
 from repro.primitives.bellman_ford import (
     SSSPResult,
     _CompressedNotifyChildren,
@@ -128,7 +128,7 @@ class _CompressedTruncate(CompressedPhase):
     """
 
     def __init__(self, graph: Graph, res: SSSPResult, h: int,
-                 label: str, edge_in: Optional[dict] = None) -> None:
+                 label: str, edge_in: dict) -> None:
         self.graph = graph
         self.res = res
         self.h = h
@@ -141,7 +141,6 @@ class _CompressedTruncate(CompressedPhase):
             return self._kept
         graph, res, h = self.graph, self.res, self.h
         n = graph.n
-        edges = graph.in_edges if not res.reverse else graph.out_edges
         table = self.edge_in
         kept = [False] * n
         kept[res.source] = True
@@ -153,10 +152,7 @@ class _CompressedTruncate(CompressedPhase):
             p = res.parent[v]
             if p < 0 or not kept[p] or res.hops[p] >= h:
                 continue
-            if table is not None:
-                wt = table.get((p, v))
-            else:
-                wt = next(((w, tb) for (u, w, tb) in edges(v) if u == p), None)
+            wt = table.get((p, v))
             if wt is not None and add_cost(res.label[p], *wt) == res.label[v]:
                 kept[v] = True
         self._kept = kept
@@ -210,8 +206,6 @@ def build_csssp(
     if h < 1:
         raise ValueError("h must be >= 1")
     reverse = orientation == "in"
-    compressed = net.use_compressed(compress)
-    batched = net.use_compressed_batched(compress)
     total = RoundStats(label=label)
     trees: Dict[int, TreeView] = {}
     source_list = list(sources)
@@ -223,7 +217,7 @@ def build_csssp(
     for res in results:
         total.merge(res.rounds)
 
-    if batched and source_list:
+    if net.use_compressed(compress) and source_list:
         # The per-source truncation floods and children notifications are
         # independent fixed-schedule phases: run each family as one batch.
         edge_in = _edge_in_table(net, graph, reverse)
@@ -263,17 +257,9 @@ def build_csssp(
         return CSSSPCollection(graph, h, trees, orientation), total
 
     for x, res in zip(source_list, results):
-        if compressed:
-            kept, stats = net.run_compressed(
-                _CompressedTruncate(graph, res, h, f"{label}-trunc({x})")
-            )
-            total.merge(stats)
-        else:
-            programs = [
-                _TruncateProgram(v, graph, res, h) for v in range(graph.n)
-            ]
-            total.merge(net.run(programs, label=f"{label}-trunc({x})"))
-            kept = [p.kept for p in programs]
+        programs = [_TruncateProgram(v, graph, res, h) for v in range(graph.n)]
+        total.merge(net.run(programs, label=f"{label}-trunc({x})"))
+        kept = [p.kept for p in programs]
         parent = [-1] * graph.n
         depth = [-1] * graph.n
         dist = [float("inf")] * graph.n
@@ -283,7 +269,7 @@ def build_csssp(
                 dist[v] = res.dist[v]
                 parent[v] = res.parent[v]
         children, nstats = notify_children(net, parent, label=f"{label}-kids({x})",
-                                           compress=compress)
+                                           compress=False)
         total.merge(nstats)
         trees[x] = TreeView(
             root=x,

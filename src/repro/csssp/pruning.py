@@ -148,7 +148,6 @@ def remove_subtrees_sequential(
     """
     rootset = sorted(set(roots))
     compressed = net.use_compressed(compress)
-    batched = net.use_compressed_batched(compress)
     total = RoundStats(label=label)
     batch: List[_CompressedSubtreeRemove] = []
     for x, t in coll.trees.items():
@@ -158,17 +157,12 @@ def remove_subtrees_sequential(
         if not start_nodes:
             continue
         if compressed:
-            phase = _CompressedSubtreeRemove(
+            # One run_compressed for the whole collection: the per-tree
+            # floods are independent, so their schedules compose
+            # additively (CompressedSequence).
+            batch.append(_CompressedSubtreeRemove(
                 t, start_nodes, set(start_nodes), f"{label}({x})"
-            )
-            if batched:
-                # One run_compressed for the whole collection: the
-                # per-tree floods are independent, so their schedules
-                # compose additively (CompressedSequence).
-                batch.append(phase)
-                continue
-            _, stats = net.run_compressed(phase)
-            total.merge(stats)
+            ))
             continue
         startset = set(start_nodes)
         programs = [
@@ -414,10 +408,10 @@ class ParallelPruner:
         ``O(|S| + h)`` rounds per call (one subtraction per tree climbs at
         most ``h`` edges; per-edge FIFOs drain one notice per round).
         ``compress`` selects the round-compressed exact replay (default:
-        the network's ``compress and batch`` setting).
+        the network's setting).
         """
         rootset = tuple(sorted(set(roots)))
-        if self.net.use_compressed_batched(compress):
+        if self.net.use_compressed(compress):
             _, stats = self.net.run_compressed(
                 _CompressedParallelPrune(self, rootset, label)
             )

@@ -63,10 +63,10 @@ def message_counts(
 ) -> Tuple[Dict[int, List[float]], RoundStats]:
     """Algorithm 14 for every tree: ``count_{v,c}`` = live subtree size.
 
-    One fixed-schedule subtree-sum convergecast per tree; in the batched
-    compressed mode all of them evaluate as a single stacked phase.
+    One fixed-schedule subtree-sum convergecast per tree; compressed, all
+    of them evaluate as a single stacked phase.
     """
-    if net.use_compressed_batched(compress) and coll.trees:
+    if net.use_compressed(compress) and coll.trees:
         xs = list(coll.trees)
         arrays = collection_arrays(coll, xs)
         ones = arrays[2].astype(float)  # live indicators
@@ -79,7 +79,8 @@ def message_counts(
     counts: Dict[int, List[float]] = {}
     for c, t in coll.trees.items():
         ones = [1.0 if t.live(v) else 0.0 for v in range(coll.n)]
-        sums, stats = subtree_sums(net, coll, c, ones, label=f"{label}({c})")
+        sums, stats = subtree_sums(net, coll, c, ones, label=f"{label}({c})",
+                                   compress=False)
         total.merge(stats)
         counts[c] = sums
     return counts, total

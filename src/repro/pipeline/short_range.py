@@ -20,7 +20,6 @@ Two mechanisms split the work:
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -222,7 +221,7 @@ def round_robin_pipeline(
     round schedule differs, so the F4 bench can compare the two heads-up.
 
     ``compress`` selects the round-compressed count-level replay
-    (default: the network's ``compress and batch`` setting) — results and
+    (default: the network's setting) — results and
     stats bit-identical to the message-level run.
     """
     order = sorted(coll.trees.keys())
@@ -236,7 +235,7 @@ def round_robin_pipeline(
             local = list(order)
             _random.Random(schedule_seed * 1_000_003 + v).shuffle(local)
             orders.append(local)
-    if net.use_compressed_batched(compress):
+    if net.use_compressed(compress):
         phase = _CompressedRoundRobin(coll, values, orders, label)
         delivered, stats = net.run_compressed(phase, label=label)
         trace = PipelineTrace(

@@ -194,168 +194,27 @@ def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
     return cache[key][1]
 
 
-class _CompressedBellmanFord(CompressedPhase):
-    """Central replay of the `_BFProgram` relaxation dynamics.
+class _BatchedBellmanFordSolver:
+    """Lockstep multi-source replay of the `_BFProgram` relaxation dynamics.
 
     Bellman-Ford is adaptive (who sends when depends on the labels), but
-    its dynamics are deterministic, so the phase replays them exactly:
+    its dynamics are deterministic, so the solver replays them exactly:
     per round, the announcements of the previous round's improved nodes
     are screened in one vectorized pass against each receiver's
     round-start weight gate — the same gate `_BFProgram` applies, so the
     screen is a superset of what the engine would accept — and only the
-    survivors go through the exact per-candidate update, in the engine's
-    delivery order (ascending sender id per receiver).  All arithmetic is
-    IEEE-754 double either way, so labels, parents, message counts and
-    round counts are bit-identical to the engine run.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        h: int,
-        reverse: bool,
-        inits: Dict[int, Cost],
-        fill_equal_parent: bool,
-        label: str,
-    ) -> None:
-        self.graph = graph
-        self.h = h
-        self.reverse = reverse
-        self.inits = inits
-        self.fill_equal = fill_equal_parent
-        self.label = label
-        self._solved = False
-        self._sched: Optional[PhaseSchedule] = None
-        self.labels: List[Cost] = []
-        self.parents: List[int] = []
-
-    def _solve(self, net: CongestNetwork) -> None:
-        if self._solved:
-            return
-        graph, h = self.graph, self.h
-        n = graph.n
-        off, dst_arr, w_arr, tb_arr = _announce_arrays(net, graph, self.reverse)
-        labels: List[Cost] = [INF_COST] * n
-        label0 = np.full(n, np.inf)
-        budget = [0] * n
-        parent = [-1] * n
-        times_sent = [0] * n
-        fill_equal = self.fill_equal
-        for v, init in self.inits.items():
-            if init is not None and init != INF_COST:
-                labels[v] = init
-                label0[v] = init[0]
-        senders = sorted(
-            v for v in self.inits if labels[v] != INF_COST
-        )
-        messages = 0
-        last_send = -1
-        tick = 0
-        while senders:
-            send_list = [v for v in senders if budget[v] < h]
-            if not send_list:
-                break
-            send_arr = np.asarray(send_list, dtype=np.int64)
-            degs = off[send_arr + 1] - off[send_arr]
-            round_msgs = int(degs.sum())
-            for v in send_list:
-                times_sent[v] += 1
-            if round_msgs:
-                last_send = tick
-                messages += round_msgs
-            # Snapshot the payloads: the engine fixes (label, budget) at
-            # send time, before any of this round's deliveries can touch
-            # the sender's own state.
-            pay = {v: (labels[v], budget[v]) for v in send_list}
-            # Flatten this round's announcements, senders in ascending id
-            # (= the engine's send order, hence per-receiver inbox order).
-            sel = np.concatenate(
-                [np.arange(off[v], off[v + 1]) for v in send_list]
-            ) if round_msgs else np.empty(0, dtype=np.int64)
-            dsts = dst_arr[sel]
-            d_rep = np.repeat(
-                np.fromiter((labels[v][0] for v in send_list),
-                            dtype=np.float64, count=len(send_list)),
-                degs,
-            )
-            cand_w = d_rep + w_arr[sel]
-            # Round-start gates: a candidate the engine would have examined
-            # always passes its receiver's *initial* gate (gates only
-            # tighten within a round), so this screen is a strict superset.
-            gate = label0 + 1e-9 * (1.0 + np.abs(label0))
-            alive = np.flatnonzero(cand_w <= gate[dsts])
-            improved: Dict[int, None] = {}
-            if len(alive):
-                srcs_l = np.repeat(send_arr, degs)[alive].tolist()
-                dsts_l = dsts[alive].tolist()
-                cw_l = cand_w[alive].tolist()
-                tb_l = tb_arr[sel[alive]].tolist()
-                for src, u, cw, tbe in zip(srcs_l, dsts_l, cw_l, tb_l):
-                    lab_s, b = pay[src]
-                    if b >= h:  # pragma: no cover - senders are pre-filtered
-                        continue
-                    lab_u = labels[u]
-                    if cw > lab_u[0] + 1e-9 * (1.0 + abs(lab_u[0])):
-                        continue  # the gate tightened mid-round
-                    cand: Cost = (cw, lab_s[1] + 1, lab_s[2] + tbe)
-                    if cand < lab_u:
-                        labels[u] = cand
-                        budget[u] = b + 1
-                        parent[u] = src
-                        improved[u] = None
-                    elif (
-                        fill_equal
-                        and parent[u] < 0
-                        and cand[1] == lab_u[1]
-                        and cand[2] == lab_u[2]
-                        and abs(cand[0] - lab_u[0])
-                        <= 1e-9 * (1.0 + abs(lab_u[0]))
-                    ):
-                        parent[u] = src
-            for u in improved:
-                label0[u] = labels[u][0]
-            senders = sorted(improved)
-            tick += 1
-        per_node = {v: times_sent[v] * int(off[v + 1] - off[v])
-                    for v in range(n) if times_sent[v] and off[v + 1] > off[v]}
-        per_edge = None
-        if net.track_edges:
-            per_edge = {}
-            for v, t in enumerate(times_sent):
-                if t:
-                    for u in dst_arr[off[v]:off[v + 1]].tolist():
-                        per_edge[(v, u)] = t
-        self._sched = PhaseSchedule(
-            rounds=last_send + 1,
-            messages=messages,
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-        self.labels = labels
-        self.parents = parent
-        self._solved = True
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self._solve(net)
-        return self._sched
-
-    def evaluate(self, net: CongestNetwork):
-        self._solve(net)
-        return self.labels, self.parents
-
-
-class _BatchedBellmanFordSolver:
-    """Lockstep multi-source replay of `_CompressedBellmanFord`.
+    survivors decide the receiver's new label, in the engine's delivery
+    order (ascending sender id per receiver).  All arithmetic is IEEE-754
+    double either way, so labels, parents, message counts and round
+    counts are bit-identical to the engine run.
 
     The per-source dynamics are completely independent — nothing a source
-    learns ever reaches another source's state — so running ``B`` phases
-    round-by-round in lockstep and screening all their announcements in
-    *one* vectorized pass per round produces, source by source, exactly
-    the labels, parents and :class:`PhaseSchedule` the per-source replay
-    produces (which the differential harness pins to the engine).  The
-    batching amortizes the per-round numpy fixed cost over every source
-    still running, which is where the sequential replay spends most of
-    its time in Steps 1/3/7.
+    learns ever reaches another source's state — so ``B`` phases run
+    round-by-round in lockstep, all their announcements screened in *one*
+    pass per round, produce source by source exactly the labels, parents
+    and :class:`PhaseSchedule` of ``B`` separate runs.  The batching
+    amortizes the per-round numpy fixed cost over every source still
+    running; a single phase is a batch of one.
     """
 
     def __init__(
@@ -588,12 +447,11 @@ def bellman_ford_many(
     """Run one Bellman-Ford phase per source, batched when compressing.
 
     The multi-source entry point of Steps 1, 3 and 7 (and of the relay
-    SSSPs): with the batched compressed mode enabled
-    (``net.use_compressed_batched``) every phase is solved by one
-    lockstep :class:`_BatchedBellmanFordSolver` pass — per-phase results
-    and :class:`RoundStats` stay bit-identical to the per-source runs,
+    SSSPs): when compressing, every phase is solved by one lockstep
+    :class:`_BatchedBellmanFordSolver` pass — per-phase results and
+    :class:`RoundStats` stay bit-identical to the per-source engine runs,
     phases are still charged one by one in order — otherwise it simply
-    loops :func:`bellman_ford`.
+    loops :func:`bellman_ford` on the message engine.
     """
     if h is None:
         h = graph.n - 1
@@ -604,13 +462,13 @@ def bellman_ford_many(
         or f"bf(src={s},h={h},{'in' if reverse else 'out'})"
         for i, s in enumerate(sources)
     ]
-    if not net.use_compressed_batched(compress):
+    if not net.use_compressed(compress):
         return [
             bellman_ford(
                 net, graph, s, h=h, reverse=reverse,
                 inits=inits_per_source[i],
                 fill_equal_parent=fill_equal_parent,
-                label=phase_labels[i], compress=compress,
+                label=phase_labels[i], compress=False,
             )
             for i, s in enumerate(sources)
         ]
@@ -670,26 +528,17 @@ def bellman_ford(
     ``compress`` selects the round-compressed execution mode (default:
     the network's setting).
     """
+    if net.use_compressed(compress):
+        return bellman_ford_many(
+            net, graph, [source], h=h, reverse=reverse,
+            inits_per_source=[inits], fill_equal_parent=fill_equal_parent,
+            labels=[label], compress=True,
+        )[0]
     if h is None:
         h = graph.n - 1
     if inits is None:
         inits = {source: ZERO_COST}
     phase_label = label or f"bf(src={source},h={h},{'in' if reverse else 'out'})"
-    if net.use_compressed(compress):
-        phase = _CompressedBellmanFord(
-            graph, h, reverse, inits, fill_equal_parent, phase_label
-        )
-        (labels, parents), stats = net.run_compressed(phase)
-        return SSSPResult(
-            source=source,
-            h=h,
-            reverse=reverse,
-            dist=[lab[0] for lab in labels],
-            hops=[lab[1] if lab != INF_COST else -1 for lab in labels],
-            parent=parents,
-            label=labels,
-            rounds=stats,
-        )
     programs = [
         _BFProgram(v, graph, h, reverse, inits.get(v), fill_equal_parent)
         for v in range(graph.n)

@@ -47,6 +47,11 @@ LATENCY_WINDOW = 8192
 #: seconds an idle keep-alive connection may sit before being dropped
 IDLE_TIMEOUT = 60.0
 
+#: the routes ``/stats`` counts by name; every other request path
+#: (unknown routes, malformed request lines) is counted as ``other``, so
+#: the counters stay bounded whatever clients send
+ROUTES = ("/healthz", "/scenarios", "/distance", "/path", "/stats")
+
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 500: "Internal Server Error"}
 
@@ -63,9 +68,10 @@ def _percentile(sorted_values, q: float) -> float:
 class ServingMetrics:
     """Per-request serving metrics behind ``GET /stats``.
 
-    Counts requests and errors per route and keeps a bounded window of
-    request latencies; :meth:`snapshot` reduces the window to p50/p99
-    and derives queries-per-second from the uptime clock.
+    Counts requests and errors per route (:data:`ROUTES` plus ``other``)
+    and keeps a bounded window of request latencies; :meth:`snapshot`
+    reduces the window to p50/p99 and derives queries-per-second from
+    the uptime clock.
     """
 
     def __init__(self, window: int = LATENCY_WINDOW) -> None:
@@ -76,6 +82,8 @@ class ServingMetrics:
 
     def observe(self, route: str, seconds: float, status: int) -> None:
         """Record one finished request."""
+        if route not in ROUTES:
+            route = "other"
         self.requests[route] += 1
         if status >= 400:
             self.errors[route] += 1
@@ -314,6 +322,7 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "OracleServer",
+    "ROUTES",
     "ServingMetrics",
     "run_server",
 ]

@@ -29,7 +29,7 @@ from repro.csssp.builder import build_csssp
 from repro.csssp.pruning import ParallelPruner, remove_subtrees_sequential
 from repro.experiments.registry import make_graph
 from repro.graphs.spec import ZERO_COST
-from repro.pipeline.bottleneck import compute_bottleneck, message_counts
+from repro.pipeline.bottleneck import message_counts
 from repro.pipeline.broadcast_delivery import broadcast_delivery
 from repro.pipeline.relay import relay_join
 from repro.pipeline.reversed_qsink import reversed_qsink
@@ -250,8 +250,8 @@ def test_subtree_sums_and_scores_equivalent(family, seed, n, removals):
         graph, removals=removals, seed=seed)
     rng = random.Random(seed + n)
     x = next(iter(coll_m.trees))
-    # Non-integer values exercise the exact ordered-fold path; integer
-    # values exercise the vectorized level sums.
+    # Integer and non-integer values: the compressed fold must replay the
+    # engine's summation order bit for bit.
     for values in (
         [float(rng.randrange(4)) for _ in range(graph.n)],
         [rng.uniform(0.0, 1.0) for _ in range(graph.n)],
@@ -364,7 +364,7 @@ def test_relay_join_equivalent(family, seed, n):
 
 
 @pytest.mark.parametrize("family,seed,n", cases())
-def test_parallel_pruner_equivalent(family, seed, n):
+def test_parallel_pruner_equivalent(family, seed, n, monkeypatch):
     graph = make_graph(family, n, seed)
     net_m, net_c, coll_m, coll_c, _sinks, rng = in_collection_pair(
         graph, seed=seed, prunes=0)
@@ -372,6 +372,16 @@ def test_parallel_pruner_equivalent(family, seed, n):
     counts_c, sc = message_counts(net_c, coll_c)
     assert counts_m == counts_c  # Algorithm 14, batched vs oracle
     assert_stats_equal(sm, sc, "message-counts")
+    # compress=False overrides a compressing network all the way down:
+    # no phase may reach the compressed replay.
+    with monkeypatch.context() as patch:
+        def no_replay(*_args, **_kwargs):
+            raise AssertionError("compress=False ran a compressed phase")
+
+        patch.setattr(net_c, "run_compressed", no_replay)
+        counts_e, se = message_counts(net_c, coll_c, compress=False)
+    assert counts_e == counts_m
+    assert_stats_equal(sm, se, "message-counts compress=False")
     pm = ParallelPruner(net_m, coll_m, counts_m)
     pc = ParallelPruner(net_c, coll_c, {x: list(v) for x, v in counts_c.items()})
     for _ in range(3):
@@ -428,23 +438,19 @@ def test_reversed_qsink_equivalent(family, seed, n):
 
 @pytest.mark.parametrize("family,seed,n", cases())
 def test_bellman_ford_many_equivalent(family, seed, n):
-    """Batched lockstep solver vs per-source compressed vs the engine."""
+    """Batched lockstep solver vs the engine's per-source runs."""
     graph = make_graph(family, n, seed)
     rng = random.Random(seed + n)
     srcs = sorted(rng.sample(range(graph.n), min(6, graph.n)))
     for reverse in (False, True):
         net_m = CongestNetwork(graph, track_edges=True)
-        net_p = CongestNetwork(graph, track_edges=True, compress=True,
-                               batch=False)
         net_b = CongestNetwork(graph, track_edges=True, compress=True)
         res_m = bellman_ford_many(net_m, graph, srcs, h=3, reverse=reverse)
-        res_p = bellman_ford_many(net_p, graph, srcs, h=3, reverse=reverse)
         res_b = bellman_ford_many(net_b, graph, srcs, h=3, reverse=reverse)
-        for a, b, c in zip(res_m, res_p, res_b):
-            assert a.label == b.label == c.label
-            assert a.parent == b.parent == c.parent
-            assert_stats_equal(a.rounds, b.rounds, "bf-many per-source")
-            assert_stats_equal(a.rounds, c.rounds, "bf-many batched")
+        for a, b in zip(res_m, res_b):
+            assert a.label == b.label
+            assert a.parent == b.parent
+            assert_stats_equal(a.rounds, b.rounds, "bf-many batched")
         assert_stats_equal(net_m.total, net_b.total, "bf-many totals")
 
 
@@ -478,18 +484,15 @@ def test_bellman_ford_many_multi_init_equivalent(family, seed, n):
 @pytest.mark.parametrize("family,seed,n", cases())
 @pytest.mark.parametrize("removals", [0, 2])
 def test_batched_convergecasts_match_per_phase(family, seed, n, removals):
-    """Batched multi-tree phases vs per-phase compressed vs the engine."""
+    """Batched multi-tree phases vs the engine's per-tree phases."""
     graph = make_graph(family, n, seed)
     net_m, net_c, coll_m, coll_c = build_collection_pair(
         graph, removals=removals, seed=seed)
-    net_p = CongestNetwork(graph, compress=True, batch=False)
 
     score_m, per_m, stats_m = compute_scores(net_m, coll_m, compress=False)
-    score_p, per_p, stats_p = compute_scores(net_p, coll_c)  # per-phase
     score_b, per_b, stats_b = compute_scores(net_c, coll_c)  # batched
-    assert score_m == score_p == score_b
-    assert per_m == per_p == per_b
-    assert_stats_equal(stats_m, stats_p, "scores per-phase")
+    assert score_m == score_b
+    assert per_m == per_b
     assert_stats_equal(stats_m, stats_b, "scores batched")
 
     vi = set(random.Random(seed).sample(range(graph.n), graph.n // 3 + 1))

@@ -273,9 +273,17 @@ def test_server_routes_and_metrics(record, store_dir):
         status, body = await _get(reader, writer, "/stats")
         assert status == 200
         assert body["total_requests"] == 8
-        assert body["errors"] == {"/distance": 3, "/nope": 1}
+        assert body["errors"] == {"/distance": 3, "other": 1}
         assert body["latency_ms"]["p99"] >= body["latency_ms"]["p50"] >= 0
         assert body["store"]["scenarios"] == 1
+        # unknown paths share one label: the counters stay bounded
+        for i in range(50):
+            status, _ = await _get(reader, writer, f"/unknown-{i}")
+            assert status == 404
+        status, body = await _get(reader, writer, "/stats")
+        assert len(body["requests"]) <= 6
+        assert body["requests"]["other"] == 51
+        assert body["errors"]["other"] == 51
         writer.close()
         await writer.wait_closed()
 

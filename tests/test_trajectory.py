@@ -287,7 +287,7 @@ def test_run_scenarios_emits_schema_records():
         assert rec.schema == trajectory.SCHEMA_VERSION
         assert rec.exact["rounds"] > 0 and rec.exact["messages"] > 0
         assert rec.machine == machine_fingerprint()
-    # all four engine modes are equivalent executions: identical exact
+    # all engine modes are equivalent executions: identical exact
     # metrics, which is exactly what the committed history pins
     assert records[0].exact == records[1].exact
 
