@@ -1,4 +1,8 @@
-"""A1 — ablations over Algorithm 1's design choices (DESIGN.md section 4).
+"""A1 — ablations over Algorithm 1's design choices.
+
+The ``(h, blocker, delivery)`` triple of the shared driver is mapped in
+docs/REPRODUCTION.md; its "Departures from the paper" section lists where
+the components differ from the paper's listings.
 
 Three axes, each isolating one choice while the driver holds the rest
 fixed:

@@ -4,10 +4,11 @@ The paper's claim: Algorithm 2' runs in ``O~(|S| h)`` rounds while the
 greedy baseline pays ``O~(|S| h + n |Q|)`` — an extra ``n |Q| =
 Theta(n^2/h)`` term.
 
-**Scale caveat (the main reproduction finding here, see EXPERIMENTS.md).**
+**Scale caveat (the main reproduction finding here, see "Departures from
+the paper" in docs/REPRODUCTION.md).**
 Algorithm 2's Step 9 takes the heavy-node branch whenever some node covers
-more than a ``delta^3/(1+eps) ~ 1/1873`` *fraction* of ``P_ij``; with
-``|P_ij| < 1873`` any node covering one path qualifies, so at laptop scale
+more than a ``delta^3/(1+eps) = 1/1872`` *fraction* of ``P_ij``; with
+``|P_ij| < 1872`` any node covering one path qualifies, so at laptop scale
 every selection step is a single-node pick that still pays the full
 ``O(|S| h)`` recompute — ``Theta(q n h)`` total, *worse* than greedy.  The
 asymptotic claim rests on the good-set branch adding many nodes per step;

@@ -2,7 +2,8 @@
 
 Claims measured (with the heavy-node branch disabled so Steps 11-14
 actually run — at reproduction scale a single node otherwise always clears
-Step 9's absolute ``delta^3/(1+eps)`` threshold; see EXPERIMENTS.md):
+Step 9's absolute ``delta^3/(1+eps)`` threshold; see "Departures from the
+paper" in docs/REPRODUCTION.md):
 
 * Lemma 3.8 shape: the fraction of *good* sample points in the scanned
   batches; >= 1/8 is the paper's guarantee when the selection branch is

@@ -7,66 +7,47 @@ needs to know which algorithm family to deploy as the fleet grows.  This
 script regenerates Table 1 on their topology: it runs every implemented
 contender across a size sweep, verifies every output, fits growth
 exponents, and prints the deployment recommendation the measurements
-support.
+support.  The runs and fits take the same path as ``python -m repro
+table1``: the sweep executor, then ``fit_groups``.
 
 Usage::
 
-    python examples/compare_algorithms.py [grid|er|ring]
+    python examples/compare_algorithms.py [grid|er|ring|<any graph family>]
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.analysis import fit_exponent, render_table
-from repro.analysis.tables import TABLE1_ROWS, table1_measured
-from repro.graphs import erdos_renyi, grid2d, ring_graph
+from repro.analysis import fit_groups, render_fit_table
+from repro.experiments import ALGORITHMS, ScenarioMatrix, SweepExecutor
 
-
-def sweep(topology: str):
-    if topology == "grid":
-        return [grid2d(r, r + 2, seed=3) for r in (4, 5, 6, 7)]
-    if topology == "ring":
-        return [ring_graph(n, seed=3) for n in (16, 24, 32, 48)]
-    return [erdos_renyi(n, p=max(0.1, 4.0 / n), seed=3)
-            for n in (16, 24, 32, 48)]
+SIZES = (16, 24, 32, 48)
 
 
 def main() -> None:
     topology = sys.argv[1] if len(sys.argv) > 1 else "grid"
-    graphs = sweep(topology)
-    ns = [g.n for g in graphs]
+    matrix = ScenarioMatrix(families=(topology,), sizes=SIZES,
+                            algorithms=tuple(ALGORITHMS), seeds=(3,))
+    records = SweepExecutor(cache_dir=None, workers=1).run(matrix.expand())
+    ns = sorted({r["actual_n"] for r in records})
     print(f"topology: {topology}, sweep n = {ns} "
           "(every output verified exact)\n")
 
-    data = table1_measured(graphs)
-    rows = []
-    fits = {}
-    for spec in TABLE1_ROWS:
-        if spec.run is None:
-            continue
-        series = data[spec.key]
-        rounds = [r for (_n, r, _res) in series]
-        fit = fit_exponent(ns, rounds)
-        fits[spec.key] = fit
-        rows.append([spec.key, spec.claimed,
-                     " ".join(map(str, rounds)), f"{fit.alpha:.2f}"])
-    print(render_table(
-        ["algorithm", "claimed bound", f"measured rounds at n={ns}",
-         "fitted alpha"],
-        rows,
-        title="Table 1, measured on your topology",
-    ))
+    fits = fit_groups(records)
+    print(render_fit_table(fits, title="Table 1, measured on your topology"))
 
-    last = {key: data[key][-1][1] for key in fits}
+    last = {f.algorithm: f.metrics["rounds"].values[-1] for f in fits}
     winner = min(last, key=last.__getitem__)
-    flattest = min(fits, key=lambda k: fits[k].alpha)
-    print(f"\nat n={ns[-1]}, fewest rounds: {winner} ({last[winner]})")
-    print(f"flattest growth (best asymptote on this sweep): {flattest} "
-          f"(alpha={fits[flattest].alpha:.2f})")
+    flattest = min(fits, key=lambda f: f.metrics["rounds"].fit.alpha)
+    print(f"\nat n={ns[-1]}, fewest rounds: {winner} ({last[winner]:.0f})")
+    print(f"flattest growth (best asymptote on this sweep): "
+          f"{flattest.algorithm} "
+          f"(alpha={flattest.metrics['rounds'].fit.alpha:.2f})")
     print("\nnote: at these sizes constant factors still favor the simpler"
           "\nalgorithms; the fitted exponents are the forward-looking signal"
-          "\n(see EXPERIMENTS.md for the full scale discussion).")
+          "\n(see 'Departures from the paper' in docs/REPRODUCTION.md for"
+          "\nthe scale discussion).")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from repro.experiments.registry import (
     ClaimedBound,
 )
 from repro.experiments.runner import RECORD_VERSION
-from repro.experiments.spec import ScenarioMatrix, ScenarioSpec
+from repro.experiments.spec import THREE_PHASE, ScenarioMatrix, ScenarioSpec
 
 #: bump when the REPORT.json layout changes
 REPORT_VERSION = 1
@@ -255,14 +255,32 @@ class FamilyFit:
     flat: Optional[bool] = None
 
 
+def algorithm_key(spec: dict) -> str:
+    """The algorithm a record's spec names, as a fit-group key.
+
+    A registry algorithm is its own key.  A ``3phase`` spec is keyed by
+    its driver point, e.g. ``3phase(h=n^0.33,greedy,pipelined)``: arms
+    with different ``(h, blocker, delivery)`` are different algorithms
+    and must not be averaged into one fit.
+    """
+    if spec["algorithm"] != THREE_PHASE:
+        return spec["algorithm"]
+    return (f"{THREE_PHASE}(h=n^{spec['h_exponent']:.2f},"
+            f"{spec['blocker']},{spec['delivery']})")
+
+
 def group_records(
     records: Sequence[dict],
 ) -> Dict[Tuple[str, str, str], Dict[int, List[dict]]]:
-    """Group records by ``(algorithm, graph family, weights)``, then size."""
+    """Group records by ``(algorithm, graph family, weights)``, then size.
+
+    The algorithm part is :func:`algorithm_key`, so each ``3phase`` arm
+    is a group of its own.
+    """
     groups: Dict[Tuple[str, str, str], Dict[int, List[dict]]] = {}
     for rec in records:
         spec = rec["spec"]
-        key = (spec["algorithm"], spec["family"], spec["weights"])
+        key = (algorithm_key(spec), spec["family"], spec["weights"])
         groups.setdefault(key, {}).setdefault(spec["n"], []).append(rec)
     return groups
 
@@ -372,8 +390,10 @@ def fit_groups(
 ) -> List[FamilyFit]:
     """Fit every ``(algorithm, family, weights)`` group in the record set.
 
-    This is the shared fitting path: the T1 bench, the sweep report, and
-    the example script all produce their exponent tables through it.
+    This is the one path from records to a Table-1 fit: ``repro
+    table1``, ``repro sweep``, ``repro report`` (and with it
+    ``docs/RESULTS.md``) and the example scripts all produce their
+    exponent tables through it.
     Groups come back sorted; each carries a per-metric :class:`MetricFit`
     and the flatness verdict against the family's registered
     :class:`~repro.experiments.registry.ClaimedBound` (families without a
@@ -405,13 +425,13 @@ def fit_groups(
 # ----------------------------------------------------------------------
 
 FIT_TABLE_HEADER = [
-    "algorithm", "family", "claimed bound", "rounds alpha", "norm slope",
-    "messages alpha", "flat?",
+    "algorithm", "family", "weights", "claimed bound", "rounds at sizes",
+    "rounds alpha", "norm slope", "messages alpha", "flat?",
 ]
 
 
 def fit_table_rows(fits: Sequence[FamilyFit]) -> List[List[object]]:
-    """One row per family group, shared by the text and markdown renders."""
+    """One text-table row per family group (mean rounds per size)."""
     rows: List[List[object]] = []
     for f in fits:
         rounds = f.metrics.get("rounds")
@@ -419,7 +439,10 @@ def fit_table_rows(fits: Sequence[FamilyFit]) -> List[List[object]]:
         rows.append([
             f.algorithm,
             f.family,
+            f.weights,
             f.bound.bound if f.bound else "(none)",
+            "--" if rounds is None
+            else " ".join(_fmt_value(v) for v in rounds.values),
             _fmt_fit(rounds),
             _fmt_slope(rounds),
             _fmt_fit(messages),
@@ -459,7 +482,7 @@ def robustness_rows(records: Sequence[dict]) -> List[dict]:
         if not rec.get("faults"):
             continue
         spec = rec["spec"]
-        key = (spec["algorithm"], spec["family"], rec["faults"]["model"])
+        key = (algorithm_key(spec), spec["family"], rec["faults"]["model"])
         groups.setdefault(key, []).append(rec)
     rows: List[dict] = []
     for (algo, family, model), recs in sorted(groups.items()):
@@ -868,6 +891,7 @@ __all__ = [
     "FamilyFit",
     "MetricFit",
     "RecordError",
+    "algorithm_key",
     "build_report",
     "check_report",
     "fit_groups",

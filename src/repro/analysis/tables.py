@@ -1,9 +1,11 @@
-"""Table 1, regenerated as measured data.
+"""Table 1's rows: the measured contenders and the quoted bounds.
 
 The paper's Table 1 compares round complexities of exact weighted APSP
-algorithms.  We measure the families we implement end-to-end on identical
-inputs and report rounds, the fitted growth exponent over the sweep, and
-the rounds normalized by each algorithm's claimed bound.  Rows of Table 1
+algorithms.  The rows we implement are measured end-to-end: ``repro
+table1`` runs each one through the scenario sweep
+(:mod:`repro.experiments`, runner :data:`~repro.experiments.registry.ALGORITHMS`)
+and fits it with :func:`~repro.analysis.sweep_report.fit_groups`, the
+same path as ``repro sweep`` and ``repro report``.  Rows of Table 1
 whose algorithms are out of implementation scope (Huang et al.'s
 ``O~(n^{5/4})`` scaling algorithm, Elkin's ``O~(n^{5/3})`` undirected
 algorithm, Bernstein-Nanongkai's ``O~(n)``) are carried as *quoted
@@ -17,21 +19,15 @@ Claimed bounds for the measured rows are single-sourced from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List
 
-from repro.congest.network import CongestNetwork
+from repro.analysis.report import render_table
 from repro.experiments.registry import CLAIMED_BOUNDS
-from repro.graphs.spec import Graph
-from repro.apsp.baseline_n32 import baseline_n32_apsp
-from repro.apsp.deterministic import deterministic_apsp
-from repro.apsp.naive import five_thirds_apsp, naive_bf_apsp
-from repro.apsp.randomized import randomized_apsp
-from repro.apsp.result import APSPResult
 
 
 @dataclass
 class Table1Row:
-    """One measured contender of Table 1."""
+    """One contender of Table 1."""
 
     key: str
     reference: str
@@ -39,119 +35,45 @@ class Table1Row:
     kind: str  # Randomized / Deterministic
     claimed: str  # the paper-quoted bound
     claimed_alpha: float  # exponent of the claimed bound (for normalization)
-    run: Optional[Callable[[CongestNetwork, Graph], APSPResult]]
+    measured: bool  # implemented: ``key`` names an ``ALGORITHMS`` runner
 
 
-def _measured(key: str, reference: str, weights: str, kind: str,
-              run: Callable) -> Table1Row:
+def _measured(key: str, reference: str, weights: str, kind: str) -> Table1Row:
     """A measured row; bound string and exponent come from the registry
     (:data:`~repro.experiments.registry.CLAIMED_BOUNDS`), so Table 1 and
     the sweep report can never disagree on a claimed bound."""
     bound = CLAIMED_BOUNDS[key]
     return Table1Row(key, reference, weights, kind, bound.bound,
-                     bound.alpha, run)
+                     bound.alpha, True)
 
 
-#: Measured rows (implemented end-to-end) + quoted rows (run=None).
+#: Measured rows (implemented end-to-end) + quoted rows (measured=False).
 TABLE1_ROWS: List[Table1Row] = [
-    _measured("naive-bf", "folklore", "Arbitrary", "Deterministic",
-              naive_bf_apsp),
+    _measured("naive-bf", "folklore", "Arbitrary", "Deterministic"),
     _measured("det-n53", "Step-6 strawman (Sec. 2)", "Arbitrary",
-              "Deterministic", five_thirds_apsp),
-    _measured("det-n32", "Agarwal et al. [2]", "Arbitrary", "Deterministic",
-              baseline_n32_apsp),
+              "Deterministic"),
+    _measured("det-n32", "Agarwal et al. [2]", "Arbitrary", "Deterministic"),
     _measured("rand-n43", "Agarwal-Ramachandran [1]", "Arbitrary",
-              "Randomized", randomized_apsp),
-    _measured("det-n43", "THIS PAPER", "Arbitrary", "Deterministic",
-              deterministic_apsp),
+              "Randomized"),
+    _measured("det-n43", "THIS PAPER", "Arbitrary", "Deterministic"),
     Table1Row("huang-n54", "Huang et al. [13]", "Integer", "Randomized",
-              "O~(n^{5/4})", 1.25, None),
+              "O~(n^{5/4})", 1.25, False),
     Table1Row("elkin-n53", "Elkin [8]", "Arbitrary (undirected)",
-              "Randomized", "O~(n^{5/3})", 5.0 / 3.0, None),
+              "Randomized", "O~(n^{5/3})", 5.0 / 3.0, False),
     Table1Row("bn-n", "Bernstein-Nanongkai [5]", "Arbitrary", "Randomized",
-              "O~(n)", 1.0, None),
+              "O~(n)", 1.0, False),
 ]
 
 
-def sweep_rows(records: Sequence[dict]) -> List[List[object]]:
-    """Aggregate sweep records into Table-1-style report rows.
-
-    Records (see :mod:`repro.experiments.runner`) are grouped by
-    ``(algorithm, family, weight model)``; within a group, rounds are
-    averaged over seeds at each size and the growth exponent ``alpha`` is
-    fitted over the size series (needs >= 2 distinct sizes, else blank).
-    """
-    from repro.analysis.fitting import fit_exponent
-
-    groups: Dict[Tuple[str, str, str], Dict[int, List[dict]]] = {}
-    for rec in records:
-        spec = rec["spec"]
-        key = (rec["algorithm"], spec["family"], spec["weights"])
-        groups.setdefault(key, {}).setdefault(spec["n"], []).append(rec)
-
-    rows: List[List[object]] = []
-    for (algo, family, weights), by_n in sorted(groups.items()):
-        ns = sorted(by_n)
-        # Fit against the graphs' real sizes: several families (grid,
-        # star, layered) only approximate the requested n.
-        actual_ns = [
-            sum(r.get("actual_n", n) for r in by_n[n]) / len(by_n[n])
-            for n in ns
-        ]
-        mean_rounds = [
-            sum(r["rounds"] for r in by_n[n]) / len(by_n[n]) for n in ns
-        ]
-        mean_msgs = [
-            sum(r["messages"] for r in by_n[n]) / len(by_n[n]) for n in ns
-        ]
-        runs = sum(len(v) for v in by_n.values())
-        alpha = (
-            f"{fit_exponent(actual_ns, mean_rounds).alpha:.2f}"
-            if len(set(actual_ns)) > 1 else ""
-        )
-        rows.append([
-            algo, family, weights, runs,
-            " ".join(str(n) for n in ns),
-            " ".join(f"{r:.0f}" for r in mean_rounds),
-            alpha,
-            f"{max(mean_msgs):.0f}",
-        ])
-    return rows
+def render_quoted_rows() -> str:
+    """The Table-1 rows carried as quoted bounds, as a text table."""
+    return render_table(
+        ["algorithm", "claimed bound", "reference", "weights", "kind"],
+        [[r.key, r.claimed, r.reference, r.weights, r.kind]
+         for r in TABLE1_ROWS if not r.measured],
+        title="Table 1 rows carried as quoted bounds (out of "
+              "implementation scope)",
+    )
 
 
-SWEEP_HEADER = [
-    "algorithm", "family", "weights", "runs", "sizes",
-    "mean rounds per size", "fitted alpha", "peak mean messages",
-]
-
-
-def sweep_table(records: Sequence[dict], title: str = "scenario sweep") -> str:
-    """Render aggregated sweep records with the standard report style."""
-    from repro.analysis.report import render_table
-
-    return render_table(SWEEP_HEADER, sweep_rows(records), title=title)
-
-
-def table1_measured(
-    graphs: Sequence[Graph],
-    rows: Optional[Sequence[Table1Row]] = None,
-    verify: bool = True,
-) -> Dict[str, List[Tuple[int, int, APSPResult]]]:
-    """Run every implemented contender on every graph.
-
-    Returns ``{row key: [(n, rounds, result), ...]}`` in graph order.
-    ``verify`` checks each output against the centralized reference.
-    """
-    rows = [r for r in (rows or TABLE1_ROWS) if r.run is not None]
-    out: Dict[str, List[Tuple[int, int, APSPResult]]] = {r.key: [] for r in rows}
-    for graph in graphs:
-        net = CongestNetwork(graph)
-        for row in rows:
-            result = row.run(net, graph)
-            if verify:
-                result.verify(graph)
-            out[row.key].append((graph.n, result.rounds, result))
-    return out
-
-
-__all__ = ["TABLE1_ROWS", "Table1Row", "table1_measured"]
+__all__ = ["TABLE1_ROWS", "Table1Row", "render_quoted_rows"]

@@ -11,7 +11,7 @@ or a pairwise-independent *good set* (Steps 11-14, Definition 3.1), then
 removes the covered subtrees and recomputes scores (Steps 15-16).
 
 Two departures from the listing, both round-preserving and both documented
-in EXPERIMENTS.md:
+under "Departures from the paper" in docs/REPRODUCTION.md:
 
 * empty stages/phases are skipped by aggregating the current maximum
   score / path count (an ``O(D)`` convergecast) instead of iterating ``i``

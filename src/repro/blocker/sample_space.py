@@ -9,8 +9,9 @@ Two families:
   uniform (bias exactly 1/2) and pairwise independent.  The paper uses this
   family generically; it realizes selection probability 1/2 only.
 
-* :class:`AffineSampleSpace` — substitution S1 (see DESIGN.md): the
-  textbook biased pairwise-independent family ``X_v = 1`` iff
+* :class:`AffineSampleSpace` — substitution S1 (see "Departures from the
+  paper" in docs/REPRODUCTION.md): the textbook biased
+  pairwise-independent family ``X_v = 1`` iff
   ``(a v + b) mod P < T`` with ``P`` the smallest prime ``>= 2n`` and
   ``T = round(p P)``.  For distinct ids ``u, v < n <= P`` the pair
   ``(h(u), h(v))`` is uniform on ``Z_P^2``, giving *exact* pairwise

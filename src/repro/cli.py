@@ -33,7 +33,9 @@ result without writing code:
   (:mod:`repro.orchestrator`); ``--resume`` continues a killed run,
   ``--shard i/N`` runs one shard's stage, ``--status`` prints the
   journaled stage table.
-* ``table1`` — regenerate Table 1 (measured) on a size sweep.
+* ``table1`` — regenerate Table 1 (measured) on a size sweep: every
+  implemented contender runs through the sweep executor and is fitted
+  like ``sweep`` and ``report`` fit theirs.
 * ``blocker`` — run the four blocker constructions on one instance.
 * ``step6`` — standalone reversed q-sink comparison (pipelined vs
   broadcast).
@@ -54,9 +56,17 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from repro.analysis import fit_exponent, render_table, sweep_table
-from repro.analysis.sweep_report import FLAT_TOL
-from repro.analysis.tables import TABLE1_ROWS, table1_measured
+from repro.analysis import (
+    fit_groups,
+    render_fit_table,
+    render_quoted_rows,
+    render_table,
+)
+from repro.analysis.sweep_report import (
+    FLAT_TOL,
+    render_robustness_table,
+    robustness_rows,
+)
 from repro.congest import FAULT_MODELS, CongestNetwork
 from repro.csssp import build_csssp
 from repro.experiments import (
@@ -182,7 +192,16 @@ def cmd_sweep(args) -> int:
                   f"re-running the same sweep retries only the failures")
         return 1
     print(f"done: {executor.executed} executed, {executor.cached} from cache")
-    print(sweep_table(records, title=f"scenario sweep ({len(records)} runs)"))
+    # Faulted records measure fault recovery: fit_groups leaves them out
+    # of the fits and the robustness table counts them instead.
+    fits = fit_groups(records)
+    if fits:
+        print(render_fit_table(
+            fits, title=f"scenario sweep ({len(records)} runs)"))
+    robustness = robustness_rows(records)
+    if robustness:
+        print(render_robustness_table(
+            robustness, title="robustness under injected faults"))
     return 0
 
 
@@ -551,25 +570,24 @@ def cmd_serve(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    ns = args.sizes or [16, 24, 32, 48]
-    graphs = [make_graph(args.family, n, args.seed) for n in ns]
-    data = table1_measured(graphs, verify=not args.no_verify)
-    rows = []
-    for spec in TABLE1_ROWS:
-        if spec.run is None:
-            rows.append([spec.key, spec.claimed, "(quoted bound)", ""])
-            continue
-        series = data[spec.key]
-        rounds = [r for (_n, r, _res) in series]
-        alpha = fit_exponent([g.n for g in graphs], rounds).alpha
-        rows.append([spec.key, spec.claimed,
-                     " ".join(map(str, rounds)), f"{alpha:.2f}"])
-    print(render_table(
-        ["algorithm", "claimed", f"rounds at n={[g.n for g in graphs]}",
-         "fitted alpha"],
-        rows,
-        title=f"Table 1 measured on {args.family}",
+    matrix = ScenarioMatrix(families=[args.family],
+                            sizes=args.sizes or [16, 24, 32, 48],
+                            algorithms=list(ALGORITHMS), seeds=[args.seed])
+    executor = SweepExecutor(cache_dir=None, workers=1,
+                             verify=not args.no_verify)
+    try:
+        records = executor.run(matrix.expand())
+    except (SweepError, ValueError) as exc:
+        raise SystemExit(f"repro table1: {exc}") from exc
+    sizes = sorted({r["actual_n"] for r in records})
+    checked = "unverified" if args.no_verify else "all outputs verified exact"
+    print(render_fit_table(
+        fit_groups(records),
+        title=f"Table 1 measured on {args.family}, n = "
+              f"{' '.join(map(str, sizes))} ({checked})",
     ))
+    print()
+    print(render_quoted_rows())
     return 0
 
 

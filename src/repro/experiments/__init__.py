@@ -12,9 +12,10 @@ families, weight models, algorithms — and each algorithm family's
 claimed round bound (:class:`ClaimedBound` / :data:`CLAIMED_BOUNDS`),
 which the sweep-level analysis (:mod:`repro.analysis.sweep_report`)
 compares fitted exponents against.  ``python -m repro sweep`` is the CLI
-entry; :func:`repro.analysis.tables.sweep_table` aggregates records into
-the Table-1-style report and ``python -m repro report`` turns cached
-record directories into the committed cross-family results page.
+entry; :func:`repro.analysis.sweep_report.fit_groups` fits records into
+the Table-1-style exponent table (``repro sweep``, ``repro table1``)
+and ``python -m repro report`` turns cached record directories into the
+committed cross-family results page.
 """
 
 from repro.experiments.executor import (

@@ -19,7 +19,12 @@ with per-request metrics.  Endpoints:
   store's hot-set hit/miss/eviction counters.
 
 Connections are keep-alive (HTTP/1.1 default); a connection is closed
-on ``Connection: close``, read timeout, or protocol errors.  The
+on ``Connection: close``, read timeout, or protocol errors.  The server
+fails closed on input it does not parse: a request carrying a body
+(``Content-Length`` or ``Transfer-Encoding``) is answered and the
+connection closed, so the body is never read as a next request; a
+request or header line over :data:`LINE_LIMIT`, or more than
+:data:`MAX_HEADERS` header lines, is answered ``431`` and closed.  The
 serving path never mutates artifacts, so concurrent requests are safe
 by construction — the only shared mutable state is the LRU hot set,
 which locks internally.
@@ -52,8 +57,35 @@ IDLE_TIMEOUT = 60.0
 #: the counters stay bounded whatever clients send
 ROUTES = ("/healthz", "/scenarios", "/distance", "/path", "/stats")
 
+#: longest request or header line, in bytes (asyncio's default stream
+#: limit); a longer one is answered with 431
+LINE_LIMIT = 2 ** 16
+
+#: header lines accepted per request; more is answered with 431
+MAX_HEADERS = 100
+
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 500: "Internal Server Error"}
+                405: "Method Not Allowed",
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error"}
+
+
+class _TooLarge(Exception):
+    """A request line, header line or header count over its limit."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line, ``b""`` on EOF or idle timeout.
+
+    A line longer than the stream limit raises :class:`_TooLarge`
+    (asyncio reports it as a ``ValueError``).
+    """
+    try:
+        return await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
+    except asyncio.TimeoutError:
+        return b""
+    except ValueError as exc:
+        raise _TooLarge(f"line longer than {LINE_LIMIT} bytes") from exc
 
 
 def _percentile(sorted_values, q: float) -> float:
@@ -129,7 +161,7 @@ class OracleServer:
     async def start(self) -> "OracleServer":
         """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port, limit=LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -153,15 +185,17 @@ class OracleServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
+                t0 = time.perf_counter()
                 try:
-                    line = await asyncio.wait_for(reader.readline(),
-                                                  IDLE_TIMEOUT)
-                except asyncio.TimeoutError:
+                    line = await _read_line(reader)
+                    if not line.strip():
+                        break
+                    keep_alive = await self._handle_request(
+                        line.decode("latin-1").strip(), reader, writer)
+                except _TooLarge as exc:
+                    await self._respond(writer, 431, {"error": str(exc)},
+                                        route="other", t0=t0)
                     break
-                if not line or not line.strip():
-                    break
-                keep_alive = await self._handle_request(
-                    line.decode("latin-1").strip(), reader, writer)
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -191,14 +225,19 @@ class OracleServer:
         headers = await self._read_headers(reader)
         if headers is None:
             return False
-        keep_alive = headers.get("connection", "").lower() != "close"
+        # A body is never read: answering and closing keeps it from
+        # being parsed as the next request on this connection.
+        has_body = ("transfer-encoding" in headers
+                    or headers.get("content-length", "0") != "0")
+        keep_alive = (not has_body
+                      and headers.get("connection", "").lower() != "close")
         url = urlsplit(target)
         route = url.path
         if method != "GET":
             await self._respond(writer, 405,
                                 {"error": f"{method} not supported; the "
                                           f"oracle is read-only"},
-                                route=route, t0=t0)
+                                route=route, t0=t0, keep_alive=keep_alive)
             return keep_alive
         params = dict(parse_qsl(url.query))
         status, payload = self._dispatch(route, params)
@@ -209,12 +248,8 @@ class OracleServer:
     @staticmethod
     async def _read_headers(reader) -> Optional[Dict[str, str]]:
         headers: Dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(reader.readline(),
-                                              IDLE_TIMEOUT)
-            except asyncio.TimeoutError:
-                return None
+        for _ in range(MAX_HEADERS + 1):
+            line = await _read_line(reader)
             if not line:
                 return None
             text = line.decode("latin-1").strip()
@@ -222,6 +257,7 @@ class OracleServer:
                 return headers
             name, _, value = text.partition(":")
             headers[name.strip().lower()] = value.strip()
+        raise _TooLarge(f"more than {MAX_HEADERS} header lines")
 
     async def _respond(self, writer, status: int, payload: dict, *,
                        route: str, t0: float,

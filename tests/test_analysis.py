@@ -11,9 +11,7 @@ from repro.analysis import (
     normalized_series,
     render_series,
     render_table,
-    table1_measured,
 )
-from repro.graphs import erdos_renyi
 
 
 def test_fit_exponent_recovers_power_law():
@@ -86,15 +84,17 @@ def test_render_series_format():
 def test_table1_claimed_bounds_single_sourced_from_registry():
     # Table 1 and the sweep report must never disagree on a claimed
     # bound: measured rows read from CLAIMED_BOUNDS.
-    from repro.experiments.registry import CLAIMED_BOUNDS
+    from repro.experiments.registry import ALGORITHMS, CLAIMED_BOUNDS
 
     for row in TABLE1_ROWS:
-        if row.run is None:
+        if not row.measured:
             continue
         bound = CLAIMED_BOUNDS[row.key]
         assert row.claimed == bound.bound
         assert row.claimed_alpha == pytest.approx(bound.alpha)
-    assert set(CLAIMED_BOUNDS) == {r.key for r in TABLE1_ROWS if r.run}
+    assert set(CLAIMED_BOUNDS) == {r.key for r in TABLE1_ROWS if r.measured}
+    # ...and every measured row runs through the one algorithm registry.
+    assert set(ALGORITHMS) == set(CLAIMED_BOUNDS)
 
 
 def test_table1_rows_cover_the_paper():
@@ -105,19 +105,9 @@ def test_table1_rows_cover_the_paper():
     assert ours.kind == "Deterministic"
     assert ours.claimed_alpha == pytest.approx(4 / 3)
     # Quoted-only rows have no runner.
-    assert all(
-        r.run is None for r in TABLE1_ROWS if r.key in ("huang-n54", "bn-n")
+    assert not any(
+        r.measured for r in TABLE1_ROWS if r.key in ("huang-n54", "bn-n")
     )
-
-
-def test_table1_measured_runs_and_verifies():
-    graphs = [erdos_renyi(10, p=0.3, seed=1), erdos_renyi(14, p=0.25, seed=2)]
-    rows = [r for r in TABLE1_ROWS if r.key in ("naive-bf", "det-n43")]
-    data = table1_measured(graphs, rows=rows)
-    assert set(data) == {"naive-bf", "det-n43"}
-    for key, series in data.items():
-        assert [n for (n, _r, _res) in series] == [10, 14]
-        assert all(r > 0 for (_n, r, _res) in series)
 
 
 def test_crossover_measured_and_extrapolated():

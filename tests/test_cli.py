@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import ALGORITHMS, GRAPH_FAMILIES, build_parser, main, make_graph
+from repro.experiments import ScenarioMatrix, SweepExecutor
 
 
 def test_parser_requires_command():
@@ -27,12 +30,30 @@ def test_apsp_paper_algorithm(capsys):
     assert rc == 0 and "det-n43" in out
 
 
+def _fit_row(out: str, algorithm: str) -> list:
+    """The cells of ``algorithm``'s row in a printed fit table."""
+    row = next(line for line in out.splitlines()
+               if line.startswith(algorithm + " "))
+    return re.split(r"\s{2,}", row.strip())
+
+
 def test_table1_command(capsys):
     rc = main(["table1", "--sizes", "10", "14", "--no-verify"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "det-n43" in out and "quoted bound" in out
-    assert "fitted alpha" in out
+    assert "rounds alpha" in out
+    # The same graphs and runners as a sweep: each row's rounds are the
+    # sweep records' rounds, fitted by fit_groups.
+    matrix = ScenarioMatrix(families=["er"], sizes=[10, 14],
+                            algorithms=list(ALGORITHMS), seeds=[1])
+    records = SweepExecutor(cache_dir=None, workers=1,
+                            verify=False).run(matrix.expand())
+    for algo in ALGORITHMS:
+        rounds = [r["rounds"] for r in sorted(
+            records, key=lambda r: r["spec"]["n"])
+            if r["spec"]["algorithm"] == algo]
+        assert " ".join(map(str, rounds)) in _fit_row(out, algo)
 
 
 def test_blocker_command(capsys):
@@ -100,12 +121,34 @@ def test_sweep_command(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert "2 scenarios" in out and "2 executed, 0 from cache" in out
-    assert "naive-bf" in out and "fitted alpha" in out
+    assert "naive-bf" in out and "rounds alpha" in out
     # second run: everything comes from the cache
     rc = main(args)
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 executed, 2 from cache" in out
+
+
+def test_sweep_fit_excludes_faulted_runs(capsys):
+    rc = main(["sweep", "--families", "er", "--sizes", "16", "24",
+               "--algorithms", "naive-bf", "--faults", "none", "drop"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    matrix = ScenarioMatrix(families=["er"], sizes=[16, 24],
+                            algorithms=["naive-bf"], seeds=[1])
+    clean = SweepExecutor(cache_dir=None, workers=1).run(matrix.expand())
+    rounds = " ".join(str(r["rounds"]) for r in clean)
+    assert rounds in _fit_row(out, "naive-bf")
+    assert "fault model" in out and "drop" in out
+
+
+def test_fault_only_sweep_prints_no_empty_fit_table(capsys):
+    rc = main(["sweep", "--families", "er", "--sizes", "10",
+               "--algorithms", "naive-bf", "--fast", "--faults", "drop"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "fault model" in out
+    assert "rounds alpha" not in out
 
 
 def test_algorithm_registry_complete():

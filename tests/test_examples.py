@@ -42,7 +42,7 @@ def test_quickstart(capsys):
 
 def test_compare_algorithms(capsys):
     out = run_main("compare_algorithms", ["ring"], capsys)
-    assert "fitted alpha" in out
+    assert "rounds alpha" in out
     assert "det-n43" in out
 
 

@@ -233,14 +233,14 @@ def test_3phase_scenarios_run_all_deliveries():
 # aggregation
 
 
-def test_sweep_table_renders(tmp_path):
+def test_sweep_fit_table_renders(tmp_path):
     records = SweepExecutor(cache_dir=None, workers=1).run(SMALL.expand())
-    from repro.analysis import sweep_table
+    from repro.analysis import fit_groups, render_fit_table
 
-    table = sweep_table(records)
+    table = render_fit_table(fit_groups(records))
     assert "naive-bf" in table and "det-n43" in table
     assert "er" in table and "path" in table
-    assert "fitted alpha" in table
+    assert "rounds alpha" in table
 
 
 # ---------------------------------------------------------------------------

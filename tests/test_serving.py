@@ -308,6 +308,78 @@ def test_server_rejects_non_get(record, store_dir):
     store.close()
 
 
+async def _exchange(server, payload: bytes) -> list:
+    """Send raw bytes on a fresh connection; read until the server closes.
+
+    Returns the status code of every response received.  A server that
+    keeps the connection open fails the read timeout.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(payload)
+    await writer.drain()
+    data = await asyncio.wait_for(reader.read(), 10)
+    writer.close()
+    await writer.wait_closed()
+    return [int(line.split()[1]) for line in data.split(b"\r\n")
+            if line.startswith(b"HTTP/1.1 ")]
+
+
+def test_server_answers_request_with_body_once_and_closes(record, store_dir):
+    store = OracleStore(store_dir)
+    body = b"GET /nope HTTP/1.1\r\n\r\n"  # 22 bytes that parse as a request
+
+    async def scenario(server):
+        statuses = await _exchange(
+            server,
+            b"POST /healthz HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+        assert statuses == [405]
+        chunked = await _exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+            b"\r\n0\r\n\r\n")
+        assert chunked == [200]
+        # the body was never parsed as a request of its own
+        assert "other" not in server.metrics.requests
+
+    _serve(store, scenario)
+    store.close()
+
+
+def test_server_rejects_overlong_request_line(record, store_dir):
+    store = OracleStore(store_dir)
+
+    async def scenario(server):
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
+        statuses = await _exchange(
+            server, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        assert statuses == [431]
+        assert errors == []
+
+    _serve(store, scenario)
+    store.close()
+
+
+def test_server_caps_header_count(record, store_dir):
+    from repro.serving.server import MAX_HEADERS
+
+    store = OracleStore(store_dir)
+
+    def request(headers: int) -> bytes:
+        lines = b"".join(b"X-H%d: v\r\n" % i for i in range(headers))
+        return (b"GET /healthz HTTP/1.1\r\n" + lines
+                + b"Connection: close\r\n\r\n")
+
+    async def scenario(server):
+        assert await _exchange(server, request(MAX_HEADERS - 1)) == [200]
+        assert await _exchange(server, request(MAX_HEADERS + 50)) == [431]
+
+    _serve(store, scenario)
+    store.close()
+
+
 def test_server_concurrent_requests_are_correct(record, store_dir):
     store = OracleStore(store_dir)
     oracle = store.get(record["hash"])

@@ -179,6 +179,25 @@ def test_unknown_family_gets_no_bound_verdict():
     assert "no claimed bound" in fits[0].verdict
 
 
+def test_3phase_arms_fit_as_separate_groups():
+    # Two blocker arms of one 3phase sweep are different algorithms:
+    # averaging them into one group would fit neither.
+    records = []
+    for blocker, c in (("derandomized", 10), ("greedy", 30)):
+        for n in (16, 24):
+            spec = ScenarioSpec(family="er", n=n, algorithm="3phase",
+                                blocker=blocker)
+            records.append(fake_record(spec, c * n, 100 * n))
+    fits = fit_groups(records)
+    assert [f.algorithm for f in fits] == [
+        "3phase(h=n^0.33,derandomized,pipelined)",
+        "3phase(h=n^0.33,greedy,pipelined)",
+    ]
+    for f in fits:
+        assert f.runs == 2
+        assert f.metrics["rounds"].fit.alpha == pytest.approx(1.0)
+
+
 def test_zero_valued_series_becomes_not_fittable_row():
     records = synthetic_records(lambda n: 10.0 * n)
     for rec in records:

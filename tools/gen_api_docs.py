@@ -75,7 +75,8 @@ API = [
                              "OracleStore.stats", "UnknownScenario"]),
     ("repro.serving.server", ["OracleServer", "ServingMetrics",
                               "run_server"]),
-    ("repro.analysis", ["fit_exponent", "sweep_table", "render_table"]),
+    ("repro.analysis", ["fit_exponent", "render_fit_table",
+                        "render_table"]),
     ("repro.analysis.sweep_report", ["load_records", "merge_records",
                                      "validate_record", "fit_groups",
                                      "FamilyFit", "MetricFit",
