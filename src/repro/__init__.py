@@ -13,7 +13,7 @@ Quickstart::
     g = erdos_renyi(27, p=0.15, seed=1)
     net = CongestNetwork(g)
     result = deterministic_apsp(net, g)
-    result.verify(g)          # exact vs centralized Dijkstra
+    result.verify(g)          # certify dist and pred (no second APSP)
     print(result.rounds)      # CONGEST rounds charged
     print(result.log.render())  # per-step budget (Theorem 1.1)
 

@@ -16,7 +16,7 @@ algorithm                 ``h``       blocker           delivery      bound
 ========================  ==========  ===============  ============  ==================
 """
 
-from repro.apsp.result import APSPResult
+from repro.apsp.result import APSPResult, CertificateError, certify
 from repro.apsp.closure import local_closure
 from repro.apsp.driver import three_phase_apsp
 from repro.apsp.deterministic import deterministic_apsp
@@ -26,7 +26,9 @@ from repro.apsp.naive import five_thirds_apsp, naive_bf_apsp
 
 __all__ = [
     "APSPResult",
+    "CertificateError",
     "baseline_n32_apsp",
+    "certify",
     "deterministic_apsp",
     "five_thirds_apsp",
     "local_closure",

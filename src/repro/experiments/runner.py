@@ -182,7 +182,7 @@ def _run_faulted_scenario(spec: ScenarioSpec, graph, verify: bool) -> dict:
             "dist_sum": 0.0,
         })
     # "verified" = the verification protocol ran: the baseline was
-    # checked against the reference and the faulted output compared to
+    # certified (APSPResult.verify) and the faulted output compared to
     # it; what that comparison found lives in fault_outcome.
     record["verified"] = bool(verify)
     record["faults"] = {

@@ -6,8 +6,8 @@
 * :mod:`~repro.graphs.generators` — workload generators used by the tests
   and the benchmark harness.
 * :mod:`~repro.graphs.reference` — centralized shortest-path references
-  (Dijkstra / hop-limited Bellman-Ford / Floyd-Warshall) that serve as
-  ground truth for every distributed algorithm in the repository.
+  (Dijkstra / hop-limited Bellman-Ford / Floyd-Warshall), the test
+  oracles for the primitives and for ``APSPResult.verify``'s certificate.
 """
 
 from repro.graphs.spec import Graph

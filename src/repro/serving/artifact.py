@@ -183,8 +183,8 @@ class DistanceOracle:
         self.pred = None  # type: ignore[assignment]
 
 
-def _materialize(spec) -> "tuple[np.ndarray, np.ndarray]":
-    """Re-execute ``spec`` and return its ``(dist, pred)`` matrices."""
+def _materialize(spec) -> tuple:
+    """Re-execute ``spec`` and return ``(graph, dist, pred)``."""
     from repro.congest.network import CongestNetwork
     from repro.experiments.registry import make_graph
     from repro.experiments.runner import _execute
@@ -199,7 +199,7 @@ def _materialize(spec) -> "tuple[np.ndarray, np.ndarray]":
         )
     dist = np.ascontiguousarray(result.dist, dtype="<f8")
     pred = np.ascontiguousarray(result.pred, dtype="<i8")
-    return dist, pred
+    return graph, dist, pred
 
 
 def build_artifact(record: dict, store_dir,
@@ -208,12 +208,13 @@ def build_artifact(record: dict, store_dir,
 
     Re-runs the record's spec to materialize the distance and
     predecessor matrices, verifies the distance hash against the
-    record's ``dist_sha256`` (refusing to write on any mismatch), and
-    atomically writes ``<hash>.oracle`` under ``store_dir``.  Faulted
-    records are rejected — only the fault-free exact output is a
-    servable oracle.  An existing artifact is left untouched unless
-    ``force`` is set.
+    record's ``dist_sha256`` and certifies both planes (refusing to
+    write on any failure), and atomically writes ``<hash>.oracle`` under
+    ``store_dir``.  Faulted records are rejected — only the fault-free
+    exact output is a servable oracle.  An existing artifact is left
+    untouched unless ``force`` is set.
     """
+    from repro.apsp.result import CertificateError, certify
     from repro.experiments.runner import RECORD_VERSION
     from repro.experiments.spec import ScenarioSpec
 
@@ -245,7 +246,7 @@ def build_artifact(record: dict, store_dir,
         oracle.close()
         return info
 
-    dist, pred = _materialize(spec)
+    graph, dist, pred = _materialize(spec)
     dist_sha = _sha256(dist.tobytes())
     if dist_sha != record["dist_sha256"]:
         raise ArtifactError(
@@ -253,6 +254,10 @@ def build_artifact(record: dict, store_dir,
             f"record says {record['dist_sha256'][:16]}…; refusing to build "
             f"an oracle that is not bit-identical to the sweep record"
         )
+    try:
+        certify(graph, dist, pred)
+    except CertificateError as exc:
+        raise ArtifactError(f"{spec.label}: refusing to build: {exc}") from exc
     n = dist.shape[0]
     header = {
         "artifact_version": ARTIFACT_VERSION,

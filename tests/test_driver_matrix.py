@@ -27,7 +27,6 @@ def test_strategy_grid_exact(blocker, delivery):
     net = CongestNetwork(g)
     result = three_phase_apsp(net, g, h=3, blocker=blocker, delivery=delivery)
     result.verify(g)
-    result.verify_paths(g)
     assert result.meta["blocker"] == blocker
     assert result.meta["delivery"] == delivery
 

@@ -133,21 +133,21 @@ def test_collection_rejects_malformed_tree():
         coll.check_tree_shape()
 
 
-def test_verify_paths_catches_corrupted_pred():
-    from repro.apsp import naive_bf_apsp
+def test_verify_catches_corrupted_pred():
+    from repro.apsp import CertificateError, naive_bf_apsp
 
     g = graph_of("er-sparse")
     net = CongestNetwork(g)
     result = naive_bf_apsp(net, g)
-    result.verify_paths(g)
+    result.verify(g)
     # Point a predecessor at a non-adjacent node.
     x, t = 0, g.n - 1
     bad = next(
         v for v in range(g.n) if v not in g.und_neighbors(t) and v != t
     )
     result.pred[x, t] = bad
-    with pytest.raises(AssertionError):
-        result.verify_paths(g)
+    with pytest.raises(CertificateError, match="pred arc"):
+        result.verify(g)
 
 
 def test_bf_on_disconnected_communication_graph():

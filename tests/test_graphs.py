@@ -260,7 +260,6 @@ def test_apsp_exact_on_new_families():
         net = CongestNetwork(g)
         result = deterministic_apsp(net, g)
         result.verify(g)
-        result.verify_paths(g)
 
 
 # ---------------------------------------------------------------------------

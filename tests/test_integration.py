@@ -27,7 +27,6 @@ def test_full_run_midsize(make):
     net = CongestNetwork(g)
     result = deterministic_apsp(net, g)
     result.verify(g)
-    result.verify_paths(g)
 
     n, h, q = g.n, result.meta["h"], result.meta["q"]
     # Lemma 3.10 shape: |Q| = O(n log n / h) with a small constant.

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.congest import CongestNetwork
 from repro.graphs import erdos_renyi
 from repro.apsp import (
+    CertificateError,
     baseline_n32_apsp,
     deterministic_apsp,
     naive_bf_apsp,
@@ -34,7 +35,6 @@ def test_paper_algorithm_routing_on_every_family(kind):
     net = CongestNetwork(g)
     result = deterministic_apsp(net, g)
     result.verify(g)
-    result.verify_paths(g)
 
 
 @pytest.mark.parametrize("algo", [baseline_n32_apsp, randomized_apsp,
@@ -44,7 +44,7 @@ def test_other_algorithms_routing(algo):
         g = graph_of(kind)
         net = CongestNetwork(g)
         result = algo(net, g)
-        result.verify_paths(g)
+        result.verify(g)
 
 
 def test_path_endpoints_and_shape():
@@ -67,8 +67,8 @@ def test_path_errors():
     result.pred = None
     with pytest.raises(ValueError):
         result.path(0, 1)
-    with pytest.raises(ValueError):
-        result.verify_paths(g)
+    with pytest.raises(CertificateError, match="shape"):
+        result.verify(g)
 
 
 def test_last_edge_is_graph_edge_everywhere():
@@ -115,4 +115,3 @@ def test_routing_property(n, seed, zero, directed):
     net = CongestNetwork(g)
     result = deterministic_apsp(net, g)
     result.verify(g)
-    result.verify_paths(g)

@@ -68,7 +68,7 @@ def test_oracle_path_matches_apsp_result(record, store_dir):
     graph = make_graph(spec.family, spec.n, spec.seed)
     result = ALGORITHMS[spec.algorithm](
         CongestNetwork(graph, strict=False), graph)
-    result.verify_paths(graph)  # anchor: the reference routing is exact
+    result.verify(graph)  # anchor: the reference routing is exact
     for s in range(0, graph.n, 3):
         for t in range(graph.n):
             if np.isinf(result.dist[s, t]):

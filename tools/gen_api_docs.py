@@ -43,7 +43,8 @@ API = [
     ("repro.apsp.closure", ["local_closure"]),
     ("repro.apsp", ["deterministic_apsp", "randomized_apsp",
                     "baseline_n32_apsp", "five_thirds_apsp",
-                    "naive_bf_apsp", "APSPResult"]),
+                    "naive_bf_apsp", "APSPResult", "certify",
+                    "CertificateError"]),
     ("repro.experiments.spec", ["ScenarioSpec", "ScenarioMatrix",
                                 "ScenarioMatrix.expand"]),
     ("repro.experiments.registry", ["make_graph", "ClaimedBound"]),
