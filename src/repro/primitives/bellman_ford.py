@@ -194,27 +194,106 @@ def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
     return cache[key][1]
 
 
+# Most candidates one chunk of a round's announcements holds.  Chunks are
+# cut only between sources, so a source whose round alone exceeds it is a
+# chunk of its own.
+_CHUNK = 1 << 20
+
+# Most receiver ids one chunk spans: below 2**16 the winner reduction
+# sorts them as uint16 keys, which numpy radix-sorts in linear time
+# instead of merge-sorting int64 keys.
+_SPAN = 1 << 16
+
+_INT_MAX = np.iinfo(np.int64).max
+
+
+def _chunk_cuts(bs: np.ndarray, ends: np.ndarray, n: int) -> List[int]:
+    """Sender-index cuts splitting one round into source-aligned chunks.
+
+    ``bs`` is each sender's source (ascending) and ``ends`` the inclusive
+    cumulative out-degree over the senders.  Consecutive cuts bound a
+    slice of senders that holds whole sources, spans fewer than
+    :data:`_SPAN` receiver ids and holds at most :data:`_CHUNK`
+    candidates — unless one source alone breaks a limit, in which case
+    it is a chunk of its own.
+    """
+    per = max(1, _SPAN // n)  # source ids one chunk may span
+    if ends[-1] <= _CHUNK and bs[-1] - bs[0] < per:
+        return [0, len(bs)]
+    firsts = np.flatnonzero(np.concatenate(([True], bs[1:] != bs[:-1])))
+    ids = bs[firsts]
+    before = np.concatenate(([0], ends))[np.append(firsts, len(bs))]
+    cuts = [0]
+    k = 0
+    while k < len(firsts):
+        by_size = np.searchsorted(before, before[k] + _CHUNK, side="right") - 1
+        by_span = np.searchsorted(ids, ids[k] + per)
+        k = max(int(min(by_size, by_span)), k + 1)
+        cuts.append(int(firsts[k]) if k < len(firsts) else len(bs))
+    return cuts
+
+
+def _lex_winners(g: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Index of each receiver's first lexicographically minimal candidate.
+
+    ``g`` names each candidate's receiver and ``keys`` its label words
+    (float weight, then int64 hops and tie-break), all in delivery order.  A stable sort on
+    ``g`` makes each receiver's candidates one contiguous segment still
+    in delivery order; segmented minima then narrow every segment to
+    its weight ties, those to their hop ties, those to their tie-break
+    ties, and the first survivor wins — exactly the candidate a full
+    lexicographic sort on ``(g, weight, hops, tb, position)`` puts first.
+    Returns winner indices in ascending receiver order.
+    """
+    lo = g.min()
+    key = g - lo
+    if g.max() - lo < _SPAN:
+        key = key.astype(np.uint16)  # same stable order, radix-sorted
+    order = np.argsort(key, kind="stable")
+    g_s = g[order]
+    head = np.flatnonzero(np.concatenate(([True], g_s[1:] != g_s[:-1])))
+    lens = np.diff(np.append(head, len(g_s)))
+    tie = None
+    for word in keys:
+        k = word[order]
+        if tie is not None:
+            if np.count_nonzero(tie) == len(head):
+                break  # every receiver already has a unique minimum
+            k = np.where(tie, k, _INT_MAX)
+        m = k == np.repeat(np.minimum.reduceat(k, head), lens)
+        tie = m if tie is None else tie & m
+    idx = np.flatnonzero(tie)
+    first = np.concatenate(([True], g_s[idx[1:]] != g_s[idx[:-1]]))
+    return order[idx[first]]
+
+
 class _BatchedBellmanFordSolver:
     """Lockstep multi-source replay of the `_BFProgram` relaxation dynamics.
 
     Bellman-Ford is adaptive (who sends when depends on the labels), but
-    its dynamics are deterministic, so the solver replays them exactly:
-    per round, the announcements of the previous round's improved nodes
-    are screened in one vectorized pass against each receiver's
-    round-start weight gate — the same gate `_BFProgram` applies, so the
-    screen is a superset of what the engine would accept — and only the
-    survivors decide the receiver's new label, in the engine's delivery
-    order (ascending sender id per receiver).  All arithmetic is IEEE-754
-    double either way, so labels, parents, message counts and round
-    counts are bit-identical to the engine run.
+    its dynamics are deterministic, so the solver replays them exactly.
+    Per round, the announcements of the previous round's improved nodes
+    are screened against each receiver's round-start weight gate — the
+    same gate `_BFProgram` applies, so the screen is a superset of what
+    the engine would accept.  Only the survivors (usually a small
+    fraction) get their hops, tie-break and sender, and a segmented
+    reduction (:func:`_lex_winners`) picks each receiver's first
+    lexicographically minimal survivor in the engine's delivery order
+    (ascending sender id per receiver); that winner against the
+    round-start label decides the receiver's new label.  All arithmetic
+    is IEEE-754 double / int64 either way, so labels, parents, message
+    counts and round counts are bit-identical to the engine run.
 
     The per-source dynamics are completely independent — nothing a source
     learns ever reaches another source's state — so ``B`` phases run
-    round-by-round in lockstep, all their announcements screened in *one*
-    pass per round, produce source by source exactly the labels, parents
-    and :class:`PhaseSchedule` of ``B`` separate runs.  The batching
-    amortizes the per-round numpy fixed cost over every source still
-    running; a single phase is a batch of one.
+    round-by-round in lockstep and produce, source by source, exactly the
+    labels, parents and :class:`PhaseSchedule` of ``B`` separate runs; a
+    single phase is a batch of one.  Each round's announcements are
+    processed in chunks of whole sources (:func:`_chunk_cuts`) holding
+    at most :data:`_CHUNK` candidates, which bounds the round's
+    temporaries (a source larger than that is a chunk of its own).  A
+    chunk's updates touch only its own sources, so applying them chunk
+    by chunk equals applying them at the end of the round.
     """
 
     def __init__(
@@ -238,10 +317,45 @@ class _BatchedBellmanFordSolver:
     def solve(self, net: CongestNetwork) -> None:
         if self._solved:
             return
-        graph, h = self.graph, self.h
-        n = graph.n
+        n = self.graph.n
+        announce = _announce_arrays(net, self.graph, self.reverse)
+        off, dst_arr = announce[0], announce[1]
+        (label0, lab_hops, lab_tb, parent_flat, times_sent, messages,
+         last_send) = self._replay(announce)
+        degs_all = off[1:] - off[:-1]
+        labels = list(zip(label0.tolist(), lab_hops.tolist(), lab_tb.tolist()))
+        for g in np.flatnonzero(label0 == np.inf).tolist():
+            labels[g] = INF_COST
+        for b in range(len(self.inits_per_source)):
+            base = b * n
+            ts = times_sent[base:base + n]
+            idx = np.flatnonzero((ts > 0) & (degs_all > 0))
+            per_node = dict(zip(
+                idx.tolist(), (ts[idx] * degs_all[idx]).tolist()
+            ))
+            per_edge = None
+            if net.track_edges:
+                per_edge = {}
+                for v in idx.tolist():
+                    t = int(ts[v])
+                    for u in dst_arr[off[v]:off[v + 1]].tolist():
+                        per_edge[(v, u)] = t
+            self.schedules.append(PhaseSchedule(
+                rounds=int(last_send[b]) + 1,
+                messages=int(messages[b]),
+                per_node_sent=per_node,
+                per_edge_sent=per_edge,
+            ))
+            self.labels.append(labels[base:base + n])
+            self.parents.append(parent_flat[base:base + n].tolist())
+        self._solved = True
+
+    def _replay(self, announce):
+        """The lockstep round loop: final per-(source, node) state arrays."""
+        h = self.h
+        n = self.graph.n
         nb = len(self.inits_per_source)
-        off, dst_arr, w_arr, tb_arr = _announce_arrays(net, graph, self.reverse)
+        off, dst_arr, w_arr, tb_arr = announce
         fill_equal = self.fill_equal
 
         # All per-(source, node) state lives in flat global index space
@@ -288,7 +402,7 @@ class _BatchedBellmanFordSolver:
             vs = gs - bs * n
             starts = off[vs]
             degs = off[vs + 1] - starts
-            total = int(degs.sum())
+            ends = np.cumsum(degs)
             times_sent[gs] += 1
             # Per-source round accounting: a source participates in this
             # round iff it has a sender; rounds with at least one actual
@@ -301,118 +415,89 @@ class _BatchedBellmanFordSolver:
             sent_b = msgs_b > 0
             last_send[sent_b] = ticks[sent_b] - 1
             messages += msgs_b
-            if not total:
+            if not ends[-1]:
                 break  # no sender has out-edges: nothing can ever improve
+            cuts = _chunk_cuts(bs, ends, n)
+            improved = []
+            for i0, i1 in zip(cuts[:-1], cuts[1:]):
+                g_c, v_c, d_c = gs[i0:i1], vs[i0:i1], degs[i0:i1]
+                e_c = ends[i0:i1] - (ends[i0 - 1] if i0 else 0)
+                total = int(e_c[-1])
+                # The chunk's candidates in delivery order: only the
+                # weight gate needs every one of them.
+                sel = np.repeat(starts[i0:i1] - (e_c - d_c), d_c)
+                sel += np.arange(total)
+                g_dst = np.repeat(g_c - v_c, d_c)
+                g_dst += dst_arr[sel]
+                cand_w = np.repeat(label0[g_c], d_c)
+                cand_w += w_arr[sel]
+                alive = np.flatnonzero(cand_w <= gate[g_dst])
+                if not len(alive):
+                    continue
+                pos = np.searchsorted(e_c, alive, side="right")  # sender
+                g_snd = g_c[pos]
+                g_a = g_dst[alive]
+                cw_a = cand_w[alive]
+                hops_a = lab_hops[g_snd] + 1
+                tb_a = lab_tb[g_snd] + tb_arr[sel[alive]]
 
-            # CSR gather of every announcement this round, then the
-            # candidate labels exactly as each receiver would build them.
-            excl = np.concatenate(([0], np.cumsum(degs)[:-1]))
-            sel = np.repeat(starts - excl, degs) + np.arange(total)
-            dsts = dst_arr[sel]
-            bs_rep = np.repeat(bs, degs)
-            g_dst = bs_rep * n + dsts
-            cand_w = np.repeat(label0[gs], degs) + w_arr[sel]
-            alive = np.flatnonzero(cand_w <= gate[g_dst])
-            if not len(alive):
-                gs = alive
-                continue
-
-            # Winner reduction: within a round only the first-occurring
-            # lexicographically-minimal candidate per receiver can change
-            # the receiver's state — every other candidate loses
-            # ``cand < label`` to it (the mid-round gate only ever drops
-            # losers) — so the round's effect is exactly "winner vs
-            # round-start label", evaluated vectorized below.
-            cw_a = cand_w[alive]
-            hops_a = np.repeat(lab_hops[gs] + 1, degs)[alive]
-            tb_a = np.repeat(lab_tb[gs], degs)[alive] + tb_arr[sel[alive]]
-            g_a = g_dst[alive]
-            order = np.lexsort((alive, tb_a, hops_a, cw_a, g_a))
-            g_sorted = g_a[order]
-            firsts = np.ones(len(order), dtype=bool)
-            firsts[1:] = g_sorted[1:] != g_sorted[:-1]
-            win = order[firsts]
-            gw = g_a[win]
-            cww, hw, tw = cw_a[win], hops_a[win], tb_a[win]
-            w_u = label0[gw]
-            h_u = lab_hops[gw]
-            t_u = lab_tb[gw]
-            better = (cww < w_u) | (
-                (cww == w_u) & ((hw < h_u) | ((hw == h_u) & (tw < t_u)))
-            )
-            gimp = gw[better]
-            pos_rep = np.repeat(np.arange(len(gs), dtype=np.int64), degs)
-
-            if fill_equal:
-                # Parent fill (Step 7 routing): among receivers whose
-                # label does not improve this round and whose parent is
-                # still unset, the first in-order candidate whose
-                # fingerprint matches the round-start label records the
-                # predecessor edge (improved receivers get their parent
-                # from the winner, exactly as the sequential loop's last
-                # strict improvement would).
-                lab0_r = label0[g_a]
-                eq = (
-                    (hops_a == lab_hops[g_a])
-                    & (tb_a == lab_tb[g_a])
-                    & (np.abs(cw_a - lab0_r)
-                       <= 1e-9 * (1.0 + np.abs(lab0_r)))
+                # Winner reduction: within a round only the first-occurring
+                # lexicographically-minimal candidate per receiver can
+                # change the receiver's state — every other candidate
+                # loses ``cand < label`` to it (the mid-round gate only
+                # ever drops losers) — so the round's effect is exactly
+                # "winner vs round-start label".
+                win = _lex_winners(g_a, (cw_a, hops_a, tb_a))
+                gw = g_a[win]
+                cww, hw, tw = cw_a[win], hops_a[win], tb_a[win]
+                w_u = label0[gw]
+                h_u = lab_hops[gw]
+                t_u = lab_tb[gw]
+                better = (cww < w_u) | (
+                    (cww == w_u) & ((hw < h_u) | ((hw == h_u) & (tw < t_u)))
                 )
-                if eq.any():
-                    improved_set = set(gimp.tolist())
-                    cand_idx = alive[eq]
-                    pos_f = pos_rep[cand_idx].tolist()
-                    g_f = g_dst[cand_idx].tolist()
-                    vs_l = vs.tolist()
-                    for pos, g in zip(pos_f, g_f):
-                        if parent_flat[g] < 0 and g not in improved_set:
-                            parent_flat[g] = vs_l[pos]
+                gimp = gw[better]
 
-            if len(gimp):
-                pos_w = pos_rep[alive][win][better]
-                bud_send = budget[gs][pos_w]  # round-start sender budgets
-                cwi = cww[better]
-                label0[gimp] = cwi
-                lab_hops[gimp] = hw[better]
-                lab_tb[gimp] = tw[better]
-                gate[gimp] = cwi + 1e-9 * (1.0 + np.abs(cwi))
-                budget[gimp] = bud_send + 1
-                parent_flat[gimp] = vs[pos_w]
-            gs = gimp  # ascending g already (winners are g-sorted)
+                if fill_equal:
+                    # Parent fill (Step 7 routing): among receivers whose
+                    # label does not improve this round and whose parent
+                    # is still unset, the first in-order candidate whose
+                    # fingerprint matches the round-start label records
+                    # the predecessor edge (improved receivers get their
+                    # parent from the winner, exactly as the sequential
+                    # loop's last strict improvement would).
+                    lab0_r = label0[g_a]
+                    eq = (
+                        (hops_a == lab_hops[g_a])
+                        & (tb_a == lab_tb[g_a])
+                        & (np.abs(cw_a - lab0_r)
+                           <= 1e-9 * (1.0 + np.abs(lab0_r)))
+                    )
+                    cand = np.flatnonzero(eq)
+                    g_f = g_a[cand]
+                    # ``gw`` lists every receiver of a survivor, sorted.
+                    improved_f = better[np.searchsorted(gw, g_f)]
+                    keep = (parent_flat[g_f] < 0) & ~improved_f
+                    g_f, first = np.unique(g_f[keep], return_index=True)
+                    parent_flat[g_f] = v_c[pos[cand[keep][first]]]
 
-        track_edges = net.track_edges
-        degs_all = (off[1:] - off[:-1])
-        lab0_l = label0.tolist()
-        hops_l = lab_hops.tolist()
-        tb_l = lab_tb.tolist()
-        inf = float("inf")
-        for b in range(nb):
-            base = b * n
-            ts = times_sent[base:base + n]
-            idx = np.flatnonzero((ts > 0) & (degs_all > 0))
-            per_node = dict(zip(
-                idx.tolist(), (ts[idx] * degs_all[idx]).tolist()
-            ))
-            per_edge = None
-            if track_edges:
-                per_edge = {}
-                for v in idx.tolist():
-                    t = int(ts[v])
-                    for u in dst_arr[off[v]:off[v + 1]].tolist():
-                        per_edge[(v, u)] = t
-            self.schedules.append(PhaseSchedule(
-                rounds=int(last_send[b]) + 1,
-                messages=int(messages[b]),
-                per_node_sent=per_node,
-                per_edge_sent=per_edge,
-            ))
-            self.labels.append([
-                INF_COST if lab0_l[base + v] == inf
-                else (lab0_l[base + v], hops_l[base + v], tb_l[base + v])
-                for v in range(n)
-            ])
-            self.parents.append(parent_flat[base:base + n].tolist())
-        self._solved = True
+                if len(gimp):
+                    pos_w = pos[win[better]]
+                    cwi = cww[better]
+                    label0[gimp] = cwi
+                    lab_hops[gimp] = hw[better]
+                    lab_tb[gimp] = tw[better]
+                    gate[gimp] = cwi + 1e-9 * (1.0 + np.abs(cwi))
+                    # Read before this chunk writes any budget, so these
+                    # are the senders' round-start budgets.
+                    budget[gimp] = budget[g_c[pos_w]] + 1
+                    parent_flat[gimp] = v_c[pos_w]
+                    improved.append(gimp)  # ascending g (winners g-sorted)
+            gs = (np.concatenate(improved) if improved
+                  else np.zeros(0, dtype=np.int64))
+
+        return (label0, lab_hops, lab_tb, parent_flat, times_sent, messages,
+                last_send)
 
 
 class _BatchMemberBellmanFord(CompressedPhase):

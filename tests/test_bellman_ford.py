@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import CongestNetwork
+from repro.experiments.registry import make_graph
 from repro.graphs import erdos_renyi, path_graph
 from repro.graphs.reference import (
     all_pairs_shortest_paths,
@@ -17,6 +19,7 @@ from repro.graphs.reference import (
 )
 from repro.graphs.spec import INF_COST, ZERO_COST
 from repro.primitives import bellman_ford, notify_children
+from repro.primitives.bellman_ford import bellman_ford_many
 
 from conftest import GRAPH_KINDS, graph_of, reference_of
 
@@ -137,6 +140,28 @@ def test_notify_children_builds_children_lists():
     assert children[4] == [5]
     assert children[5] == []
     assert stats.rounds == 1
+
+
+def test_batched_solver_memory_bound():
+    """The Step-1 shape at n = 512 allocates at most 256 MiB at its peak.
+
+    Every source of ``er`` n = 512 with ``h = 16`` in one compressed
+    batch.  The solver screens each round's announcements in bounded
+    chunks, so the peak (about 80 MiB, results included) does not grow
+    with the number of announcements in a round; one unchunked round of
+    this shape needs several hundred MiB of temporaries.
+    """
+    graph = make_graph("er", 512, 1)
+    net = CongestNetwork(graph, compress=True)
+    tracemalloc.start()
+    try:
+        results = bellman_ford_many(net, graph, range(graph.n), h=16,
+                                    compress=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == graph.n
+    assert peak <= 256 * 2**20, f"peak {peak / 2**20:.0f} MiB > 256 MiB"
 
 
 @given(n=st.integers(4, 22), seed=st.integers(0, 500), h=st.integers(1, 6))

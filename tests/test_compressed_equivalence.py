@@ -6,13 +6,16 @@ including float summation order), identical total round counts, and
 identical :class:`~repro.congest.metrics.RoundStats` aggregates (messages,
 per-node congestion, and — under ``track_edges`` — per-edge loads).
 
-A fast subset (two families, one seed) runs in tier-1; the full
-family x seed matrix carries the ``slow`` marker and runs in the
-non-blocking CI equivalence job (``pytest -m slow``).
+A fast subset (two families, one seed, plus the tie-heavy weight models
+for the batched Bellman-Ford solver) runs in tier-1; the full family x
+seed matrix carries the ``slow`` marker and runs in the non-blocking CI
+equivalence job (``pytest -m slow``).  Its Bellman-Ford, CSSSP and
+deterministic-APSP slice also runs in the blocking tier-1 CI job.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import numpy as np
@@ -51,6 +54,9 @@ FULL_FAMILIES = ["er", "er-directed", "ws", "grid", "star", "path", "ring",
                  "complete", "ba"]
 FAST_SEEDS = [1]
 FULL_SEEDS = [1, 2, 3]
+# Weight models under which most path comparisons tie on weight, so the
+# hop count and tie-break decide (``zero`` exists only on the er families).
+TIE_WEIGHTS = ["unit", "zero", "near-tie"]
 
 
 def cases(sizes=(17,)):
@@ -63,6 +69,22 @@ def cases(sizes=(17,)):
                 marks = () if fast else (pytest.mark.slow,)
                 out.append(pytest.param(family, seed, n, marks=marks,
                                         id=f"{family}-s{seed}-n{n}"))
+    return out
+
+
+def weighted_cases(sizes=(17,)):
+    """:func:`cases` on uniform weights, plus the tie-heavy models in tier-1.
+
+    The uniform cases keep their ids; the er families at seed 1 add one
+    fast case per :data:`TIE_WEIGHTS` model.
+    """
+    out = [pytest.param(*p.values, "uniform", marks=p.marks, id=p.id)
+           for p in cases(sizes)]
+    for family in ("er", "er-directed"):
+        for weights in TIE_WEIGHTS:
+            for n in sizes:
+                out.append(pytest.param(family, 1, n, weights,
+                                        id=f"{family}-{weights}-s1-n{n}"))
     return out
 
 
@@ -436,10 +458,10 @@ def test_reversed_qsink_equivalent(family, seed, n):
     assert_stats_equal(net_m.total, net_c.total, "qsink network totals")
 
 
-@pytest.mark.parametrize("family,seed,n", cases())
-def test_bellman_ford_many_equivalent(family, seed, n):
+@pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
+def test_bellman_ford_many_equivalent(family, seed, n, weights):
     """Batched lockstep solver vs the engine's per-source runs."""
-    graph = make_graph(family, n, seed)
+    graph = make_graph(family, n, seed, weights)
     rng = random.Random(seed + n)
     srcs = sorted(rng.sample(range(graph.n), min(6, graph.n)))
     for reverse in (False, True):
@@ -454,10 +476,10 @@ def test_bellman_ford_many_equivalent(family, seed, n):
         assert_stats_equal(net_m.total, net_b.total, "bf-many totals")
 
 
-@pytest.mark.parametrize("family,seed,n", cases())
-def test_bellman_ford_many_multi_init_equivalent(family, seed, n):
+@pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
+def test_bellman_ford_many_multi_init_equivalent(family, seed, n, weights):
     """The Step-7 shape: per-source inits + equal-parent fill, batched."""
-    graph = make_graph(family, n, seed)
+    graph = make_graph(family, n, seed, weights)
     rng = random.Random(seed * 5 + n)
     srcs = sorted(rng.sample(range(graph.n), min(4, graph.n)))
     inits = []
@@ -479,6 +501,49 @@ def test_bellman_ford_many_multi_init_equivalent(family, seed, n):
     for a, b in zip(res_m, res_b):
         assert a.label == b.label and a.parent == b.parent
         assert_stats_equal(a.rounds, b.rounds, "bf-many multi-init")
+
+
+@pytest.mark.parametrize("chunk,span", [(7, 1 << 16), (64, 40), (7, 8)],
+                         ids=["tiny-chunks", "multi-source-chunks",
+                              "int64-sort-keys"])
+@pytest.mark.parametrize("shape", ["out", "in", "fill-equal"])
+@pytest.mark.parametrize("family,weights", [("er", "uniform"),
+                                            ("er-directed", "near-tie")])
+def test_bellman_ford_many_chunk_boundaries(family, weights, shape, chunk,
+                                            span, monkeypatch):
+    """Every round split into many source-aligned chunks, engine-exact.
+
+    A chunk of 7 candidates cuts nearly every source into a chunk of its
+    own, 64 packs a few sources per chunk, and a span of 8 receiver ids
+    (under n) forces one-source chunks whose winner sort cannot use
+    16-bit keys.
+    """
+    bf_module = importlib.import_module("repro.primitives.bellman_ford")
+    monkeypatch.setattr(bf_module, "_CHUNK", chunk)
+    monkeypatch.setattr(bf_module, "_SPAN", span)
+    graph = make_graph(family, 24, 1, weights)
+    srcs = list(range(0, graph.n, 2))
+    kw = dict(h=4, reverse=shape == "in")
+    if shape == "fill-equal":
+        rng = random.Random(7)
+        inits = []
+        for x in srcs:
+            row = {x: ZERO_COST}
+            for c in rng.sample(range(graph.n), 4):
+                if c != x:
+                    row[c] = (float(rng.randint(0, 9)), rng.randint(1, 5),
+                              rng.randint(1, 1 << 40))
+            inits.append(row)
+        kw.update(h=2, inits_per_source=inits, fill_equal_parent=True)
+    net_m = CongestNetwork(graph, track_edges=True)
+    net_b = CongestNetwork(graph, track_edges=True, compress=True)
+    res_m = bellman_ford_many(net_m, graph, srcs, **kw)
+    res_b = bellman_ford_many(net_b, graph, srcs, **kw)
+    for a, b in zip(res_m, res_b):
+        assert a.label == b.label
+        assert a.parent == b.parent
+        assert_stats_equal(a.rounds, b.rounds, f"bf-many chunked ({shape})")
+    assert_stats_equal(net_m.total, net_b.total, "bf-many chunked totals")
 
 
 @pytest.mark.parametrize("family,seed,n", cases())
