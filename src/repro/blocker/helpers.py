@@ -19,6 +19,7 @@ Ancestors algorithm).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -26,9 +27,7 @@ import numpy as np
 from repro.congest.compressed import (
     CompressedPhase,
     PhaseSchedule,
-    collection_arrays,
-    live_child_counts,
-    tree_arrays,
+    stacked_trees,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -64,106 +63,89 @@ class _ViCountProgram(NodeProgram):
         self.active = False
 
 
+@dataclass
+class PathCounts:
+    """``V_i``-member counts of every live length-``h`` path, as arrays.
+
+    Paths are listed tree by tree in collection order, leaves ascending
+    within a tree: path ``k`` belongs to the source ``xs[row[k]]``, ends
+    at the depth-``h`` leaf ``leaf[k]`` and holds ``beta[k]`` nodes of
+    ``V_i`` at depth >= 1.
+    """
+
+    xs: List[int]
+    row: "np.ndarray"
+    leaf: "np.ndarray"
+    beta: "np.ndarray"
+
+    def leaves(self, keep: "np.ndarray") -> Dict[int, List[int]]:
+        """``{source: ascending leaves}`` of the paths ``keep`` selects.
+
+        Every source gets an entry; ``leaves(beta >= t)`` is the leaf view
+        of ``P_i`` (``t = 1``) or ``P_ij``.
+        """
+        leaves = self.leaf[keep].tolist()
+        cuts = np.searchsorted(self.row[keep],
+                               np.arange(len(self.xs) + 1)).tolist()
+        return {x: leaves[a:b] for x, a, b in zip(self.xs, cuts, cuts[1:])}
+
+
 class _CompressedViCountBatch(CompressedPhase):
     """Round-compressed `_ViCountProgram`: every tree's beta flood as one phase.
 
-    The flood is a synchronized wave — a live node at depth ``d``
-    forwards the running count to each live child in round ``d`` — so a
-    tree's schedule is one message per live non-root node, ending one
-    round after the deepest live internal node fires.  The per-tree
-    schedules sum (rounds add per tree with a live root and at least one
-    live internal node), and the top-down wave runs level by level over
-    the ``(T, n)`` arrays for all trees at once.
+    The flood is a synchronized wave: a live node at depth ``d`` forwards
+    the running count to each live child in round ``d``.  So each live
+    non-root node receives exactly one message, and a tree's flood ends
+    in the round of its deepest live node.  The per-tree schedules sum,
+    and the batch reads them off the live mask of
+    :func:`~repro.congest.compressed.stacked_trees` in a few whole-stack
+    passes.  The counts themselves need no wave: a live leaf's ``beta``
+    is the number of ``V_i`` members on its row of the leaf path table,
+    one gather for all trees.  :meth:`evaluate` returns them as a
+    :class:`PathCounts`.
     """
 
-    def __init__(self, coll: CSSSPCollection, xs: Sequence[int],
-                 vi: Set[int], label: str) -> None:
-        self.coll = coll
-        self.xs = xs
+    def __init__(self, coll: CSSSPCollection, vi: Set[int],
+                 label: str) -> None:
+        self.stack, self.live = stacked_trees(coll)
         self.vi = vi
         self.label = label
-        self._parent, self._depth, self._live = collection_arrays(coll, xs)
-        n = coll.n
-        kid_rows, kid_cols = np.nonzero(self._live & (self._parent >= 0))
-        self._kid_rows, self._kid_cols = kid_rows, kid_cols
-        flat = kid_rows * n + self._parent[kid_rows, kid_cols]
-        lc = np.bincount(flat, minlength=len(xs) * n).reshape(len(xs), n)
-        self._lc = lc
-        roots = np.asarray([coll.trees[x].root for x in xs], dtype=np.int64)
-        root_live = self._live[np.arange(len(xs)), roots]
-        self._internal = self._live & (lc > 0)
-        self._included = self._internal.any(axis=1) & root_live
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        internal = self._internal & self._included[:, None]
-        rows, cols = np.nonzero(internal)
-        if not len(rows):
+        stack = self.stack
+        n = stack.n
+        kids = self.live & stack.nonroot
+        rounds = int(np.where(kids, stack.depth, 0).max(axis=1).sum())
+        if not rounds:
             return PhaseSchedule()
-        n = self.coll.n
-        lc = self._lc
-        depth = self._depth
-        masked = np.where(internal, depth, -1)
-        rounds = int((masked.max(axis=1)[self._included] + 1).sum())
-        sends = lc[rows, cols]
-        per_node_counts = np.bincount(cols, weights=sends, minlength=n)
+        rows, cols = np.nonzero(kids)
+        senders = stack.parent[rows, cols]
+        per_node_counts = np.bincount(senders, minlength=n)
         idx = np.flatnonzero(per_node_counts)
-        per_node = dict(zip(
-            idx.tolist(), per_node_counts[idx].astype(np.int64).tolist()
-        ))
         per_edge = None
         if net.track_edges:
-            inc = self._included[self._kid_rows]
-            krows = self._kid_rows[inc]
-            kcols = self._kid_cols[inc]
-            keys = self._parent[krows, kcols] * n + kcols
-            uniq, kcounts = np.unique(keys, return_counts=True)
+            keys, counts = np.unique(senders * n + cols, return_counts=True)
             per_edge = {
-                (int(k) // n, int(k) % n): int(c)
-                for k, c in zip(uniq, kcounts)
+                (k // n, k % n): c
+                for k, c in zip(keys.tolist(), counts.tolist())
             }
         return PhaseSchedule(
             rounds=rounds,
-            messages=int(sends.sum()),
-            per_node_sent=per_node,
+            messages=len(senders),
+            per_node_sent=dict(zip(idx.tolist(),
+                                   per_node_counts[idx].tolist())),
             per_edge_sent=per_edge,
         )
 
-    def evaluate(self, net: CongestNetwork) -> Dict[int, Dict[int, int]]:
-        coll = self.coll
-        n = coll.n
-        h = coll.h
-        parent, depth, live = self._parent, self._depth, self._live
+    def evaluate(self, net: CongestNetwork) -> PathCounts:
+        stack = self.stack
+        n = stack.n
         in_vi = np.zeros(n, dtype=np.int64)
-        for v in self.vi:
-            if 0 <= v < n:
-                in_vi[v] = 1
-        beta = np.zeros(parent.shape, dtype=np.int64)
-        rows, cols = np.nonzero(live & (depth >= 1))
-        if len(rows):
-            # Top-down wave: one assignment per depth level over
-            # depth-sorted coordinates (levels never exceed h).
-            d = depth[rows, cols]
-            order = np.argsort(d, kind="stable")
-            rs, cs = rows[order], cols[order]
-            ds = d[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(ds)) + 1, [len(ds)])
-            )
-            for a, b in zip(starts[:-1], starts[1:]):
-                r, c = rs[a:b], cs[a:b]
-                beta[r, c] = beta[r, parent[r, c]] + in_vi[c]
-        out: Dict[int, Dict[int, int]] = {}
-        lrows, lcols = np.nonzero(live & (depth == h))
-        bounds = np.searchsorted(lrows, np.arange(len(self.xs) + 1))
-        col_l = lcols.tolist()
-        beta_l = beta[lrows, lcols].tolist()
-        for i, x in enumerate(self.xs):
-            if not coll.trees[x].live(coll.trees[x].root):
-                out[x] = {}
-                continue
-            a, b = bounds[i], bounds[i + 1]
-            out[x] = dict(zip(col_l[a:b], beta_l[a:b]))
-        return out
+        in_vi[[v for v in self.vi if 0 <= v < n]] = 1
+        live_leaf = self.live.ravel()[stack.leaves]
+        leaves = stack.leaves[live_leaf]
+        beta = in_vi[stack.leaf_paths[live_leaf]].sum(axis=1)
+        return PathCounts(stack.xs, leaves // n, leaves % n, beta)
 
 
 def compute_vi_counts(
@@ -172,48 +154,37 @@ def compute_vi_counts(
     vi: Set[int],
     label: str = "compute-pij",
     compress: Optional[bool] = None,
-) -> Tuple[Dict[int, Dict[int, int]], RoundStats]:
-    """Per-leaf ``V_i``-member counts for every live length-``h`` path.
+) -> Tuple[PathCounts, RoundStats]:
+    """Per-path ``V_i``-member counts for every live length-``h`` path.
 
-    Returns ``(beta, stats)`` with ``beta[x][leaf]`` = number of depth>=1
-    nodes of the root-to-``leaf`` path of ``T_x`` that are in ``vi``, for
-    every live leaf at depth ``h``.  One ``O(h)``-round flood per tree
+    Returns ``(counts, stats)``: ``counts.beta[k]`` is the number of
+    depth>=1 nodes in ``vi`` on the root-to-``counts.leaf[k]`` path of
+    ``T_{xs[row[k]]}``.  One ``O(h)``-round flood per tree
     (Algorithms 3/4; Lemmas 3.3/3.4), ``O(|S| \\cdot h)`` in total.
     ``compress`` selects the round-compressed execution mode (default:
     the network's setting).
     """
     if net.use_compressed(compress) and coll.trees:
-        xs = list(coll.trees)
-        phase = _CompressedViCountBatch(coll, xs, vi, label)
-        beta, stats = net.run_compressed(phase)
+        counts, stats = net.run_compressed(
+            _CompressedViCountBatch(coll, vi, label))
         stats.label = label
-        return beta, stats
+        return counts, stats
     total = RoundStats(label=label)
-    beta: Dict[int, Dict[int, int]] = {}
-    for x, t in coll.trees.items():
+    rows: List[int] = []
+    leaves: List[int] = []
+    betas: List[int] = []
+    for i, (x, t) in enumerate(coll.trees.items()):
         programs = [_ViCountProgram(v, t, v in vi) for v in range(coll.n)]
         total.merge(net.run(programs, label=f"{label}({x})"))
-        beta[x] = {
-            v: programs[v].beta
-            for v in range(coll.n)
-            if t.depth[v] == coll.h and not t.removed[v]
-        }
-    return beta, total
-
-
-def paths_with_min_count(
-    beta: Dict[int, Dict[int, int]], threshold: float
-) -> Dict[int, List[int]]:
-    """Leaves whose path has at least ``threshold`` V_i nodes (P_i / P_ij)."""
-    return {
-        x: sorted(v for v, b in leaves.items() if b >= threshold)
-        for x, leaves in beta.items()
-    }
-
-
-def count_paths(members: Dict[int, List[int]]) -> int:
-    """Total paths across all trees in a per-tree leaf map."""
-    return sum(len(v) for v in members.values())
+        for v in range(coll.n):
+            if t.depth[v] == coll.h and not t.removed[v]:
+                rows.append(i)
+                leaves.append(v)
+                betas.append(programs[v].beta)
+    counts = PathCounts(list(coll.trees), np.asarray(rows, dtype=np.int64),
+                        np.asarray(leaves, dtype=np.int64),
+                        np.asarray(betas, dtype=np.int64))
+    return counts, total
 
 
 def broadcast_selection_stats(
@@ -283,14 +254,18 @@ class _CompressedAncestors(CompressedPhase):
     round after the deepest internal node forwards the root's record.
     """
 
-    def __init__(self, tree: TreeView, label: str) -> None:
-        self.tree = tree
+    def __init__(self, coll: CSSSPCollection, x: int, label: str) -> None:
+        self.coll = coll
+        self.tree = coll.trees[x]
+        self.x = x
         self.label = label
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        t = self.tree
-        parent, depth, live = tree_arrays(t)
-        lc = live_child_counts(parent, live, t.n)
+        stack, live_mask = stacked_trees(self.coll)
+        i = stack.row_of[self.x]
+        parent, depth, live = stack.parent[i], stack.depth[i], live_mask[i]
+        kids = np.flatnonzero(live & stack.nonroot[i])
+        lc = np.bincount(parent[kids], minlength=stack.n)
         internal = live & (lc > 0)
         if not internal.any():
             return PhaseSchedule()
@@ -299,7 +274,6 @@ class _CompressedAncestors(CompressedPhase):
         per_node = dict(zip(idx.tolist(), (records * lc[idx]).tolist()))
         per_edge = None
         if net.track_edges:
-            kids = np.flatnonzero(live & (parent >= 0))
             per_edge = {
                 (p, c): int(depth[p] + 1)
                 for c, p in zip(kids.tolist(), parent[kids].tolist())
@@ -347,7 +321,7 @@ def collect_ancestors(
     for x, t in coll.trees.items():
         if compressed:
             per_node, stats = net.run_compressed(
-                _CompressedAncestors(t, f"{label}({x})")
+                _CompressedAncestors(coll, x, f"{label}({x})")
             )
             total.merge(stats)
             anc[x] = per_node
@@ -369,9 +343,8 @@ def collect_ancestors(
 
 
 __all__ = [
+    "PathCounts",
     "broadcast_selection_stats",
     "collect_ancestors",
     "compute_vi_counts",
-    "count_paths",
-    "paths_with_min_count",
 ]

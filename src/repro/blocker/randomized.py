@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.congest.metrics import PhaseLog, RoundStats
 from repro.congest.network import CongestNetwork
 from repro.csssp.collection import CSSSPCollection
@@ -37,8 +39,6 @@ from repro.blocker.helpers import (
     broadcast_selection_stats,
     collect_ancestors,
     compute_vi_counts,
-    count_paths,
-    paths_with_min_count,
 )
 from repro.blocker.sample_space import AffineSampleSpace
 from repro.blocker.scores import compute_score_ij, compute_scores
@@ -285,6 +285,7 @@ def run_blocker_algorithm(
     score, _per_tree, stats = compute_scores(net, coll, label="scores",
                                              per_tree=False)
     log.add("initial-scores", stats)
+    live_weight = sum(score)  # h per live length-h path
 
     while True:
         max_score, stats = _aggregate_max(net, bfs, score, "max-score")
@@ -297,33 +298,29 @@ def run_blocker_algorithm(
         vi_set = set(vi)
 
         while True:  # phase loop within stage_i
-            beta, stats = compute_vi_counts(net, coll, vi_set, label="compute-pi")
+            counts, stats = compute_vi_counts(net, coll, vi_set,
+                                              label="compute-pi")
             log.add("compute-pi", stats)
-            local_max = [0.0] * net.n
-            for x, leaves in beta.items():
-                for leaf, b in leaves.items():
-                    local_max[leaf] = max(local_max[leaf], float(b))
-            max_beta, stats = _aggregate_max(net, bfs, local_max, "max-beta")
+            local_max = np.zeros(net.n)
+            np.maximum.at(local_max, counts.leaf, counts.beta)
+            max_beta, stats = _aggregate_max(net, bfs, local_max.tolist(),
+                                             "max-beta")
             log.add("max-beta", stats)
             if max_beta < 1:
                 break  # P_i exhausted for this V_i: leave the stage
             phase_j = _stage_of(max_beta, eps)
-            pij_threshold = (1.0 + eps) ** (phase_j - 1)
-            pij_leaf = paths_with_min_count(beta, pij_threshold)
-            pij_size = count_paths(pij_leaf)
+            in_pij = counts.beta >= (1.0 + eps) ** (phase_j - 1)
+            pij_leaf = counts.leaves(in_pij)
+            pij_size = int(in_pij.sum())
             if pij_size == 0:  # pragma: no cover - max_beta guard covers this
                 break
-            pi_leaf = paths_with_min_count(beta, 1)
 
             # ---- one selection step (Steps 7-16) -----------------------
             score_ij, stats = compute_score_ij(net, coll, pij_leaf)
             log.add("score-ij", stats)
-            pij_counts = [0] * net.n
-            for x, leaves in pij_leaf.items():
-                for leaf in leaves:
-                    pij_counts[leaf] += 1
+            pij_counts = np.bincount(counts.leaf[in_pij], minlength=net.n)
             scores_view, pij_total, stats = broadcast_selection_stats(
-                net, bfs, score_ij, pij_counts
+                net, bfs, score_ij, pij_counts.tolist()
             )
             log.add("selection-stats", stats)
             assert pij_total == pij_size, "leaf path counts diverged"
@@ -359,7 +356,7 @@ def run_blocker_algorithm(
                     vi_set=vi_set,
                     stage_i=stage_i,
                     phase_j=phase_j,
-                    pi_leaf=pi_leaf,
+                    pi_leaf=counts.leaves(counts.beta >= 1),
                     pij_leaf=pij_leaf,
                     pij_size=pij_size,
                     params=params,
@@ -413,6 +410,11 @@ def run_blocker_algorithm(
             score, _per_tree, stats = compute_scores(net, coll, label="rescore",
                                                      per_tree=False)
             log.add("rescore", stats)
+            # Every pick lies on a live P_ij path, so each step detaches
+            # one; a step that does not would repeat forever.
+            if sum(score) >= live_weight:
+                raise AssertionError("a selection step detached no path")
+            live_weight = sum(score)
             vi, stats = _broadcast_vi(
                 net, bfs, score, (1.0 + eps) ** (stage_i - 1)
             )

@@ -23,7 +23,7 @@ import numpy as np
 from repro.congest.compressed import (
     CompressedPhase,
     PhaseSchedule,
-    collection_arrays,
+    stacked_trees,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -62,55 +62,51 @@ class _SubtreeSumProgram(NodeProgram):
 
 
 class _CompressedSubtreeSumBatch(CompressedPhase):
-    """Round-compressed `_SubtreeSumProgram` over a stack of trees.
+    """Round-compressed `_SubtreeSumProgram` over the collection's stacked trees.
 
-    Every live non-root node sends exactly one message — in round
-    ``h - depth(v)`` — so each tree's schedule is immediate, and the
-    batch's schedule is the sum of the per-tree schedules, computed in
-    one vectorized pass over the stacked ``(T, n)`` arrays.  The sums
-    replay the engine's fold exactly, for any float values: deepest level
-    first, each node adding its live children in ascending id.
+    Every live non-root node sends exactly one message, in round
+    ``h - depth(v)``, so each tree's schedule is immediate, and a batch's
+    is the sum over its trees: ``rows`` picks them out of the one stack
+    (all of them by default).  The schedule is a few whole-stack passes
+    over the live mask of
+    :func:`~repro.congest.compressed.stacked_trees`.
+
+    :meth:`evaluate` folds ``values`` bottom-up along the static level
+    order, one ``np.add.at`` per depth.  Each level lists its nodes by
+    tree and then by ascending id, and ``add.at`` applies repeated
+    indices one by one in array order, so every parent adds its live
+    children in the engine's inbox order: the sums match the engine's bit
+    for bit, for any float values.
     """
 
-    def __init__(
-        self,
-        parent: "np.ndarray",
-        depth: "np.ndarray",
-        live: "np.ndarray",
-        h: int,
-        values: "np.ndarray",
-        label: str,
-    ) -> None:
-        self.h = h
+    def __init__(self, coll: CSSSPCollection, values: "np.ndarray",
+                 label: str, rows: Optional["np.ndarray"] = None) -> None:
+        self.stack, live = stacked_trees(coll)
+        self.live = live if rows is None else live & rows[:, None]
+        self.values = values
         self.label = label
-        self._parent, self._depth, self._live = parent, depth, live
-        self._values = values
-        self._senders = live & (parent >= 0)
-        self._acc: Optional[np.ndarray] = None
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        senders, depth, parent = self._senders, self._depth, self._parent
-        n = senders.shape[1] if senders.ndim == 2 else 0
-        counts = senders.sum(axis=1)
-        total = int(counts.sum())
+        stack = self.stack
+        h, n = stack.h, stack.n
+        senders = self.live & stack.nonroot
+        per_node_counts = senders.sum(axis=0)
+        total = int(per_node_counts.sum())
         if not total:
             return PhaseSchedule()
         # Per-tree rounds: h - (min sender depth) + 1, summed.
-        masked_depth = np.where(senders, depth, self.h + 1)
-        min_depth = masked_depth.min(axis=1)
-        has = counts > 0
-        rounds = int((self.h - min_depth[has] + 1).sum())
-        rows, cols = np.nonzero(senders)
-        per_node_counts = np.bincount(cols, minlength=n)
+        min_depth = np.where(senders, stack.depth, h + 1).min(axis=1)
+        rounds = int((h + 1 - min_depth[min_depth <= h]).sum())
         idx = np.flatnonzero(per_node_counts)
         per_node = dict(zip(idx.tolist(), per_node_counts[idx].tolist()))
         per_edge = None
         if net.track_edges:
-            keys = cols * n + parent[rows, cols]
+            rows, cols = np.nonzero(senders)
+            keys = cols * n + stack.parent[rows, cols]
             uniq, kcounts = np.unique(keys, return_counts=True)
             per_edge = {
-                (int(k) // n, int(k) % n): int(c)
-                for k, c in zip(uniq, kcounts)
+                (k // n, k % n): c
+                for k, c in zip(uniq.tolist(), kcounts.tolist())
             }
         return PhaseSchedule(
             rounds=rounds,
@@ -120,55 +116,59 @@ class _CompressedSubtreeSumBatch(CompressedPhase):
         )
 
     def evaluate(self, net: CongestNetwork) -> "np.ndarray":
-        if self._acc is not None:
-            return self._acc
-        senders, depth, parent = self._senders, self._depth, self._parent
-        acc = np.where(self._live, self._values, 0.0)
-        # One bottom-up np.add.at per depth level, over depth-sorted
-        # sender coordinates (a single nonzero + argsort instead of a
-        # full-matrix mask per level).  ``nonzero`` yields each tree's
-        # senders in ascending id and the sort is stable, and ``add.at``
-        # applies repeated indices one by one in array order, so every
-        # parent folds its children in the engine's inbox order.
-        rows, cols = np.nonzero(senders)
-        if len(rows):
-            d = depth[rows, cols]
-            order = np.argsort(-d, kind="stable")
-            rs, cs = rows[order], cols[order]
-            ds = d[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(ds)) + 1, [len(ds)])
-            )
-            for a, b in zip(starts[:-1], starts[1:]):
-                r, c = rs[a:b], cs[a:b]
-                np.add.at(acc, (r, parent[r, c]), acc[r, c])
-        self._acc = acc
-        return acc
+        stack = self.stack
+        live = self.live.ravel()
+        acc = np.where(live, np.asarray(self.values, dtype=np.float64).ravel(),
+                       0.0)
+        for kids, ups in zip(reversed(stack.levels),
+                             reversed(stack.level_parent)):
+            keep = live[kids]
+            np.add.at(acc, ups[keep], acc[kids[keep]])
+        return acc.reshape(stack.shape)
+
+
+class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
+    """The subtree-sum convergecast fed 0/1 indicators of chosen leaves.
+
+    Scores (the live depth-``h`` leaves) and ``score_ij`` (the leaves of
+    ``P_ij`` paths) run this shape.  Node ``v`` then sums, over its trees
+    where it sits live at depth >= 1, the number of chosen leaves below
+    it: the number of chosen paths through it.  The schedule is the
+    convergecast's; :meth:`evaluate` reads the totals off the chosen rows
+    of the leaf path table in one ``bincount``.  The counts are integers,
+    so no summation order can change them.  ``chosen`` is a boolean mask
+    over :attr:`StackedTrees.leaves` and must pick live leaves only.
+    """
+
+    def __init__(self, coll: CSSSPCollection, chosen: "np.ndarray",
+                 label: str, rows: Optional["np.ndarray"] = None) -> None:
+        super().__init__(coll, None, label, rows)
+        self.chosen = chosen
+
+    def evaluate(self, net: CongestNetwork) -> "np.ndarray":
+        paths = self.stack.leaf_paths[self.chosen]
+        return np.bincount(paths.ravel(), minlength=self.stack.n).astype(
+            np.float64)
 
 
 def batched_subtree_sums(
     net: CongestNetwork,
     coll: CSSSPCollection,
-    xs: Sequence[int],
     values: "np.ndarray",
     label: str,
-    arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", RoundStats]:
-    """One compressed phase covering ``subtree_sums`` on every tree in ``xs``.
+    rows: Optional["np.ndarray"] = None,
+) -> Tuple["np.ndarray", RoundStats]:
+    """One compressed phase covering ``subtree_sums`` on many trees.
 
-    ``values`` is the raw ``(len(xs), n)`` input (masked to live nodes
-    internally, as the per-tree calls do).  Returns ``(acc, depth, live,
-    stats)`` with ``acc[i]`` the live-subtree sums of tree ``xs[i]`` —
-    bit-identical to the per-tree runs, whose merged stats equal
-    ``stats``.
+    ``values`` is the raw ``(T, n)`` input over the collection's stacked
+    trees (masked to live nodes internally, as the per-tree calls do);
+    ``rows`` selects the trees that run (default: all).  Returns ``(acc,
+    stats)`` with ``acc[i]`` the live-subtree sums of tree ``i`` (zero
+    outside ``rows``), bit-identical to the per-tree runs, whose merged
+    stats equal ``stats``.
     """
-    if arrays is None:
-        arrays = collection_arrays(coll, xs)
-    parent, depth, live = arrays
-    phase = _CompressedSubtreeSumBatch(parent, depth, live, coll.h, values,
-                                       label)
-    acc, stats = net.run_compressed(phase)
-    return acc, depth, live, stats
+    return net.run_compressed(
+        _CompressedSubtreeSumBatch(coll, values, label, rows))
 
 
 def subtree_sums(
@@ -188,10 +188,14 @@ def subtree_sums(
     """
     label = label or f"subtree-sums({x})"
     if net.use_compressed(compress):
-        acc, _depth, _live, stats = batched_subtree_sums(
-            net, coll, [x], np.asarray([values], dtype=np.float64), label
-        )
-        return acc[0].tolist(), stats
+        stack, _live = stacked_trees(coll)
+        i = stack.row_of[x]
+        full = np.zeros(stack.shape)
+        full[i] = values
+        rows = np.zeros(stack.shape[0], dtype=bool)
+        rows[i] = True
+        acc, stats = batched_subtree_sums(net, coll, full, label, rows)
+        return acc[i].tolist(), stats
     t = coll.trees[x]
     programs = [
         _SubtreeSumProgram(v, t, coll.h, values[v] if t.live(v) else 0.0)
@@ -229,20 +233,16 @@ def compute_scores(
     empty dict in their place.
     """
     if net.use_compressed(compress) and coll.trees:
-        xs = list(coll.trees)
-        arrays = collection_arrays(coll, xs)
-        _, depth0, live0 = arrays
-        leaf_vals = ((depth0 == coll.h) & live0).astype(np.float64)
-        acc, depth, live, stats = batched_subtree_sums(
-            net, coll, xs, leaf_vals, label, arrays=arrays
-        )
-        tree_sums = (
-            {x: acc[i].tolist() for i, x in enumerate(xs)} if per_tree else {}
-        )
-        counted = live & (depth >= 1)
-        score = np.where(counted, acc, 0.0).sum(axis=0).tolist()
+        stack, live = stacked_trees(coll)
+        score, stats = net.run_compressed(_CompressedPathCountBatch(
+            coll, live.ravel()[stack.leaves], label))
+        tree_sums = {}
+        if per_tree:
+            acc = _CompressedSubtreeSumBatch(
+                coll, stack.depth == stack.h, label).evaluate(net)
+            tree_sums = {x: acc[i].tolist() for i, x in enumerate(stack.xs)}
         stats.label = label
-        return score, tree_sums, stats
+        return score.tolist(), tree_sums, stats
     total = RoundStats(label=label)
     score = [0.0] * coll.n
     tree_sums: Dict[int, List[float]] = {}
@@ -274,18 +274,26 @@ def compute_score_ij(
     (each leaf knows this locally after Compute-Pij).  Same convergecast as
     :func:`compute_scores`, ``O(|S| \\cdot h)`` rounds.
     """
-    xs = [x for x in coll.trees if pij_leaf.get(x)]
-    if net.use_compressed(compress) and xs:
-        vals = np.zeros((len(xs), coll.n))
-        for i, x in enumerate(xs):
-            vals[i, pij_leaf[x]] = 1.0
-        acc, depth, live, stats = batched_subtree_sums(
-            net, coll, xs, vals, label
-        )
-        counted = live & (depth >= 1)
-        score = np.where(counted, acc, 0.0).sum(axis=0).tolist()
+    if net.use_compressed(compress) and any(pij_leaf.values()):
+        stack, live = stacked_trees(coll)
+        n = stack.n
+        rows = np.zeros(stack.shape[0], dtype=bool)
+        flat = []
+        for x, leaves in pij_leaf.items():
+            if leaves:
+                i = stack.row_of[x]
+                rows[i] = True
+                flat.append(i * n + np.asarray(leaves, dtype=np.int64))
+        flat = np.concatenate(flat)
+        at = np.searchsorted(stack.leaves, flat)
+        if (at >= len(stack.leaves)).any() or (stack.leaves[at] != flat).any():
+            raise ValueError("pij_leaf lists a node that is not at depth h")
+        chosen = np.zeros(len(stack.leaves), dtype=bool)
+        chosen[at] = live.ravel()[flat]
+        score, stats = net.run_compressed(
+            _CompressedPathCountBatch(coll, chosen, label, rows))
         stats.label = label
-        return score, stats
+        return score.tolist(), stats
     total = RoundStats(label=label)
     score = [0.0] * coll.n
     for x in coll.trees:

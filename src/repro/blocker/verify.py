@@ -79,13 +79,11 @@ def distributed_coverage_check(
     if bfs is None:
         bfs, stats = build_bfs_tree(net)
         total.merge(stats)
-    beta, stats = compute_vi_counts(net, coll, set(blockers), label=label)
+    counts, stats = compute_vi_counts(net, coll, set(blockers), label=label)
     total.merge(stats)
     local_bad = [0.0] * net.n
-    for _x, leaves in beta.items():
-        for leaf, b in leaves.items():
-            if b == 0:
-                local_bad[leaf] = 1.0
+    for leaf in counts.leaf[counts.beta == 0].tolist():
+        local_bad[leaf] = 1.0
     (bad,), stats = aggregate_and_broadcast(
         net,
         bfs,

@@ -232,28 +232,6 @@ def tree_wave_schedule(tree, track_edges: bool) -> PhaseSchedule:
     )
 
 
-def tree_arrays(tree):
-    """Numpy views of a :class:`~repro.csssp.collection.TreeView`'s rows.
-
-    Returns ``(parent, depth, live)`` — int64 parent/depth arrays and the
-    boolean live mask (in the tree and not detached) — the inputs every
-    vectorized per-tree schedule and evaluation starts from.
-    """
-    n = tree.n
-    parent = np.fromiter(tree.parent, dtype=np.int64, count=n)
-    depth = np.fromiter(tree.depth, dtype=np.int64, count=n)
-    live = (depth >= 0) & ~np.fromiter(tree.removed, dtype=bool, count=n)
-    return parent, depth, live
-
-
-def live_child_counts(
-    parent: "np.ndarray", live: "np.ndarray", n: int
-) -> "np.ndarray":
-    """``counts[v]`` = number of live children of ``v`` (vectorized)."""
-    senders = live & (parent >= 0)
-    return np.bincount(parent[senders], minlength=n)
-
-
 def merge_schedules(parts: Sequence[PhaseSchedule]) -> PhaseSchedule:
     """Sequential composition of phase schedules (rounds and counts add).
 
@@ -284,9 +262,8 @@ def merge_schedules(parts: Sequence[PhaseSchedule]) -> PhaseSchedule:
 class CompressedSequence(CompressedPhase):
     """A batch of compressed phases executed as one phase.
 
-    Used by the multi-tree batches (sequential subtree removals, the
-    per-tree floods of Algorithms 3/4/14): instead of one
-    ``run_compressed`` — and one stats merge — per tree, the sequence
+    Used by the multi-tree batches of the CSSSP construction: instead of
+    one ``run_compressed`` — and one stats merge — per tree, the sequence
     charges :func:`merge_schedules` of all sub-schedules at once and
     evaluates the sub-phases in declaration order.  Valid whenever the
     sub-phases are independent (each touches its own tree), which is how
@@ -304,35 +281,100 @@ class CompressedSequence(CompressedPhase):
         return [p.evaluate(net) for p in self.phases]
 
 
-def collection_arrays(coll, xs: Sequence[int]):
-    """Cached stacked ``(parent, depth, live)`` arrays for a collection.
+class StackedTrees:
+    """A collection's trees stacked once: the compressed tier's static state.
 
-    A tree's ``parent`` / ``depth`` rows are immutable after construction
-    (pruning flips ``removed`` flags, never the pointers — see
-    :class:`~repro.csssp.collection.TreeView`), so the stacked int arrays
-    are built once per ``(collection, xs)`` — cached per ``xs`` tuple, as
-    the blocker loop alternates between the full tree list and pij
-    subsets — and only the cheap boolean ``removed`` stack is re-read on
-    every call.
+    Row ``i`` describes tree ``xs[i]``, and node ``v`` of that tree has the
+    flat index ``i * n + v``.  Everything here follows from the parent and
+    depth rows alone, which never change after construction (pruning flips
+    ``removed`` flags, never pointers — see
+    :class:`~repro.csssp.collection.TreeView`), so it is built once and a
+    collection's copies share it.  It holds:
+
+    * ``parent`` / ``depth`` — the ``(T, n)`` int64 stacks, with the
+      ``member`` (in the tree) and ``nonroot`` (depth >= 1) masks and
+      each tree's ``roots`` entry;
+    * ``levels[d - 1]`` / ``level_parent[d - 1]`` — the flat indices of
+      every tree's depth-``d`` members, ascending, and of their parents:
+      top-down waves walk the levels forward, convergecasts backward;
+    * ``child_ptr`` / ``child_idx`` — every flat node's children in
+      ascending order (CSR), for waves that start below the roots;
+    * ``leaves`` / ``leaf_paths`` — the flat indices of the depth-``h``
+      members, ascending, and the ``(L, h)`` node ids on their root paths
+      at depths ``1..h``: the collection's hyperedges, where the leaf is
+      live.
+
+    The part that changes, the live mask, belongs to each collection; see
+    :func:`stacked_trees`.
     """
-    key = tuple(xs)
-    cache = getattr(coll, "_stacked_static", None)
-    if cache is None:
-        cache = coll._stacked_static = {}
-    entry = cache.get(key)
-    if entry is None:
-        trees = [coll.trees[x] for x in key]
-        parent = np.asarray([t.parent for t in trees], dtype=np.int64)
-        depth = np.asarray([t.depth for t in trees], dtype=np.int64)
-        cache[key] = entry = (parent, depth)
-    parent, depth = entry
-    removed = np.fromiter(
-        chain.from_iterable(coll.trees[x].removed for x in key),
-        dtype=bool,
-        count=len(key) * depth.shape[1] if len(key) else 0,
-    ).reshape(depth.shape)
-    live = (depth >= 0) & ~removed
-    return parent, depth, live
+
+    def __init__(self, coll) -> None:
+        self.xs = list(coll.trees)
+        self.row_of = {x: i for i, x in enumerate(self.xs)}
+        trees = [coll.trees[x] for x in self.xs]
+        n, h = coll.n, coll.h
+        self.n, self.h = n, h
+        shape = (len(trees), n)
+        self.parent = np.asarray([t.parent for t in trees],
+                                 dtype=np.int64).reshape(shape)
+        self.depth = np.asarray([t.depth for t in trees],
+                                dtype=np.int64).reshape(shape)
+        self.roots = np.asarray([t.root for t in trees], dtype=np.int64)
+        self.member = self.depth >= 0
+        self.nonroot = self.depth >= 1
+        flat_parent = self.parent.ravel()
+        flat_depth = self.depth.ravel()
+        kids = np.flatnonzero(flat_depth >= 1)
+        ups = kids - kids % n + flat_parent[kids]
+        by_depth = np.argsort(flat_depth[kids], kind="stable")
+        cuts = np.searchsorted(
+            flat_depth[kids][by_depth],
+            np.arange(1, int(flat_depth.max(initial=0)) + 2),
+        ).tolist()
+        self.levels = [kids[by_depth[a:b]] for a, b in zip(cuts, cuts[1:])]
+        self.level_parent = [ups[by_depth[a:b]] for a, b in zip(cuts, cuts[1:])]
+        by_parent = np.argsort(ups, kind="stable")
+        self.child_idx = kids[by_parent]
+        self.child_ptr = np.zeros(len(flat_depth) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ups, minlength=len(flat_depth)),
+                  out=self.child_ptr[1:])
+        self.leaves = np.flatnonzero(flat_depth == h)
+        self.leaf_paths = np.empty((len(self.leaves), h), dtype=np.int64)
+        at = self.leaves
+        for k in range(h - 1, -1, -1):
+            self.leaf_paths[:, k] = at % n
+            at = at - at % n + flat_parent[at]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.parent.shape
+
+
+def stacked_trees(coll) -> Tuple[StackedTrees, "np.ndarray"]:
+    """A collection's :class:`StackedTrees` and its current ``(T, n)`` live mask.
+
+    The static state is built on first use and kept on the collection (and
+    on its copies).  So is a ``(T, n)`` array of the ``removed`` flags,
+    read from the trees' lists once, after which each tree's
+    :class:`~repro.csssp.collection.RemovedFlags` mirrors every write into
+    its row: the flags stay the one place liveness is written, and the
+    array is never re-read from them.  The live mask (member and not
+    removed) is derived from that array on every call.
+    """
+    stack = coll._stack
+    if stack is None:
+        stack = coll._stack = StackedTrees(coll)
+    removed = coll._removed
+    if removed is None:
+        trees = [coll.trees[x] for x in stack.xs]
+        removed = coll._removed = np.fromiter(
+            chain.from_iterable(t.removed for t in trees),
+            dtype=bool,
+            count=stack.parent.size,
+        ).reshape(stack.shape)
+        for i, t in enumerate(trees):
+            t.removed.link(removed, i)
+    return stack, stack.member & ~removed
 
 
 #: Sentinel for the end-of-stream marker in :func:`simulate_upcast`.
@@ -507,17 +549,16 @@ def simulate_round_robin(
 __all__ = [
     "CompressedPhase",
     "CompressedSequence",
-    "collection_arrays",
     "PhaseSchedule",
+    "StackedTrees",
     "aggregate_rounds",
     "bottom_up_order",
-    "live_child_counts",
     "max_internal_depth",
     "merge_schedules",
     "pipelined_sum_rounds",
     "simulate_round_robin",
     "simulate_upcast",
+    "stacked_trees",
     "subtree_heights",
-    "tree_arrays",
     "tree_wave_schedule",
 ]

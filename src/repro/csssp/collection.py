@@ -20,7 +20,43 @@ strictly after ``y``, so the decomposition always makes progress.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+
+class RemovedFlags(list):
+    """A tree's ``removed`` flags, mirrored into the compressed tier's stack.
+
+    A plain list of bools until the compressed tier stacks the collection
+    (:func:`repro.congest.compressed.stacked_trees`), which links it to
+    its row of the collection's ``(T, n)`` removed array.  From then on
+    every item or slice assignment writes that row too, so the array
+    cannot drift from the flags, whoever writes them.  :meth:`detach` is
+    the bulk form.
+    """
+
+    __slots__ = ("_mirror",)
+
+    def __init__(self, flags: Iterable[bool] = ()) -> None:
+        super().__init__(flags)
+        self._mirror = None
+
+    def link(self, array, row: int) -> None:
+        """Mirror every later write into ``array[row]``."""
+        self._mirror = (array, row)
+
+    def __setitem__(self, key, value) -> None:
+        list.__setitem__(self, key, value)
+        if self._mirror is not None:
+            array, row = self._mirror
+            array[row, key] = value
+
+    def detach(self, nodes: Sequence[int]) -> None:
+        """Flag every node of ``nodes`` removed, with one mirror write."""
+        for v in nodes:
+            list.__setitem__(self, v, True)
+        if self._mirror is not None:
+            array, row = self._mirror
+            array[row, nodes] = True
 
 
 @dataclass
@@ -33,7 +69,9 @@ class TreeView:
     root (direction per the collection's orientation); ``removed[v]`` marks
     nodes detached by a pruning protocol (Algorithm 6 sets the parent
     pointer to NIL — we keep the pointer and flip the flag so the original
-    shape remains queryable by diagnostics).
+    shape remains queryable by diagnostics).  ``removed`` is always a
+    :class:`RemovedFlags` list, which keeps the compressed tier's stacked
+    copy of the flags in step.
     """
 
     root: int
@@ -42,6 +80,10 @@ class TreeView:
     dist: List[float]
     children: List[List[int]]
     removed: List[bool]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.removed, RemovedFlags):
+            self.removed = RemovedFlags(self.removed)
 
     @property
     def n(self) -> int:
@@ -89,8 +131,7 @@ class TreeView:
         it detached.
         """
         detached = [u for u in self.subtree(z, live_only=True)]
-        for u in detached:
-            self.removed[u] = True
+        self.removed.detach(detached)
         return detached
 
 
@@ -124,6 +165,10 @@ class CSSSPCollection:
         self.h = h
         self.trees = trees
         self.orientation = orientation
+        # The compressed tier's stacked static state and stacked removed
+        # flags, built on first use (repro.congest.compressed.stacked_trees).
+        self._stack = None
+        self._removed = None
 
     # ------------------------------------------------------------------
     @property
@@ -162,25 +207,32 @@ class CSSSPCollection:
 
     # ------------------------------------------------------------------
     def copy(self) -> "CSSSPCollection":
-        """Deep copy (pruning state included) for algorithms that mutate."""
+        """A copy with its own pruning state, for algorithms that mutate.
+
+        Only the ``removed`` flags are copied.  ``parent``, ``depth``,
+        ``dist`` and ``children`` are shared with this collection, as is
+        the compressed tier's stacked static state: none of them is ever
+        mutated after construction, and pruning flips flags only.
+        """
         trees = {
             x: TreeView(
                 root=t.root,
-                parent=list(t.parent),
-                depth=list(t.depth),
-                dist=list(t.dist),
-                children=[list(c) for c in t.children],
-                removed=list(t.removed),
+                parent=t.parent,
+                depth=t.depth,
+                dist=t.dist,
+                children=t.children,
+                removed=RemovedFlags(t.removed),
             )
             for x, t in self.trees.items()
         }
-        return CSSSPCollection(self.graph, self.h, trees, self.orientation)
+        dup = CSSSPCollection(self.graph, self.h, trees, self.orientation)
+        dup._stack = self._stack
+        return dup
 
     def reset_removals(self) -> None:
         """Re-attach every pruned subtree (fresh-collection state)."""
         for t in self.trees.values():
-            for v in range(t.n):
-                t.removed[v] = False
+            t.removed[:] = [False] * t.n
 
     # ------------------------------------------------------------------
     # verification helpers (test-only, centralized)
@@ -237,4 +289,4 @@ class CSSSPCollection:
                         )
 
 
-__all__ = ["CSSSPCollection", "TreeView"]
+__all__ = ["CSSSPCollection", "RemovedFlags", "TreeView"]

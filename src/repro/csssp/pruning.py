@@ -23,12 +23,14 @@ Two protocols, matching the two cost regimes in the papers:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.congest.compressed import (
     CompressedPhase,
-    CompressedSequence,
     PhaseSchedule,
+    stacked_trees,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -62,72 +64,95 @@ class _SequentialRemoveProgram(NodeProgram):
 
 
 class _CompressedSubtreeRemove(CompressedPhase):
-    """Round-compressed `_SequentialRemoveProgram` for one tree.
+    """Round-compressed `_SequentialRemoveProgram`: every tree's flood at once.
 
-    The removal notice reaches a node ``fire`` rounds after its nearest
-    start ancestor fires (starts fire in round 0).  One engine-order
-    subtlety is replayed exactly: when a start sits directly under
-    another firing node, the notice to it is sent only if the sender is
-    processed first that round — i.e. never when the start fired in an
-    earlier round, and only for starts with a larger node id when both
-    fire in round 0.
+    The starts are the removal roots' live copies at depth >= 1 in every
+    tree.  They fire in round 0, and the notice reaches a node ``f``
+    rounds after its nearest start ancestor-or-self.  The phase runs one
+    top-down wave over all trees together, tick by tick through the
+    static child lists of :class:`~repro.congest.compressed.StackedTrees`,
+    so it costs the number of nodes it detaches.  Each tick yields the
+    fire ticks and the sends of the nodes firing in it, and replays one
+    engine-order rule: a start directly under a firing node ``u`` gets the
+    notice only when ``f == 0 and c > u`` (``u`` is itself a start and is
+    processed first); otherwise the start has detached itself already.
+
+    Per tree, the flood's rounds are its last sending tick plus one, and
+    the phase charges their sum, as the per-tree runs would.
+    :meth:`evaluate` flips the detached nodes' ``removed`` flags, one bulk
+    :meth:`~repro.csssp.collection.RemovedFlags.detach` per tree, which
+    also writes the stacked copy the next phase's live mask reads.  So
+    the selectors, the centralized checks and the message-level oracle
+    see the same state.
     """
 
-    def __init__(self, tree, starts: List[int], startset: Set[int],
+    def __init__(self, coll: CSSSPCollection, rootset: Sequence[int],
                  label: str) -> None:
-        self.tree = tree
-        self.starts = starts
-        self.startset = startset
+        self.coll = coll
         self.label = label
-        self._fire: Optional[Dict[int, int]] = None
-
-    def _solve(self) -> Dict[int, int]:
-        if self._fire is None:
-            t = self.tree
-            fire: Dict[int, int] = {}
-            queue = deque(self.starts)
-            while queue:
-                v = queue.popleft()
-                if v in fire:
-                    continue
-                fire[v] = 0 if v in self.startset else fire[t.parent[v]] + 1
-                queue.extend(t.live_children(v))
-            self._fire = fire
-        return self._fire
+        self.stack, self.live = stacked_trees(coll)
+        n = self.stack.n
+        rows = np.arange(self.stack.shape[0], dtype=np.int64)
+        cand = (rows[:, None] * n
+                + np.asarray(rootset, dtype=np.int64)[None, :]).ravel()
+        keep = self.live.ravel()[cand] & self.stack.nonroot.ravel()[cand]
+        self.starts = np.sort(cand[keep])
+        self._fired: List[np.ndarray] = []
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        t = self.tree
-        startset = self.startset
-        fire = self._solve()
-        removed = t.removed
-        per_node: Dict[int, int] = {}
-        per_edge = {} if net.track_edges else None
-        last_tick = -1
-        for u, f in fire.items():
-            sent = 0
-            for c in t.children[u]:
-                if removed[c]:
-                    continue
-                if c in startset and (f > 0 or c < u):
-                    continue  # the start detached itself before this send
-                sent += 1
-                if per_edge is not None:
-                    per_edge[(u, c)] = 1
-            if sent:
-                per_node[u] = sent
-                if f > last_tick:
-                    last_tick = f
+        stack, starts = self.stack, self.starts
+        n = stack.n
+        live = self.live.ravel()
+        ptr, child_idx = stack.child_ptr, stack.child_idx
+        is_start = np.zeros(live.size, dtype=bool)
+        is_start[starts] = True
+        last_tick = np.full(stack.shape[0], -1, dtype=np.int64)
+        per_node = np.zeros(n, dtype=np.int64)
+        edges: List[np.ndarray] = []
+        self._fired = [starts]
+        frontier = starts
+        tick = 0
+        while frontier.size:
+            lo = ptr[frontier]
+            count = ptr[frontier + 1] - lo
+            offset = np.repeat(lo - (np.cumsum(count) - count), count)
+            kids = child_idx[offset + np.arange(int(count.sum()))]
+            owner = np.repeat(frontier, count)
+            alive = live[kids]
+            kids, owner = kids[alive], owner[alive]
+            inner = ~is_start[kids]
+            send = inner | (kids > owner) if tick == 0 else inner
+            senders = owner[send]
+            per_node += np.bincount(senders % n, minlength=n)
+            last_tick[senders // n] = tick
+            if net.track_edges:
+                edges.append(senders % n * n + kids[send] % n)
+            frontier = kids[inner]
+            self._fired.append(frontier)
+            tick += 1
+        idx = np.flatnonzero(per_node)
+        per_edge = None
+        if net.track_edges:
+            keys, counts = np.unique(np.concatenate(edges), return_counts=True)
+            per_edge = {
+                (k // n, k % n): c
+                for k, c in zip(keys.tolist(), counts.tolist())
+            }
         return PhaseSchedule(
-            rounds=last_tick + 1,
-            messages=sum(per_node.values()),
-            per_node_sent=per_node,
+            rounds=int((last_tick + 1).sum()),
+            messages=int(per_node.sum()),
+            per_node_sent=dict(zip(idx.tolist(), per_node[idx].tolist())),
             per_edge_sent=per_edge,
         )
 
     def evaluate(self, net: CongestNetwork) -> None:
-        t = self.tree
-        for v in self._solve():
-            t.removed[v] = True
+        stack = self.stack
+        fired = np.sort(np.concatenate(self._fired))
+        cuts = np.searchsorted(fired, np.arange(stack.shape[0] + 1) * stack.n)
+        for x, a, b in zip(stack.xs, cuts.tolist(), cuts[1:].tolist()):
+            if a < b:
+                self.coll.trees[x].removed.detach(
+                    (fired[a:b] % stack.n).tolist())
         return None
 
 
@@ -144,34 +169,26 @@ def remove_subtrees_sequential(
     (a node never "covers" the paths of its own tree from the root slot).
     One flood phase per source, ``O(h)`` rounds each.  ``compress``
     selects the round-compressed execution mode (default: the network's
-    setting).
+    setting), which runs every tree's flood as one phase.
     """
     rootset = sorted(set(roots))
-    compressed = net.use_compressed(compress)
     total = RoundStats(label=label)
-    batch: List[_CompressedSubtreeRemove] = []
+    if net.use_compressed(compress):
+        phase = _CompressedSubtreeRemove(coll, rootset, label)
+        if phase.starts.size:
+            _, stats = net.run_compressed(phase)
+            total.merge(stats)
+        return total
     for x, t in coll.trees.items():
-        start_nodes = [
+        startset = {
             v for v in rootset if t.depth[v] >= 1 and not t.removed[v]
-        ]
-        if not start_nodes:
+        }
+        if not startset:
             continue
-        if compressed:
-            # One run_compressed for the whole collection: the per-tree
-            # floods are independent, so their schedules compose
-            # additively (CompressedSequence).
-            batch.append(_CompressedSubtreeRemove(
-                t, start_nodes, set(start_nodes), f"{label}({x})"
-            ))
-            continue
-        startset = set(start_nodes)
         programs = [
             _SequentialRemoveProgram(v, t, v in startset) for v in range(t.n)
         ]
         total.merge(net.run(programs, label=f"{label}({x})"))
-    if batch:
-        _, stats = net.run_compressed(CompressedSequence(batch, label))
-        total.merge(stats)
     return total
 
 

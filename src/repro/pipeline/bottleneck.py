@@ -31,7 +31,7 @@ from repro.congest.network import CongestNetwork
 from repro.csssp.collection import CSSSPCollection
 from repro.csssp.pruning import ParallelPruner
 from repro.blocker.scores import batched_subtree_sums, subtree_sums
-from repro.congest.compressed import collection_arrays
+from repro.congest.compressed import stacked_trees
 from repro.primitives.bfs import build_bfs_tree
 from repro.primitives.broadcast import gather_and_broadcast
 
@@ -67,14 +67,10 @@ def message_counts(
     of them evaluate as a single stacked phase.
     """
     if net.use_compressed(compress) and coll.trees:
-        xs = list(coll.trees)
-        arrays = collection_arrays(coll, xs)
-        ones = arrays[2].astype(float)  # live indicators
-        acc, _depth, _live, stats = batched_subtree_sums(
-            net, coll, xs, ones, label, arrays=arrays
-        )
+        stack, live = stacked_trees(coll)
+        acc, stats = batched_subtree_sums(net, coll, live, label)
         stats.label = label
-        return {x: acc[i].tolist() for i, x in enumerate(xs)}, stats
+        return {x: acc[i].tolist() for i, x in enumerate(stack.xs)}, stats
     total = RoundStats(label=label)
     counts: Dict[int, List[float]] = {}
     for c, t in coll.trees.items():

@@ -108,6 +108,15 @@ def collection_of(kind: str, h: int, orientation: str = "out"):
     return _coll_cache[key]
 
 
+def beta_per_tree(counts) -> Dict[int, Dict[int, int]]:
+    """A ``PathCounts`` table as ``{source: {leaf: beta}}``, every source in."""
+    out: Dict[int, Dict[int, int]] = {x: {} for x in counts.xs}
+    for r, leaf, b in zip(counts.row.tolist(), counts.leaf.tolist(),
+                          counts.beta.tolist()):
+        out[counts.xs[r]][leaf] = b
+    return out
+
+
 @pytest.fixture
 def network(any_graph):
     return CongestNetwork(any_graph)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import CongestNetwork
-from repro.blocker.derandomized import sigma_vectors
+from repro.congest.compressed import StackedTrees
+from repro.csssp import build_csssp
+from repro.blocker.derandomized import deterministic_blocker_set, sigma_vectors
 from repro.blocker.randomized import (
     BlockerParams,
     SelectionContext,
@@ -19,7 +21,8 @@ from repro.blocker.randomized import (
     local_sigma,
 )
 from repro.blocker.sample_space import AffineSampleSpace
-from repro.blocker.helpers import collect_ancestors, compute_vi_counts, paths_with_min_count
+from repro.blocker.helpers import collect_ancestors, compute_vi_counts
+from repro.graphs import erdos_renyi
 from repro.primitives import build_bfs_tree
 
 from conftest import collection_of, graph_of
@@ -63,9 +66,9 @@ def make_context(kind="er-dense", h=2):
     net = CongestNetwork(g)
     bfs, _ = build_bfs_tree(net)
     vi = sorted(v for v in range(g.n) if v % 2 == 0)
-    beta, _ = compute_vi_counts(net, coll, set(vi))
-    pi_leaf = paths_with_min_count(beta, 1)
-    pij_leaf = paths_with_min_count(beta, 2)
+    counts, _ = compute_vi_counts(net, coll, set(vi))
+    pi_leaf = counts.leaves(counts.beta >= 1)
+    pij_leaf = counts.leaves(counts.beta >= 2)
     pij_size = sum(len(v) for v in pij_leaf.values())
     return g, coll, net, SelectionContext(
         net=net,
@@ -134,3 +137,26 @@ def test_sigma_vectors_empty_structures():
     member = np.zeros((4, 3), dtype=bool)
     s_pi, s_pij = sigma_vectors([], member, {})
     assert (s_pi == 0).all() and (s_pij == 0).all()
+
+
+def test_blocker_run_builds_one_stacked_state(monkeypatch):
+    """Every compressed Step-2 phase reads one (T, n) stack per run.
+
+    Score-ij runs on a different tree subset at every selection step; it
+    selects rows of the one stack instead of stacking the subset again.
+    """
+    g = erdos_renyi(40, p=0.12, seed=1)
+    net = CongestNetwork(g, compress=True)
+    coll, _ = build_csssp(net, g, range(g.n), 3)
+    built = []
+    init = StackedTrees.__init__
+
+    def counting_init(self, c):
+        built.append(self)
+        init(self, c)
+
+    monkeypatch.setattr(StackedTrees, "__init__", counting_init)
+    result = deterministic_blocker_set(net, coll)
+    assert result.selection_steps > 1
+    assert len(built) == 1
+    assert built[0].parent.shape == (len(coll.trees), g.n)

@@ -9,8 +9,10 @@ per-node congestion, and — under ``track_edges`` — per-edge loads).
 A fast subset (two families, one seed, plus the tie-heavy weight models
 for the batched Bellman-Ford solver) runs in tier-1; the full family x
 seed matrix carries the ``slow`` marker and runs in the non-blocking CI
-equivalence job (``pytest -m slow``).  Its Bellman-Ford, CSSSP and
-deterministic-APSP slice also runs in the blocking tier-1 CI job.
+equivalence job (``pytest -m slow``).  Two slices of it also run in the
+blocking tier-1 CI job: Bellman-Ford, CSSSP and deterministic APSP; and
+Step 2 (the blocker constructions and their compute-pi, score,
+subtree-removal and batched convergecast phases).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import pytest
 from repro.apsp import deterministic_apsp
 from repro.blocker.derandomized import deterministic_blocker_set
 from repro.blocker.helpers import collect_ancestors, compute_vi_counts
-from repro.blocker.randomized import randomized_blocker_set
+from repro.blocker.randomized import BlockerParams, randomized_blocker_set
 from repro.blocker.scores import compute_scores, subtree_sums
+from repro.congest.compressed import stacked_trees
 from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork
 from repro.csssp.builder import build_csssp
@@ -48,6 +51,8 @@ from repro.primitives.convergecast import (
     aggregate_and_broadcast,
     pipelined_vector_sum,
 )
+
+from conftest import beta_per_tree
 
 FAST_FAMILIES = ["er", "grid"]
 FULL_FAMILIES = ["er", "er-directed", "ws", "grid", "star", "path", "ring",
@@ -108,9 +113,28 @@ def assert_stats_equal(oracle, compressed, what=""):
     assert oracle.max_node_congestion == compressed.max_node_congestion
 
 
-def build_collection_pair(graph, h=3, removals=0, seed=0):
+def assert_logs_equal(log_m, log_c, what=""):
+    """Ledger by ledger: every phase's label, rounds, messages and sends."""
+    entries_m, entries_c = list(log_m), list(log_c)
+    assert [label for label, _ in entries_m] == [
+        label for label, _ in entries_c], f"{what}: phase labels diverged"
+    for k, ((label, sm), (_, sc)) in enumerate(zip(entries_m, entries_c)):
+        assert_stats_equal(sm, sc, f"{what}: phase {k} ({label})")
+
+
+def assert_live_mask_matches(coll):
+    """The compressed tier's stacked live mask equals every tree's flags."""
+    stack, live = stacked_trees(coll)
+    for i, x in enumerate(stack.xs):
+        t = coll.trees[x]
+        assert live[i].tolist() == [
+            t.depth[v] >= 0 and not t.removed[v] for v in range(coll.n)
+        ], f"tree {x}: live mask and removed flags diverged"
+
+
+def build_collection_pair(graph, h=3, removals=0, seed=0, track_edges=False):
     """Identical CSSSP collections on both engines, optionally pruned."""
-    net_m, net_c = nets(graph)
+    net_m, net_c = nets(graph, track_edges=track_edges)
     coll_m, _ = build_csssp(net_m, graph, range(graph.n), h)
     coll_c = coll_m.copy()
     rng = random.Random(seed)
@@ -260,7 +284,7 @@ def test_ancestors_and_vi_counts_equivalent(family, seed, n, removals):
     vi = set(random.Random(seed).sample(range(graph.n), graph.n // 3 + 1))
     beta_m, vstats_m = compute_vi_counts(net_m, coll_m, vi)
     beta_c, vstats_c = compute_vi_counts(net_c, coll_c, vi)
-    assert beta_m == beta_c
+    assert beta_per_tree(beta_m) == beta_per_tree(beta_c)
     assert_stats_equal(vstats_m, vstats_c, "vi-counts")
 
 
@@ -289,18 +313,66 @@ def test_subtree_sums_and_scores_equivalent(family, seed, n, removals):
     assert_stats_equal(sstats_m, sstats_c, "scores")
 
 
+def crafted_starts(coll, rng, kind):
+    """Removal roots that exercise one case of the engine-order rule.
+
+    ``"under-larger"`` / ``"under-smaller"``: a live node ``u`` at depth
+    >= 1 plus a live child ``c`` of it, with ``c > u`` or ``c < u``;
+    ``"nested"``: ``u`` plus a live grandchild.  Picked in some tree of
+    the current (partly pruned) collection; None when no tree has one.
+    """
+    pairs = []
+    for t in coll.trees.values():
+        for c in range(coll.n):
+            if not t.live(c) or t.depth[c] < 2:
+                continue
+            u = t.parent[c]
+            if kind == "nested":
+                if t.depth[c] >= 3:
+                    pairs.append((t.parent[u], c))
+            elif (c > u) == (kind == "under-larger"):
+                pairs.append((u, c))
+    return list(rng.choice(pairs)) if pairs else None
+
+
 @pytest.mark.parametrize("family,seed,n", cases())
 def test_remove_subtrees_equivalent(family, seed, n):
+    """Several removal rounds on one collection and one stacked state.
+
+    The rounds mix random roots with a tree root (depth 0 in its own
+    tree, so skipped there), nested starts and starts directly under
+    another start with ``c > u`` and ``c < u``.  After every round the
+    stats (per-edge loads included) and the flags equal the engine's,
+    and the stacked live mask equals every tree's ``removed`` row.
+    """
     graph = make_graph(family, n, seed)
-    net_m, net_c, coll_m, coll_c = build_collection_pair(graph)
+    net_m, net_c, coll_m, coll_c = build_collection_pair(
+        graph, track_edges=True)
     rng = random.Random(seed * 13)
-    for _ in range(4):
-        roots = rng.sample(range(graph.n), rng.randrange(1, 5))
+    source = next(iter(coll_m.trees))
+    plan = ["random+root", "under-larger", "under-smaller", "nested",
+            "random", "random", "random", "under-larger", "under-smaller",
+            "nested"]
+    crafted = set()
+    for step in plan:
+        if step.startswith("random"):
+            roots = rng.sample(range(graph.n), rng.randrange(1, 5))
+            if step.endswith("+root"):
+                roots.append(source)
+        else:
+            roots = crafted_starts(coll_m, rng, step)
+            if roots is None:
+                continue
+            crafted.add(step)
         stats_m = remove_subtrees_sequential(net_m, coll_m, roots)
         stats_c = remove_subtrees_sequential(net_c, coll_c, roots)
-        assert_stats_equal(stats_m, stats_c, f"remove {roots}")
+        assert_stats_equal(stats_m, stats_c, f"{step} {roots}")
         for x in coll_m.trees:
             assert coll_m.trees[x].removed == coll_c.trees[x].removed
+        assert_live_mask_matches(coll_c)
+    assert coll_m.trees[source].live(source)
+    if family in FAST_FAMILIES:
+        assert crafted == {"under-larger", "under-smaller", "nested"}
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +635,20 @@ def test_batched_convergecasts_match_per_phase(family, seed, n, removals):
     vi = set(random.Random(seed).sample(range(graph.n), graph.n // 3 + 1))
     beta_m, vm = compute_vi_counts(net_m, coll_m, vi, compress=False)
     beta_b, vb = compute_vi_counts(net_c, coll_c, vi)
-    assert beta_m == beta_b
+    assert beta_per_tree(beta_m) == beta_per_tree(beta_b)
     assert_stats_equal(vm, vb, "vi-counts batched")
 
 
 # ---------------------------------------------------------------------------
 # end to end
+
+
+def assert_blocker_runs_equal(res_m, res_c):
+    assert res_m.blockers == res_c.blockers
+    assert [(p.kind, p.added) for p in res_m.picks] == [
+        (p.kind, p.added) for p in res_c.picks]
+    assert_logs_equal(res_m.log, res_c.log, "blocker")
+    assert_stats_equal(res_m.stats, res_c.stats, "blocker")
 
 
 @pytest.mark.parametrize("family,seed,n", cases(sizes=(20,)))
@@ -580,10 +660,31 @@ def test_blocker_construction_equivalent(family, seed, n, construct):
     net_m, net_c, coll_m, coll_c = build_collection_pair(graph)
     res_m = construct(net_m, coll_m)
     res_c = construct(net_c, coll_c)
-    assert res_m.blockers == res_c.blockers
-    assert [(p.kind, p.added) for p in res_m.picks] == [
-        (p.kind, p.added) for p in res_c.picks]
-    assert_stats_equal(res_m.stats, res_c.stats, "blocker")
+    assert_blocker_runs_equal(res_m, res_c)
+
+
+@pytest.mark.parametrize("family,seed,n", cases(sizes=(20,)))
+@pytest.mark.parametrize("variant", ["forced", "edges"])
+@pytest.mark.parametrize(
+    "construct", [deterministic_blocker_set, randomized_blocker_set],
+    ids=["derandomized", "randomized"])
+def test_blocker_construction_variants_equivalent(family, seed, n, construct,
+                                                  variant):
+    """Forced good-set picks, and per-edge loads, ledger by ledger.
+
+    ``forced`` disables the heavy-node branch, so every pick goes through
+    a good-set selector, which reads the ``removed`` flags the stacked
+    removal wrote back; ``edges`` tracks per-edge loads on both engines.
+    """
+    graph = make_graph(family, n, seed)
+    net_m, net_c, coll_m, coll_c = build_collection_pair(
+        graph, track_edges=variant == "edges")
+    params = BlockerParams(force_selection=variant == "forced")
+    res_m = construct(net_m, coll_m, params)
+    res_c = construct(net_c, coll_c, params)
+    assert_blocker_runs_equal(res_m, res_c)
+    if variant == "forced" and res_m.picks:
+        assert {p.kind for p in res_m.picks} <= {"good-set", "fallback"}
 
 
 @pytest.mark.parametrize("family,seed,n", cases(sizes=(24,)))

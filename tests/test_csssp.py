@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import CongestNetwork
+from repro.congest.compressed import stacked_trees
 from repro.csssp import build_csssp
 from repro.graphs import erdos_renyi
 from repro.graphs.reference import h_hop_labels
@@ -132,6 +133,24 @@ def test_copy_isolates_removals():
     if kids:
         dup.trees[x].mark_removed(kids[0])
         assert coll.trees[x].live(kids[0])
+
+
+def test_copy_shares_structure_and_copies_only_flags():
+    coll = collection_of("er-sparse", 3)
+    stack, live = stacked_trees(coll)
+    dup = coll.copy()
+    x = dup.sources[0]
+    t, u = coll.trees[x], dup.trees[x]
+    assert u.parent is t.parent and u.depth is t.depth
+    assert u.dist is t.dist and u.children is t.children
+    assert u.removed is not t.removed and u.removed == t.removed
+    v = next(v for v in range(coll.n) if t.live(v))
+    u.removed[v] = True
+    assert not t.removed[v]
+    # The copy shares the stacked static state, not the live mask.
+    dup_stack, dup_live = stacked_trees(dup)
+    assert dup_stack is stack
+    assert not dup_live[stack.row_of[x], v] and live[stack.row_of[x], v]
 
 
 def test_reset_removals():

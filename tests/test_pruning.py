@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import CongestNetwork
+from repro.congest.compressed import stacked_trees
 from repro.csssp import ParallelPruner, remove_subtrees_sequential
-from repro.blocker.scores import leaf_indicators, subtree_sums
+from repro.blocker.scores import compute_scores, leaf_indicators, subtree_sums
 
 from conftest import collection_of, graph_of
 
@@ -166,3 +167,50 @@ def test_subtree_sums_respect_removals():
         after, _ = subtree_sums(net, coll, x, values)
         assert after == pytest.approx(centralized_subtree_sums(coll, x, values))
         assert after[kids[0]] == 0.0
+
+
+def test_every_removal_path_keeps_the_live_mask_in_step():
+    """Compressed and message-level removals share one collection's mask.
+
+    Every writer flips ``removed`` flags: the stacked removal in bulk, the
+    engine's removal programs, the parallel pruner (both modes),
+    ``mark_removed``, ``reset_removals`` and a plain item assignment.
+    Either way the next compressed phase must read the state the flags
+    hold.
+    """
+    g = graph_of("er-sparse")
+    coll = collection_of("er-sparse", 3).copy()
+    net = CongestNetwork(g, compress=True)
+    compute_scores(net, coll)  # builds the stacked mask
+
+    def check():
+        stack, live = stacked_trees(coll)
+        for i, x in enumerate(stack.xs):
+            t = coll.trees[x]
+            assert live[i].tolist() == [t.live(v) for v in range(coll.n)]
+        score, _, _ = compute_scores(net, coll, per_tree=False)
+        ref, _, _ = compute_scores(net, coll, compress=False, per_tree=False)
+        assert score == ref
+
+    remove_subtrees_sequential(net, coll, [1], compress=True)
+    check()
+    remove_subtrees_sequential(net, coll, [g.n // 2], compress=False)
+    check()
+    _, per_tree, _ = compute_scores(net, coll)
+    pruner = ParallelPruner(net, coll, per_tree)
+    pruner.remove([g.n - 2], compress=False)
+    check()
+    pruner.remove([3], compress=True)
+    check()
+    x = coll.sources[0]
+    kids = coll.trees[x].live_children(x)
+    if kids:
+        coll.trees[x].mark_removed(kids[0])
+    check()
+    t = coll.trees[coll.sources[-1]]
+    t.removed[next(v for v in range(coll.n)
+                   if t.live(v) and not t.live_children(v))] = True
+    check()
+    coll.reset_removals()
+    check()
+

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import CongestNetwork
 from repro.blocker.helpers import (
+    PathCounts,
     broadcast_selection_stats,
     collect_ancestors,
     compute_vi_counts,
-    count_paths,
-    paths_with_min_count,
 )
 from repro.blocker.scores import compute_score_ij, compute_scores
 from repro.primitives import build_bfs_tree
 
-from conftest import collection_of, graph_of
+from conftest import beta_per_tree, collection_of, graph_of
 
 
 def central_scores(coll):
@@ -64,7 +64,7 @@ def test_compute_vi_counts_matches_centralized(kind):
     vi = {v for v in range(g.n) if v % 3 == 0}
     beta, stats = compute_vi_counts(net, coll, vi)
     expect = central_beta(coll, vi)
-    assert beta == expect
+    assert beta_per_tree(beta) == expect
     assert stats.rounds <= len(coll.trees) * (coll.h + 2)
 
 
@@ -74,7 +74,8 @@ def test_vi_counts_exclude_root_membership():
     g = graph_of("path")
     net = CongestNetwork(g)
     # V_i = {0}: tree T_0's path 0-1-2-3 contains node 0 only at the root.
-    beta, _ = compute_vi_counts(net, g and coll, {0})
+    counts, _ = compute_vi_counts(net, g and coll, {0})
+    beta = beta_per_tree(counts)
     assert beta[0].get(3, 0) == 0
     # But in T_1 (path 1-0? no — path graph tree 1 goes 1-2-3-4), node 0 sits
     # in T_2's direction... check a tree where 0 is at depth >= 1: T_1's
@@ -88,11 +89,13 @@ def test_vi_counts_exclude_root_membership():
             assert beta[1][leaf] >= 1
 
 
-def test_paths_with_min_count_and_count_paths():
-    beta = {0: {5: 2, 6: 0}, 1: {7: 3}}
-    assert paths_with_min_count(beta, 1) == {0: [5], 1: [7]}
-    assert paths_with_min_count(beta, 3) == {0: [], 1: [7]}
-    assert count_paths(paths_with_min_count(beta, 1)) == 2
+def test_path_counts_leaves():
+    counts = PathCounts([0, 1], np.array([0, 0, 1]), np.array([5, 6, 7]),
+                        np.array([2, 0, 3]))
+    assert beta_per_tree(counts) == {0: {5: 2, 6: 0}, 1: {7: 3}}
+    assert counts.leaves(counts.beta >= 1) == {0: [5], 1: [7]}
+    assert counts.leaves(counts.beta >= 3) == {0: [], 1: [7]}
+    assert int((counts.beta >= 1).sum()) == 2
 
 
 @pytest.mark.parametrize("kind", ["er-sparse", "grid"])
@@ -101,8 +104,8 @@ def test_score_ij_matches_centralized(kind):
     coll = collection_of(kind, 3)
     net = CongestNetwork(g)
     vi = {v for v in range(g.n) if v % 2 == 0}
-    beta, _ = compute_vi_counts(net, coll, vi)
-    pij_leaf = paths_with_min_count(beta, 1)
+    counts, _ = compute_vi_counts(net, coll, vi)
+    pij_leaf = counts.leaves(counts.beta >= 1)
     score_ij, stats = compute_score_ij(net, coll, pij_leaf)
     # Centralized: count P_ij paths through v at depth >= 1.
     expect = [0.0] * g.n
@@ -111,6 +114,16 @@ def test_score_ij_matches_centralized(kind):
             for v in vertices:
                 expect[v] += 1.0
     assert score_ij == pytest.approx(expect)
+
+
+def test_score_ij_rejects_a_leaf_off_depth_h():
+    g = graph_of("er-sparse")
+    coll = collection_of("er-sparse", 3)
+    x = coll.sources[0]
+    inner = next(v for v in range(g.n) if coll.trees[x].depth[v] == 1)
+    net = CongestNetwork(g, compress=True)
+    with pytest.raises(ValueError, match="not at depth h"):
+        compute_score_ij(net, coll, {x: [inner]})
 
 
 @pytest.mark.parametrize("kind", ["er-sparse", "path", "broom"])
