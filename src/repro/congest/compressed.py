@@ -232,55 +232,6 @@ def tree_wave_schedule(tree, track_edges: bool) -> PhaseSchedule:
     )
 
 
-def merge_schedules(parts: Sequence[PhaseSchedule]) -> PhaseSchedule:
-    """Sequential composition of phase schedules (rounds and counts add).
-
-    The schedule-level mirror of :meth:`RoundStats.merge`: a batch of
-    phases executed back to back charges the sum of their rounds and the
-    sum of their per-node / per-edge send totals, so a single
-    ``run_compressed`` over the batch advances the engine's accounting
-    exactly as the per-phase runs would have.
-    """
-    total = PhaseSchedule()
-    per_node: Dict[int, int] = {}
-    per_edge: Optional[Dict[Tuple[int, int], int]] = None
-    for sched in parts:
-        total.rounds += sched.rounds
-        total.messages += sched.messages
-        for v, c in sched.per_node_sent.items():
-            per_node[v] = per_node.get(v, 0) + c
-        if sched.per_edge_sent is not None:
-            if per_edge is None:
-                per_edge = {}
-            for e, c in sched.per_edge_sent.items():
-                per_edge[e] = per_edge.get(e, 0) + c
-    total.per_node_sent = per_node
-    total.per_edge_sent = per_edge
-    return total
-
-
-class CompressedSequence(CompressedPhase):
-    """A batch of compressed phases executed as one phase.
-
-    Used by the multi-tree batches of the CSSSP construction: instead of
-    one ``run_compressed`` — and one stats merge — per tree, the sequence
-    charges :func:`merge_schedules` of all sub-schedules at once and
-    evaluates the sub-phases in declaration order.  Valid whenever the
-    sub-phases are independent (each touches its own tree), which is how
-    the per-tree protocols behave by construction.
-    """
-
-    def __init__(self, phases: Sequence[CompressedPhase], label: str) -> None:
-        self.phases = list(phases)
-        self.label = label
-
-    def schedule(self, net) -> PhaseSchedule:
-        return merge_schedules([p.schedule(net) for p in self.phases])
-
-    def evaluate(self, net) -> list:
-        return [p.evaluate(net) for p in self.phases]
-
-
 class StackedTrees:
     """A collection's trees stacked once: the compressed tier's static state.
 
@@ -548,13 +499,11 @@ def simulate_round_robin(
 
 __all__ = [
     "CompressedPhase",
-    "CompressedSequence",
     "PhaseSchedule",
     "StackedTrees",
     "aggregate_rounds",
     "bottom_up_order",
     "max_internal_depth",
-    "merge_schedules",
     "pipelined_sum_rounds",
     "simulate_round_robin",
     "simulate_upcast",

@@ -31,48 +31,23 @@ Lemma A.4.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.congest.compressed import (
-    CompressedPhase,
-    CompressedSequence,
-    PhaseSchedule,
-)
+import numpy as np
+
+from repro.congest.compressed import CompressedPhase, PhaseSchedule
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
 from repro.csssp.collection import CSSSPCollection, TreeView
 from repro.graphs.spec import Graph, add_cost
 from repro.primitives.bellman_ford import (
+    SSSPBatch,
     SSSPResult,
     _CompressedNotifyChildren,
     bellman_ford_many,
     notify_children,
 )
-
-
-def _edge_in_table(net: CongestNetwork, graph: Graph, reverse: bool):
-    """``(announcer, receiver) -> (weight, tb)`` lookup, cached on the net.
-
-    The receiver-side edge table every `_TruncateProgram` builds locally,
-    materialized once per (graph, direction) so the compressed truncation
-    floods of Steps 1/6 resolve parent edges in O(1) instead of scanning
-    the receiver's edge list per source.
-    """
-    cache = getattr(net, "_edge_in_tables", None)
-    if cache is None:
-        cache = net._edge_in_tables = {}
-    key = (id(graph), reverse)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is graph:
-        return entry[1]
-    edges = graph.in_edges if not reverse else graph.out_edges
-    table = {}
-    for v in range(graph.n):
-        for u, w, tb in edges(v):
-            table[(u, v)] = (w, tb)
-    cache[key] = (graph, table)
-    return table
 
 
 class _TruncateProgram(NodeProgram):
@@ -117,75 +92,67 @@ class _TruncateProgram(NodeProgram):
         self.active = self.kept and not self._sent
 
 
-class _CompressedTruncate(CompressedPhase):
-    """Round-compressed `_TruncateProgram`: chain-consistent kept flags.
+class _KeptWave(CompressedPhase):
+    """Round-compressed `_TruncateProgram` for every tree of a batch.
 
-    The flood follows the Bellman-Ford parentage in hop order (the
-    chain-extension equality forces ``hops(parent) = hops(v) - 1``, so
-    the parent's announcement always lands exactly in ``v``'s firing
-    round), and every kept node with ``hops < h`` announces once to all
-    its neighbors.
+    The chain-extension equality forces ``hops(parent) = hops(v) - 1``,
+    so the parent's announcement always lands exactly in ``v``'s firing
+    round, and the flood is one top-down wave over hop levels ``1..h``
+    on the batch's planes.  Every kept node with ``hops < h`` announces
+    once to all its neighbors.
     """
 
-    def __init__(self, graph: Graph, res: SSSPResult, h: int,
-                 label: str, edge_in: dict) -> None:
-        self.graph = graph
-        self.res = res
+    def __init__(self, batch: SSSPBatch, h: int, label: str) -> None:
+        self.batch = batch
         self.h = h
         self.label = label
-        self.edge_in = edge_in
-        self._kept: Optional[List[bool]] = None
+        self._kept: Optional[np.ndarray] = None
 
-    def _solve(self) -> List[bool]:
+    def evaluate(self, net: CongestNetwork) -> np.ndarray:
+        """The ``(B, n)`` kept flags."""
         if self._kept is not None:
             return self._kept
-        graph, res, h = self.graph, self.res, self.h
-        n = graph.n
-        table = self.edge_in
-        kept = [False] * n
-        kept[res.source] = True
-        order = sorted(
-            (v for v in range(n) if 0 < res.hops[v] <= h),
-            key=lambda v: res.hops[v],
-        )
-        for v in order:
-            p = res.parent[v]
-            if p < 0 or not kept[p] or res.hops[p] >= h:
-                continue
-            wt = table.get((p, v))
-            if wt is not None and add_cost(res.label[p], *wt) == res.label[v]:
-                kept[v] = True
-        self._kept = kept
-        return kept
+        batch, h = self.batch, self.h
+        b, n = batch.dist.shape
+        dist, hops = batch.dist.ravel(), batch.hops.ravel()
+        tb, parent = batch.tb.ravel(), batch.parent.ravel()
+        w, tbw = (plane.ravel() for plane in batch.parent_edge())
+        v = np.flatnonzero((parent >= 0) & (hops > 0) & (hops <= h))
+        p = v - v % n + parent[v]
+        # add_cost(label[p], w, tb) == label[v], in the engine's operand
+        # order; hops[v] <= h leaves hops[p] < h, so the parent announces.
+        chain = ((hops[p] + 1 == hops[v]) & (dist[p] + w[v] == dist[v])
+                 & (tb[p] + tbw[v] == tb[v]))
+        v, p = v[chain], p[chain]
+        kept = np.zeros(b * n, dtype=bool)
+        kept[np.arange(b) * n + np.asarray(batch.sources, dtype=np.int64)] = True
+        by_hop = np.argsort(hops[v], kind="stable")
+        cuts = np.searchsorted(hops[v][by_hop], np.arange(1, h + 2)).tolist()
+        for a, z in zip(cuts, cuts[1:]):
+            level = by_hop[a:z]
+            kept[v[level]] = kept[p[level]]
+        self._kept = kept.reshape(b, n)
+        return self._kept
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        kept = self._solve()
-        res, h = self.res, self.h
-        hops = res.hops
-        per_node: Dict[int, int] = {}
-        last_tick = -1
-        per_edge = {} if net.track_edges else None
-        for v, k in enumerate(kept):
-            if not k or hops[v] >= h:
-                continue
-            deg = len(net.neighbors(v))
-            if not deg:
-                continue
-            per_node[v] = deg
-            if hops[v] > last_tick:
-                last_tick = hops[v]
-            if per_edge is not None:
-                for u in net.neighbors(v):
-                    per_edge[(v, u)] = 1
+        kept = self.evaluate(net)
+        hops = self.batch.hops
+        deg = np.fromiter((len(net.neighbors(v)) for v in range(net.n)),
+                          dtype=np.int64, count=net.n)
+        senders = kept & (hops < self.h) & (deg > 0)
+        trees = senders.sum(axis=0)  # trees in which each node announces
+        nz = np.flatnonzero(trees)
+        per_edge = None
+        if net.track_edges:
+            per_edge = {(v, u): c for v, c in zip(nz.tolist(), trees[nz].tolist())
+                        for u in net.neighbors(v)}
+        last = np.where(senders, hops, -1).max(axis=1, initial=-1)
         return PhaseSchedule(
-            rounds=last_tick + 1,
-            messages=sum(per_node.values()),
-            per_node_sent=per_node,
+            rounds=int((last + 1).sum()),
+            messages=int((trees * deg).sum()),
+            per_node_sent=dict(zip(nz.tolist(), (trees * deg)[nz].tolist())),
             per_edge_sent=per_edge,
         )
-
-    def evaluate(self, net: CongestNetwork) -> List[bool]:
-        return self._solve()
 
 
 def build_csssp(
@@ -201,62 +168,43 @@ def build_csssp(
 
     Returns the collection plus the composed round stats of every
     construction phase.  ``compress`` selects the round-compressed
-    execution mode (default: the network's setting).
+    execution mode (default: the network's setting).  Compressed, the
+    construction reads the :class:`SSSPBatch` planes directly: the
+    truncation is one top-down wave over all trees (:class:`_KeptWave`)
+    and each phase family — the Bellman-Ford runs, the kept floods, the
+    children notifications — is charged once, as the sum of its
+    per-source schedules.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
+    if orientation not in ("out", "in"):
+        raise ValueError(f"bad orientation {orientation!r}")
     reverse = orientation == "in"
-    total = RoundStats(label=label)
-    trees: Dict[int, TreeView] = {}
     source_list = list(sources)
-    results = bellman_ford_many(
+    batch = bellman_ford_many(
         net, graph, source_list, h=2 * h, reverse=reverse,
         labels=[f"{label}-bf({x})" for x in source_list],
         compress=compress,
     )
-    for res in results:
-        total.merge(res.rounds)
+    total = batch.total(label)
+    trees: Dict[int, TreeView] = {}
 
-    if net.use_compressed(compress) and source_list:
-        # The per-source truncation floods and children notifications are
-        # independent fixed-schedule phases: run each family as one batch.
-        edge_in = _edge_in_table(net, graph, reverse)
-        trunc = [
-            _CompressedTruncate(graph, res, h, f"{label}-trunc({x})", edge_in)
-            for x, res in zip(source_list, results)
-        ]
-        kept_list, stats = net.run_compressed(
-            CompressedSequence(trunc, f"{label}-trunc")
-        )
+    if net.use_compressed(compress):
+        kept, stats = net.run_compressed(_KeptWave(batch, h, f"{label}-trunc"))
         total.merge(stats)
-        parents: List[List[int]] = []
-        for x, res, kept in zip(source_list, results, kept_list):
-            parent = [-1] * graph.n
-            depth = [-1] * graph.n
-            dist = [float("inf")] * graph.n
-            for v in range(graph.n):
-                if kept[v]:
-                    depth[v] = res.hops[v]
-                    dist[v] = res.dist[v]
-                    parent[v] = res.parent[v]
-            parents.append(parent)
-            trees[x] = TreeView(
-                root=x, parent=parent, depth=depth, dist=dist,
-                children=[], removed=[False] * graph.n,
-            )
-        kids = [
-            _CompressedNotifyChildren(parent, f"{label}-kids({x})")
-            for x, parent in zip(source_list, parents)
-        ]
-        children_list, nstats = net.run_compressed(
-            CompressedSequence(kids, f"{label}-kids")
-        )
-        total.merge(nstats)
-        for x, children in zip(source_list, children_list):
-            trees[x].children = children
+        parents = np.where(kept, batch.parent, -1)
+        children, stats = net.run_compressed(
+            _CompressedNotifyChildren(parents, f"{label}-kids"))
+        total.merge(stats)
+        rows = zip(source_list, parents.tolist(),
+                   np.where(kept, batch.hops, -1).tolist(),
+                   np.where(kept, batch.dist, np.inf).tolist(), children)
+        for x, parent, depth, dist, kids in rows:
+            trees[x] = TreeView(root=x, parent=parent, depth=depth, dist=dist,
+                                children=kids, removed=[False] * graph.n)
         return CSSSPCollection(graph, h, trees, orientation), total
 
-    for x, res in zip(source_list, results):
+    for x, res in zip(source_list, batch):
         programs = [_TruncateProgram(v, graph, res, h) for v in range(graph.n)]
         total.merge(net.run(programs, label=f"{label}-trunc({x})"))
         kept = [p.kept for p in programs]

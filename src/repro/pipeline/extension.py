@@ -49,7 +49,6 @@ def extend_h_hop(
     srcs = list(range(n)) if sources is None else list(sources)
     out = np.full((n, n), math.inf)
     pred = np.full((n, n), -1, dtype=np.int64)
-    total = RoundStats(label=label)
     inits_per_source: List[Dict[int, Cost]] = []
     for x in srcs:
         inits: Dict[int, Cost] = {x: ZERO_COST}
@@ -63,15 +62,13 @@ def extend_h_hop(
                 # path order — required for exact predecessor routing.
                 inits[c] = tuple(val)
         inits_per_source.append(inits)
-    results = bellman_ford_many(
+    batch = bellman_ford_many(
         net, graph, srcs, h=h, inits_per_source=inits_per_source,
         fill_equal_parent=True, labels=[f"{label}({x})" for x in srcs],
     )
-    for x, res in zip(srcs, results):
-        total.merge(res.rounds)
-        out[x, :] = res.dist
-        pred[x, :] = res.parent
-    return out, pred, total
+    out[srcs, :] = batch.dist
+    pred[srcs, :] = batch.parent
+    return out, pred, batch.total(label)
 
 
 __all__ = ["extend_h_hop"]

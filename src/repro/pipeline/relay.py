@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.congest.metrics import PhaseLog, RoundStats
+from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork
 from repro.graphs.spec import Cost, Graph, INF_COST
 from repro.pipeline.values import add_triples, is_finite
@@ -51,9 +51,6 @@ def relay_join(
     the lockstep solver when available) and of the broadcast (default:
     the network's setting).
     """
-    lab_to_r: Dict[int, List[Cost]] = {}
-    lab_from_r: Dict[int, List[Cost]] = {}
-    ssps = RoundStats()
     relay_list = list(relays)
     ins = bellman_ford_many(
         net, graph, relay_list, reverse=True,
@@ -65,12 +62,11 @@ def relay_join(
         labels=[f"{label}-out({r})" for r in relay_list],
         compress=compress,
     )
-    for r, rin, rout in zip(relay_list, ins, outs):
-        ssps.merge(rin.rounds)
-        ssps.merge(rout.rounds)
-        lab_to_r[r] = rin.label
-        lab_from_r[r] = rout.label
-    log.add(f"{label}-ssps", ssps)
+    lab_to_r: Dict[int, List[Cost]] = {r: res.label
+                                       for r, res in zip(relay_list, ins)}
+    lab_from_r: Dict[int, List[Cost]] = {r: res.label
+                                         for r, res in zip(relay_list, outs)}
+    log.add(f"{label}-ssps", ins.total().merge(outs.total()))
 
     bfs, stats = build_bfs_tree(net, compress=compress)
     log.add(f"{label}-bfs", stats)

@@ -64,6 +64,130 @@ class SSSPResult:
         return self.label[v] != INF_COST
 
 
+class SSSPBatch:
+    """One Bellman-Ford phase per source, as ``(B, n)`` planes.
+
+    Row ``i`` is the phase of ``sources[i]``.  ``dist`` (float64),
+    ``hops`` (int64, -1 where unreachable), ``tb`` (the tie-break word)
+    and ``parent`` (-1 at the source and where unreachable) hold every
+    node's final label and tree pointer — the :class:`SSSPResult` fields.
+    The accounting is per phase too: ``rounds`` and ``messages`` are
+    ``(B,)``, and ``sent`` is ``(B, n)``, each node's send total (the
+    times it announced times its out-degree).
+
+    Indexing or iterating yields :class:`SSSPResult` views, built on
+    demand; :meth:`stats` and :meth:`total` give :class:`RoundStats`.  A
+    batch from the compressed solver also records ``edge``, each node's
+    winning edge (see :meth:`parent_edge`); a batch stacked from engine
+    runs keeps the runs themselves, so indexing returns them and
+    :meth:`stats` returns exactly what the engine measured.
+    """
+
+    def __init__(
+        self,
+        sources: Sequence[int],
+        h: int,
+        reverse: bool,
+        planes: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        accounting: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        labels: Sequence[str],
+        *,
+        runs: Optional[List[SSSPResult]] = None,
+        edge: Optional[np.ndarray] = None,
+        announce=None,
+        track_edges: bool = False,
+    ) -> None:
+        self.sources = list(sources)
+        self.h = h
+        self.reverse = reverse
+        self.dist, self.hops, self.tb, self.parent = planes
+        self.rounds, self.messages, self.sent = accounting
+        self.labels = list(labels)
+        self.edge = edge
+        self._runs = runs
+        self._announce = announce
+        self._track_edges = track_edges
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, i: int) -> SSSPResult:
+        if self._runs is not None:
+            return self._runs[i]
+        dist = self.dist[i].tolist()
+        hops = self.hops[i].tolist()
+        label: List[Cost] = list(zip(dist, hops, self.tb[i].tolist()))
+        for v in np.flatnonzero(self.hops[i] < 0).tolist():
+            label[v] = INF_COST
+        return SSSPResult(
+            source=self.sources[i], h=self.h, reverse=self.reverse,
+            dist=dist, hops=hops, parent=self.parent[i].tolist(),
+            label=label, rounds=self.stats(i),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def schedule(self, i: Optional[int] = None) -> PhaseSchedule:
+        """Phase ``i``'s schedule, or (``None``) all phases' sum.
+
+        Read off the accounting planes: a node that announced ``t`` times
+        loaded each of its announcement edges ``t`` times (per-edge loads
+        only on a compressed batch of a network that tracks edges).
+        """
+        if i is None:
+            sent = self.sent.sum(axis=0)
+            rounds, messages = self.rounds.sum(), self.messages.sum()
+        else:
+            sent, rounds, messages = self.sent[i], self.rounds[i], self.messages[i]
+        nz = np.flatnonzero(sent)
+        per_edge = None
+        if self._track_edges:
+            off, dst = self._announce[0], self._announce[1]
+            degs = off[nz + 1] - off[nz]
+            times = np.repeat(sent[nz] // degs, degs)
+            idx = np.repeat(off[nz] - (np.cumsum(degs) - degs), degs)
+            idx += np.arange(len(idx))
+            per_edge = dict(zip(
+                zip(np.repeat(nz, degs).tolist(), dst[idx].tolist()),
+                times.tolist(),
+            ))
+        return PhaseSchedule(
+            rounds=int(rounds),
+            messages=int(messages),
+            per_node_sent=dict(zip(nz.tolist(), sent[nz].tolist())),
+            per_edge_sent=per_edge,
+        )
+
+    def stats(self, i: int) -> RoundStats:
+        """Phase ``i``'s :class:`RoundStats`, labelled ``labels[i]``."""
+        if self._runs is not None:
+            return self._runs[i].rounds
+        return self.schedule(i).to_stats(self.labels[i], track_edges=True)
+
+    def total(self, label: str = "") -> RoundStats:
+        """Every phase's stats composed in sequence."""
+        if self._runs is not None:
+            return RoundStats.sequential((r.rounds for r in self._runs),
+                                         label=label)
+        return self.schedule().to_stats(label, track_edges=True)
+
+    def parent_edge(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(w, tb)`` planes of the edge from each node's parent.
+
+        The edge of the announcement that set the node's final parent,
+        as the receiver sees it (0 where there is no parent).  Recorded
+        by the compressed solver only.
+        """
+        if self.edge is None:
+            raise ValueError("parent edges are recorded by the compressed "
+                             "solver only")
+        w_arr, tb_arr = self._announce[2], self._announce[3]
+        has = self.edge >= 0
+        e = np.where(has, self.edge, 0)
+        return np.where(has, w_arr[e], 0.0), np.where(has, tb_arr[e], 0)
+
+
 class _BFProgram(NodeProgram):
     """One node's side of the h-hop Bellman-Ford protocol.
 
@@ -166,13 +290,19 @@ class _BFProgram(NodeProgram):
 
 
 def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
-    """CSR arrays of each node's announcements: targets, weights, keys.
+    """CSR arrays of each node's announcements, each row by weight.
 
     For node ``v`` the slice ``off[v]:off[v+1]`` lists the nodes ``v``
     announces to together with the (weight, tie-break) of the connecting
-    edge as the *receiver* sees it in its ``edge_in`` table.  Cached on
-    the network (one entry per graph and direction) so the hundreds of
-    per-source phases of Steps 1/3/7 build them once.
+    edge as the *receiver* sees it in its ``edge_in`` table, in ascending
+    weight order (ties in edge-list order).  A receiver hears each
+    sender at most once per round and compares senders in ascending id
+    order, so the order within a row never changes which candidate wins.
+    Also returned for :func:`_row_cuts`: each edge's float key ``weight +
+    v * span`` and ``span``, a power of two above twice the largest
+    weight, so ``v * span`` is exact and the keys ascend over the whole
+    array.  Cached on the network (one entry per graph and direction) so
+    the phases of Steps 1/3/7 build them once.
     """
     cache = getattr(net, "_bf_announce", None)
     if cache is None:
@@ -190,8 +320,27 @@ def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
     dst = np.fromiter((e[0] for e in flat), dtype=np.int64, count=len(flat))
     w = np.fromiter((e[1] for e in flat), dtype=np.float64, count=len(flat))
     tb = np.fromiter((e[2] for e in flat), dtype=np.int64, count=len(flat))
-    cache[key] = (graph, (off, dst, w, tb))
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(off))
+    order = np.lexsort((w, src))
+    dst, w, tb = dst[order], w[order], tb[order]
+    span = 2.0 ** np.ceil(np.log2(2.0 * w.max(initial=0.0) + 1.0))
+    cache[key] = (graph, (off, dst, w, tb, w + src * span, span))
     return cache[key][1]
+
+
+def _row_cuts(announce, vs: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Per sender, the end of a row prefix holding every weight ``<= room``.
+
+    Rows are sorted by weight, so a sender's candidates that can pass a
+    gate no larger than its label plus ``room`` form a prefix of its
+    row.  One search over the float keys of :func:`_announce_arrays`
+    finds it: rounding is monotone, so ``w <= room`` implies ``w + v *
+    span <= room + v * span`` in floats too (the cut may keep a few more,
+    never fewer).
+    """
+    off, keys, span = announce[0], announce[4], announce[5]
+    cut = np.searchsorted(keys, room + vs * span, side="right")
+    return np.minimum(cut, off[vs + 1])
 
 
 # Most candidates one chunk of a round's announcements holds.  Chunks are
@@ -267,7 +416,7 @@ def _lex_winners(g: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
     return order[idx[first]]
 
 
-class _BatchedBellmanFordSolver:
+class _BatchedBellmanFordSolver(CompressedPhase):
     """Lockstep multi-source replay of the `_BFProgram` relaxation dynamics.
 
     Bellman-Ford is adaptive (who sends when depends on the labels), but
@@ -284,11 +433,20 @@ class _BatchedBellmanFordSolver:
     is IEEE-754 double / int64 either way, so labels, parents, message
     counts and round counts are bit-identical to the engine run.
 
+    Before the screen, each sender's announcements are cut to the prefix
+    of its weight-sorted row that can pass the largest gate of its
+    source (:func:`_row_cuts`); the rest would fail every gate anyway.
+    At n = 512 (all sources, h = 16) the cut drops about 60% of the
+    candidates.  The accounting counts every announcement, cut or not.
+
     The per-source dynamics are completely independent — nothing a source
     learns ever reaches another source's state — so ``B`` phases run
     round-by-round in lockstep and produce, source by source, exactly the
-    labels, parents and :class:`PhaseSchedule` of ``B`` separate runs; a
-    single phase is a batch of one.  Each round's announcements are
+    labels, parents and send counts of ``B`` separate runs; a single
+    phase is a batch of one.  As a :class:`CompressedPhase` the solver
+    evaluates to the :class:`SSSPBatch` of those planes (plus each
+    node's winning edge) and charges the sum of the per-source
+    schedules.  Each round's announcements are
     processed in chunks of whole sources (:func:`_chunk_cuts`) holding
     at most :data:`_CHUNK` candidates, which bounds the round's
     temporaries (a source larger than that is a chunk of its own).  A
@@ -301,61 +459,54 @@ class _BatchedBellmanFordSolver:
         graph: Graph,
         h: int,
         reverse: bool,
+        sources: Sequence[int],
         inits_per_source: Sequence[Dict[int, Cost]],
         fill_equal_parent: bool,
+        labels: Sequence[str],
     ) -> None:
         self.graph = graph
         self.h = h
         self.reverse = reverse
+        self.sources = sources
         self.inits_per_source = inits_per_source
         self.fill_equal = fill_equal_parent
-        self._solved = False
-        self.schedules: List[PhaseSchedule] = []
-        self.labels: List[List[Cost]] = []
-        self.parents: List[List[int]] = []
+        self.labels = labels
+        self.label = f"bf-batch(h={h},{'in' if reverse else 'out'})"
+        self._batch: Optional[SSSPBatch] = None
 
-    def solve(self, net: CongestNetwork) -> None:
-        if self._solved:
-            return
-        n = self.graph.n
+    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
+        return self.evaluate(net).schedule()
+
+    def evaluate(self, net: CongestNetwork) -> SSSPBatch:
+        if self._batch is None:
+            self._batch = self._solve(net)
+        return self._batch
+
+    def _solve(self, net: CongestNetwork) -> SSSPBatch:
+        shape = (len(self.sources), self.graph.n)
         announce = _announce_arrays(net, self.graph, self.reverse)
-        off, dst_arr = announce[0], announce[1]
-        (label0, lab_hops, lab_tb, parent_flat, times_sent, messages,
-         last_send) = self._replay(announce)
-        degs_all = off[1:] - off[:-1]
-        labels = list(zip(label0.tolist(), lab_hops.tolist(), lab_tb.tolist()))
-        for g in np.flatnonzero(label0 == np.inf).tolist():
-            labels[g] = INF_COST
-        for b in range(len(self.inits_per_source)):
-            base = b * n
-            ts = times_sent[base:base + n]
-            idx = np.flatnonzero((ts > 0) & (degs_all > 0))
-            per_node = dict(zip(
-                idx.tolist(), (ts[idx] * degs_all[idx]).tolist()
-            ))
-            per_edge = None
-            if net.track_edges:
-                per_edge = {}
-                for v in idx.tolist():
-                    t = int(ts[v])
-                    for u in dst_arr[off[v]:off[v + 1]].tolist():
-                        per_edge[(v, u)] = t
-            self.schedules.append(PhaseSchedule(
-                rounds=int(last_send[b]) + 1,
-                messages=int(messages[b]),
-                per_node_sent=per_node,
-                per_edge_sent=per_edge,
-            ))
-            self.labels.append(labels[base:base + n])
-            self.parents.append(parent_flat[base:base + n].tolist())
-        self._solved = True
+        off = announce[0]
+        (label0, lab_hops, lab_tb, parent_flat, edge_flat, times_sent,
+         messages, last_send) = self._replay(announce)
+        dist = label0.reshape(shape)
+        hops = np.where(dist == np.inf, -1, lab_hops.reshape(shape))
+        sent = times_sent.reshape(shape) * (off[1:] - off[:-1])
+        return SSSPBatch(
+            self.sources, self.h, self.reverse,
+            (dist, hops, lab_tb.reshape(shape), parent_flat.reshape(shape)),
+            (last_send + 1, messages, sent),
+            self.labels,
+            edge=edge_flat.reshape(shape),
+            announce=announce,
+            track_edges=net.track_edges,
+        )
 
     def _replay(self, announce):
         """The lockstep round loop: final per-(source, node) state arrays."""
         h = self.h
         n = self.graph.n
         nb = len(self.inits_per_source)
-        off, dst_arr, w_arr, tb_arr = announce
+        off, dst_arr, w_arr, tb_arr = announce[:4]
         fill_equal = self.fill_equal
 
         # All per-(source, node) state lives in flat global index space
@@ -374,6 +525,7 @@ class _BatchedBellmanFordSolver:
         budget = np.zeros(nb * n, dtype=np.int64)
         times_sent = np.zeros(nb * n, dtype=np.int64)
         parent_flat = np.full(nb * n, -1, dtype=np.int64)
+        edge_flat = np.full(nb * n, -1, dtype=np.int64)  # parent's edge
         init_senders: List[int] = []
         for b, inits in enumerate(self.inits_per_source):
             for v, init in inits.items():
@@ -402,7 +554,6 @@ class _BatchedBellmanFordSolver:
             vs = gs - bs * n
             starts = off[vs]
             degs = off[vs + 1] - starts
-            ends = np.cumsum(degs)
             times_sent[gs] += 1
             # Per-source round accounting: a source participates in this
             # round iff it has a sender; rounds with at least one actual
@@ -415,8 +566,18 @@ class _BatchedBellmanFordSolver:
             sent_b = msgs_b > 0
             last_send[sent_b] = ticks[sent_b] - 1
             messages += msgs_b
+            # Only the candidates that can pass some gate of their source
+            # need screening: no receiver's gate exceeds the source's
+            # largest, so a sender's room is that gate minus its label,
+            # with slack for the rounding of both subtractions.  The
+            # accounting above still counts every announcement.
+            gmax = gate.reshape(nb, n).max(axis=1)[bs]
+            room = gmax - label0[gs]
+            room += 1e-9 * (1.0 + np.abs(gmax))
+            degs = _row_cuts(announce, vs, room) - starts
+            ends = np.cumsum(degs)
             if not ends[-1]:
-                break  # no sender has out-edges: nothing can ever improve
+                break  # no announcement can pass a gate: nothing improves
             cuts = _chunk_cuts(bs, ends, n)
             improved = []
             for i0, i1 in zip(cuts[:-1], cuts[1:]):
@@ -479,7 +640,9 @@ class _BatchedBellmanFordSolver:
                     improved_f = better[np.searchsorted(gw, g_f)]
                     keep = (parent_flat[g_f] < 0) & ~improved_f
                     g_f, first = np.unique(g_f[keep], return_index=True)
-                    parent_flat[g_f] = v_c[pos[cand[keep][first]]]
+                    cand = cand[keep][first]
+                    parent_flat[g_f] = v_c[pos[cand]]
+                    edge_flat[g_f] = sel[alive[cand]]
 
                 if len(gimp):
                     pos_w = pos[win[better]]
@@ -492,30 +655,13 @@ class _BatchedBellmanFordSolver:
                     # are the senders' round-start budgets.
                     budget[gimp] = budget[g_c[pos_w]] + 1
                     parent_flat[gimp] = v_c[pos_w]
+                    edge_flat[gimp] = sel[alive[win[better]]]
                     improved.append(gimp)  # ascending g (winners g-sorted)
             gs = (np.concatenate(improved) if improved
                   else np.zeros(0, dtype=np.int64))
 
-        return (label0, lab_hops, lab_tb, parent_flat, times_sent, messages,
-                last_send)
-
-
-class _BatchMemberBellmanFord(CompressedPhase):
-    """One source's phase of a `_BatchedBellmanFordSolver` batch."""
-
-    def __init__(self, solver: _BatchedBellmanFordSolver, index: int,
-                 label: str) -> None:
-        self.solver = solver
-        self.index = index
-        self.label = label
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self.solver.solve(net)
-        return self.solver.schedules[self.index]
-
-    def evaluate(self, net: CongestNetwork):
-        self.solver.solve(net)
-        return self.solver.labels[self.index], self.solver.parents[self.index]
+        return (label0, lab_hops, lab_tb, parent_flat, edge_flat, times_sent,
+                messages, last_send)
 
 
 def bellman_ford_many(
@@ -528,16 +674,24 @@ def bellman_ford_many(
     fill_equal_parent: bool = False,
     labels: Optional[Sequence[str]] = None,
     compress: Optional[bool] = None,
-) -> List[SSSPResult]:
-    """Run one Bellman-Ford phase per source, batched when compressing.
+) -> SSSPBatch:
+    """Run one Bellman-Ford phase per source; return them as one batch.
 
     The multi-source entry point of Steps 1, 3 and 7 (and of the relay
-    SSSPs): when compressing, every phase is solved by one lockstep
-    :class:`_BatchedBellmanFordSolver` pass — per-phase results and
-    :class:`RoundStats` stay bit-identical to the per-source engine runs,
-    phases are still charged one by one in order — otherwise it simply
-    loops :func:`bellman_ford` on the message engine.
+    SSSPs).  When compressing, one lockstep
+    :class:`_BatchedBellmanFordSolver` pass solves every phase and one
+    ``run_compressed`` charges their summed schedule; otherwise each
+    phase runs :func:`bellman_ford` on the message engine and the runs
+    are stacked.  Either way the :class:`SSSPBatch` holds the same
+    planes and the same per-phase :class:`RoundStats`.  ``labels`` and
+    ``inits_per_source``, when given, need one entry per source.
     """
+    sources = list(sources)
+    for name, given in (("labels", labels),
+                        ("inits_per_source", inits_per_source)):
+        if given is not None and len(given) != len(sources):
+            raise ValueError(f"{name} has {len(given)} entries for "
+                             f"{len(sources)} sources")
     if h is None:
         h = graph.n - 1
     if inits_per_source is None:
@@ -548,7 +702,7 @@ def bellman_ford_many(
         for i, s in enumerate(sources)
     ]
     if not net.use_compressed(compress):
-        return [
+        runs = [
             bellman_ford(
                 net, graph, s, h=h, reverse=reverse,
                 inits=inits_per_source[i],
@@ -557,28 +711,40 @@ def bellman_ford_many(
             )
             for i, s in enumerate(sources)
         ]
+        return _stack_runs(runs, graph.n, h, reverse, phase_labels)
     inits_full = [
         dict(inits) if inits is not None else {s: ZERO_COST}
         for s, inits in zip(sources, inits_per_source)
     ]
     solver = _BatchedBellmanFordSolver(
-        graph, h, reverse, inits_full, fill_equal_parent
+        graph, h, reverse, sources, inits_full, fill_equal_parent,
+        phase_labels,
     )
-    out: List[SSSPResult] = []
-    for i, s in enumerate(sources):
-        phase = _BatchMemberBellmanFord(solver, i, phase_labels[i])
-        (labs, parents), stats = net.run_compressed(phase)
-        out.append(SSSPResult(
-            source=s,
-            h=h,
-            reverse=reverse,
-            dist=[lab[0] for lab in labs],
-            hops=[lab[1] if lab != INF_COST else -1 for lab in labs],
-            parent=parents,
-            label=labs,
-            rounds=stats,
-        ))
-    return out
+    batch, _ = net.run_compressed(solver)
+    return batch
+
+
+def _stack_runs(runs: Sequence[SSSPResult], n: int, h: int, reverse: bool,
+                labels: Sequence[str]) -> SSSPBatch:
+    """The :class:`SSSPBatch` of per-source engine runs."""
+    shape = (len(runs), n)
+    sent = np.zeros(shape, dtype=np.int64)
+    for i, res in enumerate(runs):
+        for v, c in res.rounds.per_node_sent.items():
+            sent[i, v] = c
+    return SSSPBatch(
+        [res.source for res in runs], h, reverse,
+        (np.array([res.dist for res in runs], dtype=np.float64).reshape(shape),
+         np.array([res.hops for res in runs], dtype=np.int64).reshape(shape),
+         np.array([[lab[2] for lab in res.label] for res in runs],
+                  dtype=np.int64).reshape(shape),
+         np.array([res.parent for res in runs], dtype=np.int64).reshape(shape)),
+        (np.array([res.rounds.rounds for res in runs], dtype=np.int64),
+         np.array([res.rounds.messages for res in runs], dtype=np.int64),
+         sent),
+        labels,
+        runs=list(runs),
+    )
 
 
 def bellman_ford(
@@ -661,30 +827,50 @@ class _NotifyChildrenProgram(NodeProgram):
 
 
 class _CompressedNotifyChildren(CompressedPhase):
-    """Round-compressed `_NotifyChildrenProgram`: one send per tree edge."""
+    """Round-compressed `_NotifyChildrenProgram` over a stack of trees.
 
-    def __init__(self, parent: Sequence[int], label: str) -> None:
-        self.parent = parent
+    ``parents`` is ``(T, n)``, one tree per row.  Every parented node
+    sends once to its parent, so a tree with any edge charges one round.
+    """
+
+    def __init__(self, parents: np.ndarray, label: str) -> None:
+        self.parents = parents
         self.label = label
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        senders = [v for v, p in enumerate(self.parent) if p >= 0]
+        has = self.parents >= 0
+        per_node = has.sum(axis=0)
+        nz = np.flatnonzero(per_node)
         per_edge = None
         if net.track_edges:
-            per_edge = {(v, self.parent[v]): 1 for v in senders}
+            rows, vs = np.nonzero(has)
+            n = self.parents.shape[1]
+            keys, counts = np.unique(vs * n + self.parents[rows, vs],
+                                     return_counts=True)
+            per_edge = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()),
+                                counts.tolist()))
         return PhaseSchedule(
-            rounds=1 if senders else 0,
-            messages=len(senders),
-            per_node_sent=dict.fromkeys(senders, 1),
+            rounds=int(has.any(axis=1).sum()),
+            messages=int(per_node.sum()),
+            per_node_sent=dict(zip(nz.tolist(), per_node[nz].tolist())),
             per_edge_sent=per_edge,
         )
 
-    def evaluate(self, net: CongestNetwork) -> List[List[int]]:
-        children: List[List[int]] = [[] for _ in range(net.n)]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                children[p].append(v)  # ascending v = sorted
-        return children
+    def evaluate(self, net: CongestNetwork) -> List[List[List[int]]]:
+        """Each tree's children lists, ascending, from one stable sort."""
+        t, n = self.parents.shape
+        flat = self.parents.ravel()
+        kids = np.flatnonzero(flat >= 0)
+        ups = kids - kids % n + flat[kids]
+        order = np.argsort(ups, kind="stable")
+        child = (kids[order] % n).tolist()
+        ups = ups[order]
+        heads = np.flatnonzero(np.diff(ups, prepend=-1))
+        ends = np.append(heads[1:], len(ups))
+        lists: List[List[int]] = [[] for _ in range(t * n)]
+        for u, a, b in zip(ups[heads].tolist(), heads.tolist(), ends.tolist()):
+            lists[u] = child[a:b]
+        return [lists[i * n:(i + 1) * n] for i in range(t)]
 
 
 def notify_children(
@@ -698,13 +884,17 @@ def notify_children(
     Remove-Subtrees, the count convergecasts) need them.  One round per tree.
     """
     if net.use_compressed(compress):
-        return net.run_compressed(_CompressedNotifyChildren(parent, label))
+        parents = np.asarray(parent, dtype=np.int64).reshape(1, net.n)
+        children, stats = net.run_compressed(
+            _CompressedNotifyChildren(parents, label))
+        return children[0], stats
     programs = [_NotifyChildrenProgram(v, parent) for v in range(net.n)]
     stats = net.run(programs, label=label)
     return [sorted(p.children) for p in programs], stats
 
 
 __all__ = [
+    "SSSPBatch",
     "SSSPResult",
     "bellman_ford",
     "bellman_ford_many",

@@ -142,6 +142,58 @@ def test_notify_children_builds_children_lists():
     assert stats.rounds == 1
 
 
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("arg", ["labels", "inits_per_source"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_bellman_ford_many_rejects_length_mismatch(compress, arg, extra):
+    """One entry per source, checked before any phase runs."""
+    g = graph_of("er-sparse")
+    net = CongestNetwork(g, compress=compress)
+    sources = [0, 1, 2]
+    given = {"labels": [f"bf({s})" for s in range(len(sources) + extra)],
+             "inits_per_source": [None] * (len(sources) + extra)}
+    with pytest.raises(ValueError, match=f"{arg} has {len(sources) + extra} "
+                                         f"entries for 3 sources"):
+        bellman_ford_many(net, g, sources, h=2, **{arg: given[arg]})
+    assert net.total.rounds == 0 and net.total.messages == 0
+
+
+def test_batch_views_match_planes():
+    """Indexing, iterating and the stats of an :class:`SSSPBatch`."""
+    g = graph_of("er-sparse")
+    for compress in (False, True):
+        net = CongestNetwork(g, compress=compress, track_edges=True)
+        batch = bellman_ford_many(net, g, [0, 3], h=3, labels=["a", "b"])
+        assert len(batch) == 2 and batch.dist.shape == (2, g.n)
+        for i, res in enumerate(batch):
+            assert res.source == batch.sources[i]
+            assert res.dist == batch.dist[i].tolist()
+            assert res.parent == batch.parent[i].tolist()
+            assert [lab == INF_COST for lab in res.label] == [
+                k < 0 for k in batch.hops[i].tolist()]
+            assert res.rounds.label == ["a", "b"][i]
+            assert batch.stats(i).per_node_sent == {
+                v: c for v, c in enumerate(batch.sent[i].tolist()) if c}
+        total = batch.total("both")
+        assert total.label == "both"
+        assert total.rounds == int(batch.rounds.sum()) == net.total.rounds
+        assert total.per_edge_sent == net.total.per_edge_sent
+
+
+def test_empty_batches_and_parentless_trees():
+    """No sources, or a tree with no edges: nothing charged, nothing built."""
+    g = graph_of("er-sparse")
+    for compress in (False, True):
+        net = CongestNetwork(g, compress=compress)
+        batch = bellman_ford_many(net, g, [], h=2)
+        assert len(batch) == 0 and list(batch) == []
+        assert batch.dist.shape == (0, g.n)
+        assert batch.total().rounds == 0
+        children, stats = notify_children(net, [-1] * g.n)
+        assert children == [[] for _ in range(g.n)] and stats.rounds == 0
+        assert net.total.rounds == 0
+
+
 def test_batched_solver_memory_bound():
     """The Step-1 shape at n = 512 allocates at most 256 MiB at its peak.
 

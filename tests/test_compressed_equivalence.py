@@ -10,7 +10,8 @@ A fast subset (two families, one seed, plus the tie-heavy weight models
 for the batched Bellman-Ford solver) runs in tier-1; the full family x
 seed matrix carries the ``slow`` marker and runs in the non-blocking CI
 equivalence job (``pytest -m slow``).  Two slices of it also run in the
-blocking tier-1 CI job: Bellman-Ford, CSSSP and deterministic APSP; and
+blocking tier-1 CI job: the Bellman-Ford solver and its consumers (CSSSP,
+deterministic APSP, reversed q-sink, relay join, Step-7 extension); and
 Step 2 (the blocker constructions and their compute-pi, score,
 subtree-removal and batched convergecast phases).
 """
@@ -34,9 +35,10 @@ from repro.congest.network import CongestNetwork
 from repro.csssp.builder import build_csssp
 from repro.csssp.pruning import ParallelPruner, remove_subtrees_sequential
 from repro.experiments.registry import make_graph
-from repro.graphs.spec import ZERO_COST
+from repro.graphs.spec import ZERO_COST, Graph
 from repro.pipeline.bottleneck import message_counts
 from repro.pipeline.broadcast_delivery import broadcast_delivery
+from repro.pipeline.extension import extend_h_hop
 from repro.pipeline.relay import relay_join
 from repro.pipeline.reversed_qsink import reversed_qsink
 from repro.pipeline.short_range import round_robin_pipeline, short_range_delivery
@@ -249,9 +251,17 @@ def test_bellman_ford_multi_init_equivalent(family, seed, n):
     assert_stats_equal(res_m.rounds, res_c.rounds, "bf multi-init")
 
 
-@pytest.mark.parametrize("family,seed,n", cases())
-def test_csssp_build_equivalent(family, seed, n):
-    graph = make_graph(family, n, seed)
+def chain_drops(graph, coll, h):
+    """Nodes with a finite label within ``h`` hops that truncation dropped."""
+    bf = bellman_ford_many(CongestNetwork(graph, strict=False), graph,
+                           list(coll.trees), h=2 * h)
+    return sum(1 for res in bf for v in range(graph.n)
+               if 0 < res.hops[v] <= h and coll.trees[res.source].depth[v] < 0)
+
+
+@pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
+def test_csssp_build_equivalent(family, seed, n, weights):
+    graph = make_graph(family, n, seed, weights)
     net_m, net_c = nets(graph, track_edges=True)
     coll_m, stats_m = build_csssp(net_m, graph, range(graph.n), 2)
     coll_c, stats_c = build_csssp(net_c, graph, range(graph.n), 2)
@@ -260,10 +270,40 @@ def test_csssp_build_equivalent(family, seed, n):
         assert (tm.parent, tm.depth, tm.dist, tm.children) == (
             tc.parent, tc.depth, tc.dist, tc.children)
     assert_stats_equal(stats_m, stats_c, "csssp")
+    assert_stats_equal(net_m.total, net_c.total, "csssp network totals")
+    if (family, seed, n, weights) == ("er", 1, 17, "zero"):
+        # Zero weights make a lighter path with more hops common, so the
+        # chain-drop rule fires here (the other tier-1 cases drop none).
+        assert chain_drops(graph, coll_m, 2) >= 1
     children_m, nstats_m = notify_children(net_m, coll_m.trees[0].parent)
     children_c, nstats_c = notify_children(net_c, coll_c.trees[0].parent)
     assert children_m == children_c
     assert_stats_equal(nstats_m, nstats_c, "notify-children")
+
+
+def test_csssp_drops_the_subtree_of_a_broken_chain():
+    """A node whose own chain holds still goes when its parent goes.
+
+    From root 0, node 1 first gets ``(10, 1 hop)`` and passes it on to
+    2 and then 3; at hop 6 = 2h it finds the light path through 4..8,
+    which uses up its budget, so 2 never hears of it.  2's chain breaks
+    (its parent's final label has 6 hops), and 3, whose chain to 2 is
+    intact, must be dropped with it.
+    """
+    chain = [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1)]
+    graph = Graph(9, [(0, 1, 10.0), (1, 2, 1.0), (2, 3, 1.0)]
+                  + [(u, v, 0.125) for u, v in chain])
+    net_m, net_c = nets(graph, track_edges=True)
+    coll_m, stats_m = build_csssp(net_m, graph, range(graph.n), 3)
+    coll_c, stats_c = build_csssp(net_c, graph, range(graph.n), 3)
+    for x in coll_m.trees:
+        tm, tc = coll_m.trees[x], coll_c.trees[x]
+        assert (tm.parent, tm.depth, tm.dist, tm.children) == (
+            tc.parent, tc.depth, tc.dist, tc.children)
+    assert_stats_equal(stats_m, stats_c, "csssp")
+    res = bellman_ford(CongestNetwork(graph), graph, 0, h=6)
+    assert (res.hops[2], res.hops[3], res.parent[3]) == (2, 3, 2)
+    assert coll_c.trees[0].depth[2] == coll_c.trees[0].depth[3] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -701,4 +741,39 @@ def test_deterministic_apsp_equivalent(family, seed, n):
     assert (res_m.dist[finite] == res_c.dist[finite]).all()
     assert (res_m.pred == res_c.pred).all()
     assert res_m.step_rounds() == res_c.step_rounds()
+    assert_logs_equal(res_m.log, res_c.log, "apsp")
     assert_stats_equal(res_m.stats, res_c.stats, "apsp")
+
+
+@pytest.mark.parametrize("family,seed,n", cases())
+@pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+def test_extension_equivalent(family, seed, n, subset):
+    """Step 7 on both engines: the same D, P and stats.
+
+    Blockers start from their true labels, so equal-label confirmations
+    (the predecessor fill) happen; unreachable pairs arrive as infinite
+    labels, which the extension skips.
+    """
+    graph = make_graph(family, n, seed)
+    rng = random.Random(seed * 11 + n)
+    blockers = sorted(rng.sample(range(graph.n), min(4, graph.n)))
+    full = bellman_ford_many(CongestNetwork(graph, strict=False), graph,
+                             range(graph.n))
+    delivered = {c: {res.source: res.label[c] for res in full}
+                 for c in blockers}
+    sources = (sorted(rng.sample(range(graph.n), graph.n // 3))
+               if subset else None)
+    net_m, net_c = nets(graph, track_edges=True)
+    d_m, p_m, s_m = extend_h_hop(net_m, graph, 2, delivered, sources=sources)
+    d_c, p_c, s_c = extend_h_hop(net_c, graph, 2, delivered, sources=sources)
+    assert d_m.tobytes() == d_c.tobytes()
+    assert (p_m == p_c).all()
+    assert_stats_equal(s_m, s_c, "extension")
+    assert_stats_equal(net_m.total, net_c.total, "extension network totals")
+    if subset:
+        # A source's row is the all-sources row; other rows stay empty.
+        d_all, p_all, _ = extend_h_hop(net_c, graph, 2, delivered)
+        rest = sorted(set(range(graph.n)) - set(sources))
+        assert d_c[sources].tobytes() == d_all[sources].tobytes()
+        assert (p_c[sources] == p_all[sources]).all()
+        assert np.isinf(d_c[rest]).all() and (p_c[rest] == -1).all()

@@ -174,6 +174,15 @@ def test_bad_orientation_and_h_rejected():
         CSSSPCollection(g, 2, {}, orientation="sideways")
 
 
+@pytest.mark.parametrize("compress", [False, True])
+def test_bad_orientation_rejected_before_any_phase(compress):
+    g = graph_of("er-sparse")
+    net = CongestNetwork(g, compress=compress)
+    with pytest.raises(ValueError, match="orientation 'In'"):
+        build_csssp(net, g, range(g.n), 2, orientation="In")
+    assert net.total.rounds == 0 and net.total.messages == 0
+
+
 @given(n=st.integers(6, 20), seed=st.integers(0, 300), h=st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
 def test_containment_property(n, seed, h):
