@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,15 +117,8 @@ def subtree_heights(children: Sequence[Sequence[int]], root: int) -> List[int]:
     reports in round 0; an internal node one round after its slowest
     child).
     """
-    n = len(children)
-    heights = [0] * n
-    order: List[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    for v in reversed(order):
+    heights = [0] * len(children)
+    for v in bottom_up_order(children, root):
         if children[v]:
             heights[v] = 1 + max(heights[c] for c in children[v])
     return heights
@@ -237,19 +229,20 @@ class StackedTrees:
 
     Row ``i`` describes tree ``xs[i]``, and node ``v`` of that tree has the
     flat index ``i * n + v``.  Everything here follows from the parent and
-    depth rows alone, which never change after construction (pruning flips
-    ``removed`` flags, never pointers — see
-    :class:`~repro.csssp.collection.TreeView`), so it is built once and a
-    collection's copies share it.  It holds:
+    depth planes alone, which never change after construction (pruning
+    flips ``removed`` flags, never pointers — see
+    :class:`~repro.csssp.collection.TreeView`), so it is built once, with
+    the collection, and a collection's copies share it.  It holds:
 
-    * ``parent`` / ``depth`` — the ``(T, n)`` int64 stacks, with the
-      ``member`` (in the tree) and ``nonroot`` (depth >= 1) masks and
-      each tree's ``roots`` entry;
+    * ``parent`` / ``depth`` — the collection's ``(T, n)`` int64 planes
+      themselves (not copies), with the ``member`` (in the tree) and
+      ``nonroot`` (depth >= 1) masks and each tree's ``roots`` entry;
     * ``levels[d - 1]`` / ``level_parent[d - 1]`` — the flat indices of
       every tree's depth-``d`` members, ascending, and of their parents:
       top-down waves walk the levels forward, convergecasts backward;
     * ``child_ptr`` / ``child_idx`` — every flat node's children in
-      ascending order (CSR), for waves that start below the roots;
+      ascending order (CSR), for waves that start below the roots, and
+      the per-tree lists :meth:`children` cuts from them;
     * ``leaves`` / ``leaf_paths`` — the flat indices of the depth-``h``
       members, ascending, and the ``(L, h)`` node ids on their root paths
       at depths ``1..h``: the collection's hyperedges, where the leaf is
@@ -259,18 +252,14 @@ class StackedTrees:
     :func:`stacked_trees`.
     """
 
-    def __init__(self, coll) -> None:
-        self.xs = list(coll.trees)
+    def __init__(self, xs: Sequence[int], parent: np.ndarray,
+                 depth: np.ndarray, h: int) -> None:
+        self.xs = list(xs)
         self.row_of = {x: i for i, x in enumerate(self.xs)}
-        trees = [coll.trees[x] for x in self.xs]
-        n, h = coll.n, coll.h
+        n = parent.shape[1]
         self.n, self.h = n, h
-        shape = (len(trees), n)
-        self.parent = np.asarray([t.parent for t in trees],
-                                 dtype=np.int64).reshape(shape)
-        self.depth = np.asarray([t.depth for t in trees],
-                                dtype=np.int64).reshape(shape)
-        self.roots = np.asarray([t.root for t in trees], dtype=np.int64)
+        self.parent, self.depth = parent, depth
+        self.roots = np.asarray(self.xs, dtype=np.int64)
         self.member = self.depth >= 0
         self.nonroot = self.depth >= 1
         flat_parent = self.parent.ravel()
@@ -295,37 +284,34 @@ class StackedTrees:
         for k in range(h - 1, -1, -1):
             self.leaf_paths[:, k] = at % n
             at = at - at % n + flat_parent[at]
+        self._children: Dict[int, List[List[int]]] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
         return self.parent.shape
 
+    def children(self, row: int) -> List[List[int]]:
+        """Tree ``row``'s children lists, ascending, cut from the CSR once."""
+        lists = self._children.get(row)
+        if lists is None:
+            n = self.n
+            ptr = self.child_ptr[row * n:(row + 1) * n + 1]
+            kids = (self.child_idx[ptr[0]:ptr[-1]] - row * n).tolist()
+            cuts = (ptr - ptr[0]).tolist()
+            lists = self._children[row] = [
+                kids[a:b] for a, b in zip(cuts, cuts[1:])]
+        return lists
+
 
 def stacked_trees(coll) -> Tuple[StackedTrees, "np.ndarray"]:
     """A collection's :class:`StackedTrees` and its current ``(T, n)`` live mask.
 
-    The static state is built on first use and kept on the collection (and
-    on its copies).  So is a ``(T, n)`` array of the ``removed`` flags,
-    read from the trees' lists once, after which each tree's
-    :class:`~repro.csssp.collection.RemovedFlags` mirrors every write into
-    its row: the flags stay the one place liveness is written, and the
-    array is never re-read from them.  The live mask (member and not
-    removed) is derived from that array on every call.
+    The live mask (member and not removed) is derived on every call from
+    the collection's one ``(T, n)`` ``removed`` array, which every writer
+    writes: the engine programs, the compressed phases, the pruner replay
+    and :meth:`~repro.csssp.collection.TreeView.mark_removed` alike.
     """
-    stack = coll._stack
-    if stack is None:
-        stack = coll._stack = StackedTrees(coll)
-    removed = coll._removed
-    if removed is None:
-        trees = [coll.trees[x] for x in stack.xs]
-        removed = coll._removed = np.fromiter(
-            chain.from_iterable(t.removed for t in trees),
-            dtype=bool,
-            count=stack.parent.size,
-        ).reshape(stack.shape)
-        for i, t in enumerate(trees):
-            t.removed.link(removed, i)
-    return stack, stack.member & ~removed
+    return coll.stack, coll.stack.member & ~coll.removed
 
 
 #: Sentinel for the end-of-stream marker in :func:`simulate_upcast`.

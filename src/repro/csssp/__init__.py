@@ -6,8 +6,8 @@ in every tree containing it, and the tree ``T_x`` contains every node whose
 true shortest path from/to ``x`` needs at most ``h`` hops (Definition A.3).
 
 * :mod:`~repro.csssp.collection` — the orchestrator-side record of the
-  per-node local state (parent / depth / distance / children per tree) plus
-  the pruning flags mutated by the removal protocols.
+  per-node local state (parent / depth / children per tree) plus the
+  pruning flags mutated by the removal protocols, all in ``(T, n)`` planes.
 * :mod:`~repro.csssp.builder` — the [1] construction: a ``2h``-hop
   Bellman-Ford per source truncated to depth ``h`` (``O(|S| \\cdot h)``
   rounds, Lemma A.4).

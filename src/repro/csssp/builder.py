@@ -39,7 +39,7 @@ from repro.congest.compressed import CompressedPhase, PhaseSchedule
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
-from repro.csssp.collection import CSSSPCollection, TreeView
+from repro.csssp.collection import CSSSPCollection
 from repro.graphs.spec import Graph, add_cost
 from repro.primitives.bellman_ford import (
     SSSPBatch,
@@ -173,7 +173,9 @@ def build_csssp(
     truncation is one top-down wave over all trees (:class:`_KeptWave`)
     and each phase family — the Bellman-Ford runs, the kept floods, the
     children notifications — is charged once, as the sum of its
-    per-source schedules.
+    per-source schedules.  The kept parent and depth planes become the
+    collection's store as they are; the engine path stacks its per-source
+    rows once.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -187,47 +189,31 @@ def build_csssp(
         compress=compress,
     )
     total = batch.total(label)
-    trees: Dict[int, TreeView] = {}
 
     if net.use_compressed(compress):
         kept, stats = net.run_compressed(_KeptWave(batch, h, f"{label}-trunc"))
         total.merge(stats)
-        parents = np.where(kept, batch.parent, -1)
-        children, stats = net.run_compressed(
-            _CompressedNotifyChildren(parents, f"{label}-kids"))
+        parent = np.where(kept, batch.parent, -1)
+        _, stats = net.run_compressed(
+            _CompressedNotifyChildren(parent, f"{label}-kids"))
         total.merge(stats)
-        rows = zip(source_list, parents.tolist(),
-                   np.where(kept, batch.hops, -1).tolist(),
-                   np.where(kept, batch.dist, np.inf).tolist(), children)
-        for x, parent, depth, dist, kids in rows:
-            trees[x] = TreeView(root=x, parent=parent, depth=depth, dist=dist,
-                                children=kids, removed=[False] * graph.n)
-        return CSSSPCollection(graph, h, trees, orientation), total
+        depth = np.where(kept, batch.hops, -1)
+        return CSSSPCollection(graph, h, source_list, parent, depth,
+                               orientation), total
 
+    parents, depths = [], []
     for x, res in zip(source_list, batch):
         programs = [_TruncateProgram(v, graph, res, h) for v in range(graph.n)]
         total.merge(net.run(programs, label=f"{label}-trunc({x})"))
-        kept = [p.kept for p in programs]
-        parent = [-1] * graph.n
-        depth = [-1] * graph.n
-        dist = [float("inf")] * graph.n
-        for v in range(graph.n):
-            if kept[v]:
-                depth[v] = res.hops[v]
-                dist[v] = res.dist[v]
-                parent[v] = res.parent[v]
-        children, nstats = notify_children(net, parent, label=f"{label}-kids({x})",
-                                           compress=False)
+        parent = [res.parent[v] if p.kept else -1 for v, p in enumerate(programs)]
+        _, nstats = notify_children(net, parent, label=f"{label}-kids({x})",
+                                    compress=False)
         total.merge(nstats)
-        trees[x] = TreeView(
-            root=x,
-            parent=parent,
-            depth=depth,
-            dist=dist,
-            children=children,
-            removed=[False] * graph.n,
-        )
-    return CSSSPCollection(graph, h, trees, orientation), total
+        parents.append(parent)
+        depths.append([res.hops[v] if p.kept else -1
+                       for v, p in enumerate(programs)])
+    return CSSSPCollection(graph, h, source_list, parents, depths,
+                           orientation), total
 
 
 __all__ = ["build_csssp"]

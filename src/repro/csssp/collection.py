@@ -2,10 +2,18 @@
 
 :class:`CSSSPCollection` is the orchestrator-side view of what each node
 knows locally after the construction phase: for every tree, its parent,
-depth, distance and children, plus the ``removed`` flag the pruning
-protocols flip.  Node ``v``'s local state is exactly row ``v`` of these
-tables; the distributed programs in this repository only ever read/write
-their own row, preserving CONGEST locality.
+depth and children, plus the ``removed`` flag the pruning protocols flip.
+Node ``v``'s local state is exactly column ``v`` of these tables; the
+distributed programs in this repository only ever read/write their own
+entries, preserving CONGEST locality.
+
+Storage
+-------
+The collection keeps one store: ``(T, n)`` int64 ``parent`` and ``depth``
+planes, one row per tree in construction order, and one ``(T, n)`` bool
+``removed`` array.  Each :class:`TreeView` reads its row of them, and the
+compressed tier's :class:`~repro.congest.compressed.StackedTrees` reads the
+planes in place.  Liveness is written in one place only, whoever writes it.
 
 Hyperedges
 ----------
@@ -19,71 +27,43 @@ strictly after ``y``, so the decomposition always makes progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
 
-class RemovedFlags(list):
-    """A tree's ``removed`` flags, mirrored into the compressed tier's stack.
-
-    A plain list of bools until the compressed tier stacks the collection
-    (:func:`repro.congest.compressed.stacked_trees`), which links it to
-    its row of the collection's ``(T, n)`` removed array.  From then on
-    every item or slice assignment writes that row too, so the array
-    cannot drift from the flags, whoever writes them.  :meth:`detach` is
-    the bulk form.
-    """
-
-    __slots__ = ("_mirror",)
-
-    def __init__(self, flags: Iterable[bool] = ()) -> None:
-        super().__init__(flags)
-        self._mirror = None
-
-    def link(self, array, row: int) -> None:
-        """Mirror every later write into ``array[row]``."""
-        self._mirror = (array, row)
-
-    def __setitem__(self, key, value) -> None:
-        list.__setitem__(self, key, value)
-        if self._mirror is not None:
-            array, row = self._mirror
-            array[row, key] = value
-
-    def detach(self, nodes: Sequence[int]) -> None:
-        """Flag every node of ``nodes`` removed, with one mirror write."""
-        for v in nodes:
-            list.__setitem__(self, v, True)
-        if self._mirror is not None:
-            array, row = self._mirror
-            array[row, nodes] = True
+from repro.congest.compressed import StackedTrees
 
 
-@dataclass
 class TreeView:
-    """One rooted tree of the collection (all per-node rows for one source).
+    """One rooted tree of the collection: row ``row`` of its planes.
 
     ``parent[v]`` points one hop toward the root (-1 at the root and at
     nodes outside the tree); ``depth[v]`` is the hop distance from the root
-    (-1 outside); ``dist[v]`` the weighted distance between ``v`` and the
-    root (direction per the collection's orientation); ``removed[v]`` marks
-    nodes detached by a pruning protocol (Algorithm 6 sets the parent
-    pointer to NIL — we keep the pointer and flip the flag so the original
-    shape remains queryable by diagnostics).  ``removed`` is always a
-    :class:`RemovedFlags` list, which keeps the compressed tier's stacked
-    copy of the flags in step.
+    (-1 outside).  Both are plain lists, read once from the planes: they
+    are never written after construction, and engine programs read them
+    per message.  ``removed[v]`` marks nodes detached by a pruning protocol
+    (Algorithm 6 sets the parent pointer to NIL — we keep the pointer and
+    flip the flag so the original shape remains queryable by diagnostics);
+    it is a row view of the collection's ``(T, n)`` ``removed`` array, so a
+    write here is a write there.  ``children[v]`` lists ``v``'s children in
+    ascending order; it is cut from the stack's CSR the first time
+    something reads it.
     """
 
-    root: int
-    parent: List[int]
-    depth: List[int]
-    dist: List[float]
-    children: List[List[int]]
-    removed: List[bool]
+    def __init__(self, root: int, parent: List[int], depth: List[int],
+                 removed: np.ndarray, stack: StackedTrees, row: int) -> None:
+        self.root = root
+        self.parent = parent
+        self.depth = depth
+        self.removed = removed
+        self._stack = stack
+        self._row = row
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.removed, RemovedFlags):
-            self.removed = RemovedFlags(self.removed)
+    @cached_property
+    def children(self) -> List[List[int]]:
+        return self._stack.children(self._row)
 
     @property
     def n(self) -> int:
@@ -130,8 +110,8 @@ class TreeView:
         helper applies the same end state in one call and returns the nodes
         it detached.
         """
-        detached = [u for u in self.subtree(z, live_only=True)]
-        self.removed.detach(detached)
+        detached = self.subtree(z, live_only=True)
+        self.removed[detached] = True
         return detached
 
 
@@ -144,8 +124,11 @@ class CSSSPCollection:
         The weighted instance the collection was built from.
     h:
         The hop budget (tree height).
-    trees:
-        ``{source: TreeView}`` in construction order.
+    roots:
+        The sources, one tree each, in construction order.
+    parent, depth:
+        ``(T, n)`` int64 planes (or anything ``np.asarray`` stacks into
+        them), row ``i`` for ``roots[i]``; an int64 array is kept as is.
     orientation:
         ``"out"`` — tree paths are graph paths *from* the root (Step 1);
         ``"in"`` — tree paths are graph paths *to* the root, i.e. the tree
@@ -156,19 +139,32 @@ class CSSSPCollection:
         self,
         graph,
         h: int,
-        trees: Dict[int, TreeView],
+        roots: Sequence[int],
+        parent,
+        depth,
         orientation: str = "out",
     ) -> None:
         if orientation not in ("out", "in"):
             raise ValueError(f"bad orientation {orientation!r}")
         self.graph = graph
         self.h = h
-        self.trees = trees
         self.orientation = orientation
-        # The compressed tier's stacked static state and stacked removed
-        # flags, built on first use (repro.congest.compressed.stacked_trees).
-        self._stack = None
-        self._removed = None
+        shape = (len(roots), graph.n)
+        self.parent = np.asarray(parent, dtype=np.int64).reshape(shape)
+        self.depth = np.asarray(depth, dtype=np.int64).reshape(shape)
+        self.removed = np.zeros(shape, dtype=bool)
+        #: the compressed tier's static state (shared by copies)
+        self.stack = StackedTrees(roots, self.parent, self.depth, h)
+        self.trees = self._views(
+            zip(roots, self.parent.tolist(), self.depth.tolist()))
+
+    def _views(self, rows: Iterable[Tuple[int, List[int], List[int]]]
+               ) -> Dict[int, TreeView]:
+        """One :class:`TreeView` per ``(root, parent, depth)`` row."""
+        return {
+            x: TreeView(x, parent, depth, self.removed[i], self.stack, i)
+            for i, (x, parent, depth) in enumerate(rows)
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -209,30 +205,20 @@ class CSSSPCollection:
     def copy(self) -> "CSSSPCollection":
         """A copy with its own pruning state, for algorithms that mutate.
 
-        Only the ``removed`` flags are copied.  ``parent``, ``depth``,
-        ``dist`` and ``children`` are shared with this collection, as is
-        the compressed tier's stacked static state: none of them is ever
-        mutated after construction, and pruning flips flags only.
+        Only the ``removed`` array is copied.  The planes, the trees'
+        ``parent``/``depth`` lists and the stack (children lists included)
+        are shared with this collection: none of them is ever mutated after
+        construction, and pruning flips flags only.
         """
-        trees = {
-            x: TreeView(
-                root=t.root,
-                parent=t.parent,
-                depth=t.depth,
-                dist=t.dist,
-                children=t.children,
-                removed=RemovedFlags(t.removed),
-            )
-            for x, t in self.trees.items()
-        }
-        dup = CSSSPCollection(self.graph, self.h, trees, self.orientation)
-        dup._stack = self._stack
+        dup = copy.copy(self)
+        dup.removed = self.removed.copy()
+        dup.trees = dup._views(
+            (t.root, t.parent, t.depth) for t in self.trees.values())
         return dup
 
     def reset_removals(self) -> None:
         """Re-attach every pruned subtree (fresh-collection state)."""
-        for t in self.trees.values():
-            t.removed[:] = [False] * t.n
+        self.removed[:] = False
 
     # ------------------------------------------------------------------
     # verification helpers (test-only, centralized)
@@ -289,4 +275,4 @@ class CSSSPCollection:
                         )
 
 
-__all__ = ["CSSSPCollection", "RemovedFlags", "TreeView"]
+__all__ = ["CSSSPCollection", "TreeView"]

@@ -79,10 +79,10 @@ class _CompressedSubtreeRemove(CompressedPhase):
 
     Per tree, the flood's rounds are its last sending tick plus one, and
     the phase charges their sum, as the per-tree runs would.
-    :meth:`evaluate` flips the detached nodes' ``removed`` flags, one bulk
-    :meth:`~repro.csssp.collection.RemovedFlags.detach` per tree, which
-    also writes the stacked copy the next phase's live mask reads.  So
-    the selectors, the centralized checks and the message-level oracle
+    :meth:`evaluate` flips the detached nodes' flags with one flat write
+    into the collection's ``(T, n)`` ``removed`` array, the one store the
+    trees' ``removed`` rows view and the next phase's live mask reads.
+    So the selectors, the centralized checks and the message-level oracle
     see the same state.
     """
 
@@ -146,13 +146,7 @@ class _CompressedSubtreeRemove(CompressedPhase):
         )
 
     def evaluate(self, net: CongestNetwork) -> None:
-        stack = self.stack
-        fired = np.sort(np.concatenate(self._fired))
-        cuts = np.searchsorted(fired, np.arange(stack.shape[0] + 1) * stack.n)
-        for x, a, b in zip(stack.xs, cuts.tolist(), cuts[1:].tolist()):
-            if a < b:
-                self.coll.trees[x].removed.detach(
-                    (fired[a:b] % stack.n).tolist())
+        self.coll.removed.flat[np.concatenate(self._fired)] = True
         return None
 
 

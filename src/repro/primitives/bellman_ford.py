@@ -831,6 +831,9 @@ class _CompressedNotifyChildren(CompressedPhase):
 
     ``parents`` is ``(T, n)``, one tree per row.  Every parented node
     sends once to its parent, so a tree with any edge charges one round.
+    The phase is pure accounting: the children lists follow from the
+    parents, and callers build them where they read them (a CSSSP
+    collection cuts them from its stack's CSR on first read).
     """
 
     def __init__(self, parents: np.ndarray, label: str) -> None:
@@ -856,21 +859,9 @@ class _CompressedNotifyChildren(CompressedPhase):
             per_edge_sent=per_edge,
         )
 
-    def evaluate(self, net: CongestNetwork) -> List[List[List[int]]]:
-        """Each tree's children lists, ascending, from one stable sort."""
-        t, n = self.parents.shape
-        flat = self.parents.ravel()
-        kids = np.flatnonzero(flat >= 0)
-        ups = kids - kids % n + flat[kids]
-        order = np.argsort(ups, kind="stable")
-        child = (kids[order] % n).tolist()
-        ups = ups[order]
-        heads = np.flatnonzero(np.diff(ups, prepend=-1))
-        ends = np.append(heads[1:], len(ups))
-        lists: List[List[int]] = [[] for _ in range(t * n)]
-        for u, a, b in zip(ups[heads].tolist(), heads.tolist(), ends.tolist()):
-            lists[u] = child[a:b]
-        return [lists[i * n:(i + 1) * n] for i in range(t)]
+    def evaluate(self, net: CongestNetwork) -> None:
+        """Nothing: the children follow from ``parents``, read where needed."""
+        return None
 
 
 def notify_children(
@@ -885,9 +876,12 @@ def notify_children(
     """
     if net.use_compressed(compress):
         parents = np.asarray(parent, dtype=np.int64).reshape(1, net.n)
-        children, stats = net.run_compressed(
-            _CompressedNotifyChildren(parents, label))
-        return children[0], stats
+        _, stats = net.run_compressed(_CompressedNotifyChildren(parents, label))
+        children: List[List[int]] = [[] for _ in range(net.n)]
+        for v, p in enumerate(parent):
+            if p >= 0:
+                children[p].append(v)
+        return children, stats
     programs = [_NotifyChildrenProgram(v, parent) for v in range(net.n)]
     stats = net.run(programs, label=label)
     return [sorted(p.children) for p in programs], stats

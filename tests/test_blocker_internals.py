@@ -140,23 +140,23 @@ def test_sigma_vectors_empty_structures():
 
 
 def test_blocker_run_builds_one_stacked_state(monkeypatch):
-    """Every compressed Step-2 phase reads one (T, n) stack per run.
+    """Every compressed Step-2 phase reads the collection's one (T, n) stack.
 
     Score-ij runs on a different tree subset at every selection step; it
     selects rows of the one stack instead of stacking the subset again.
     """
     g = erdos_renyi(40, p=0.12, seed=1)
     net = CongestNetwork(g, compress=True)
-    coll, _ = build_csssp(net, g, range(g.n), 3)
     built = []
     init = StackedTrees.__init__
 
-    def counting_init(self, c):
+    def counting_init(self, *args):
         built.append(self)
-        init(self, c)
+        init(self, *args)
 
     monkeypatch.setattr(StackedTrees, "__init__", counting_init)
+    coll, _ = build_csssp(net, g, range(g.n), 3)
     result = deterministic_blocker_set(net, coll)
     assert result.selection_steps > 1
-    assert len(built) == 1
+    assert built == [coll.stack]
     assert built[0].parent.shape == (len(coll.trees), g.n)

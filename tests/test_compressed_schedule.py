@@ -27,7 +27,7 @@ from repro.congest.compressed import (
     subtree_heights,
 )
 from repro.congest.network import CongestNetwork
-from repro.csssp.collection import CSSSPCollection, TreeView
+from repro.csssp.collection import CSSSPCollection
 from repro.graphs.spec import Graph
 from repro.primitives.bfs import BFSTree
 from repro.primitives.broadcast import gather_and_broadcast
@@ -108,15 +108,13 @@ def check_tree(seed: int) -> None:
     # subtree-sum convergecast on a TreeView with random prunes and a
     # random hop budget h >= height (the CSSSP invariant)
     h = tree.height + rng.randint(0, 3)
-    view = TreeView(root=0, parent=list(tree.parent), depth=list(tree.depth),
-                    dist=[float(d) for d in tree.depth],
-                    children=[list(c) for c in tree.children],
-                    removed=[False] * graph.n)
+    coll = CSSSPCollection(graph, max(h, 1), [0], [tree.parent], [tree.depth])
+    view = coll.trees[0]
+    assert view.children == [sorted(c) for c in tree.children]
     for _ in range(rng.randrange(0, 3)):
         z = rng.randrange(graph.n)
         if view.depth[z] >= 1 and not view.removed[z]:
             view.mark_removed(z)
-    coll = CSSSPCollection(graph, max(h, 1), {0: view})
     values = [rng.uniform(0, 3) for _ in range(graph.n)]
     u_m, q_m = subtree_sums(net_m, coll, 0, values)
     u_c, q_c = subtree_sums(net_c, coll, 0, values)

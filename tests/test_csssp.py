@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,20 @@ from conftest import GRAPH_KINDS, collection_of, graph_of
 def true_labels(g, x, reverse=False):
     """Unconstrained lexicographic optimum labels (h = n is enough)."""
     return h_hop_labels(g, x, g.n, reverse=reverse)
+
+
+def tree_dist(g, t, v, reverse=False):
+    """Weight of ``t``'s tree path to ``v``, summed from the root down.
+
+    That is the order Bellman-Ford accumulates labels in, so the sum is
+    bit-equal to the label the tree path carries.
+    """
+    path = t.path_from_root(v)
+    d = 0.0
+    for above, below in zip(path, path[1:]):
+        tail, head = (below, above) if reverse else (above, below)
+        d += next(w for u, w, _ in g.out_edges(tail) if u == head)
+    return d
 
 
 @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -45,7 +60,7 @@ def test_containment_guarantee(kind, h):
             lab = labels[v]
             if lab[0] < math.inf and lab[1] <= h:
                 assert t.depth[v] == lab[1], (x, v)
-                assert t.dist[v] == pytest.approx(lab[0])
+                assert tree_dist(g, t, v) == pytest.approx(lab[0])
                 # The tree path is the true shortest path: walk parents and
                 # compare against the reference parent chain via labels.
                 path = t.path_from_root(v)
@@ -63,7 +78,7 @@ def test_certified_cross_tree_consistency(kind):
     def certify(x, v):
         lab = labels[x][v]
         t = coll.trees[x]
-        return lab[1] == t.depth[v] and abs(lab[0] - t.dist[v]) < 1e-12
+        return lab[1] == t.depth[v] and abs(lab[0] - tree_dist(g, t, v)) < 1e-12
 
     coll.check_consistency(certify)
 
@@ -88,7 +103,7 @@ def test_in_collection_mirrors_reverse_distances(kind):
             lab = labels[v]
             if lab[0] < math.inf and lab[1] <= h:
                 assert t.depth[v] == lab[1]
-                assert t.dist[v] == pytest.approx(lab[0])
+                assert tree_dist(g, t, v, reverse=True) == pytest.approx(lab[0])
 
 
 def test_round_cost_linear_in_sources_and_h():
@@ -142,8 +157,10 @@ def test_copy_shares_structure_and_copies_only_flags():
     x = dup.sources[0]
     t, u = coll.trees[x], dup.trees[x]
     assert u.parent is t.parent and u.depth is t.depth
-    assert u.dist is t.dist and u.children is t.children
-    assert u.removed is not t.removed and u.removed == t.removed
+    assert u.children is t.children
+    assert dup.parent is coll.parent and dup.depth is coll.depth
+    assert not np.shares_memory(u.removed, t.removed)
+    assert u.removed.tolist() == t.removed.tolist()
     v = next(v for v in range(coll.n) if t.live(v))
     u.removed[v] = True
     assert not t.removed[v]
@@ -151,6 +168,27 @@ def test_copy_shares_structure_and_copies_only_flags():
     dup_stack, dup_live = stacked_trees(dup)
     assert dup_stack is stack
     assert not dup_live[stack.row_of[x], v] and live[stack.row_of[x], v]
+
+
+def test_compressed_build_keeps_one_store():
+    """The planes and the ``removed`` array are the only tree store."""
+    g = graph_of("er-sparse")
+    coll, _ = build_csssp(CongestNetwork(g, compress=True), g, range(g.n), 3)
+    stack, _ = stacked_trees(coll)
+    assert np.shares_memory(stack.parent, coll.parent)
+    assert np.shares_memory(stack.depth, coll.depth)
+    x = coll.sources[1]
+    i = stack.row_of[x]
+    t = coll.trees[x]
+    assert t.removed.base is coll.removed
+    v = next(v for v in range(coll.n) if t.live(v))
+    t.removed[v] = True
+    assert coll.removed[i, v]
+    _, live = stacked_trees(coll)
+    assert not live[i, v]
+    assert live.sum() == stack.member.sum() - 1
+    assert t.children == [
+        [c for c in range(coll.n) if t.parent[c] == u] for u in range(coll.n)]
 
 
 def test_reset_removals():
@@ -171,7 +209,7 @@ def test_bad_orientation_and_h_rejected():
     from repro.csssp.collection import CSSSPCollection
 
     with pytest.raises(ValueError):
-        CSSSPCollection(g, 2, {}, orientation="sideways")
+        CSSSPCollection(g, 2, [], [], [], orientation="sideways")
 
 
 @pytest.mark.parametrize("compress", [False, True])
@@ -206,7 +244,7 @@ def test_check_consistency_detects_injected_divergence():
     runs 1-0-3 while T_0 implies 0->3 is the direct edge makes the shared
     segment (0, 3) diverge.
     """
-    from repro.csssp.collection import CSSSPCollection, TreeView
+    from repro.csssp.collection import CSSSPCollection
     from repro.graphs.spec import Graph
 
     g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
@@ -219,17 +257,15 @@ def test_check_consistency_detects_injected_divergence():
                 u = parent[u]
                 d += 1
             depth[v] = d
-        children = [[] for _ in range(4)]
-        for v in range(4):
-            if parent[v] >= 0:
-                children[parent[v]].append(v)
-        return TreeView(root=root, parent=parent, depth=depth,
-                        dist=[0.0] * 4, children=children,
-                        removed=[False] * 4)
+        return root, parent, depth
+
+    def collection(h, *trees):
+        roots, parents, depths = zip(*trees)
+        return CSSSPCollection(g, h, roots, parents, depths)
 
     t0 = tree(0, [-1, 0, 1, 0])        # 0->3 is the direct edge
     t1 = tree(1, [1, -1, 1, 0])        # 1->0->3: contains segment (0, 3)
-    coll = CSSSPCollection(g, 2, {0: t0, 1: t1})
+    coll = collection(2, t0, t1)
     coll.check_tree_shape()
     coll.check_consistency()  # consistent so far: (0,3) is (0,3) in both
 
@@ -243,6 +279,6 @@ def test_check_consistency_detects_injected_divergence():
     # segment (0, 2): T_3 says 0-1-2; T_0 says 0-1-2 as well.  Use (1, 3):
     # T_1-bad: 1-2-3. Make another tree claiming 1-0-3:
     t2 = tree(2, [1, 2, -1, 0])        # paths: 2-1-0-3 => segment (1, 3) = 1-0-3
-    coll = CSSSPCollection(g, 3, {1: t1_bad, 2: t2})
+    coll = collection(3, t1_bad, t2)
     with pytest.raises(AssertionError):
         coll.check_consistency()

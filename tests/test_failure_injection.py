@@ -14,7 +14,7 @@ import pytest
 from repro.congest import CongestNetwork, NodeProgram
 from repro.congest.network import BandwidthExceeded, NotANeighbor
 from repro.csssp import build_csssp
-from repro.csssp.collection import CSSSPCollection, TreeView
+from repro.csssp.collection import CSSSPCollection
 from repro.graphs import erdos_renyi, path_graph
 from repro.graphs.spec import Graph
 from repro.blocker import BlockerParams, sampling_blocker_set
@@ -118,17 +118,10 @@ def test_blocker_verification_catches_noncover():
 
 def test_collection_rejects_malformed_tree():
     g = graph_of("er-sparse")
-    t = TreeView(
-        root=0,
-        parent=[-1] + [0] * (g.n - 1),
-        depth=[0] + [1] * (g.n - 1),
-        dist=[0.0] * g.n,
-        children=[[i for i in range(1, g.n)]] + [[] for _ in range(g.n - 1)],
-        removed=[False] * g.n,
-    )
-    coll = CSSSPCollection(g, 2, {0: t})
+    coll = CSSSPCollection(g, 2, [0], [[-1] + [0] * (g.n - 1)],
+                           [[0] + [1] * (g.n - 1)])
     coll.check_tree_shape()  # consistent so far
-    t.depth[1] = 5  # deeper than h and skipping levels
+    coll.trees[0].depth[1] = 5  # deeper than h and skipping levels
     with pytest.raises(AssertionError):
         coll.check_tree_shape()
 

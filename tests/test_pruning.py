@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import CongestNetwork
@@ -41,7 +42,7 @@ def test_sequential_removal_matches_centralized(kind):
     stats = remove_subtrees_sequential(net, coll, roots)
     ref = centralized_removed_state(base, roots)
     for x in coll.trees:
-        assert coll.trees[x].removed == ref.trees[x].removed, f"tree {x}"
+        assert np.array_equal(coll.trees[x].removed, ref.trees[x].removed), f"tree {x}"
     # Algorithm 6 cost: at most h rounds per tree with any removal work.
     assert stats.rounds <= len(coll.trees) * (coll.h + 1)
 
@@ -63,9 +64,9 @@ def test_sequential_removal_idempotent():
     coll = collection_of("er-sparse", 3).copy()
     net = CongestNetwork(g)
     remove_subtrees_sequential(net, coll, [3])
-    snapshot = {x: list(t.removed) for x, t in coll.trees.items()}
+    snapshot = {x: t.removed.tolist() for x, t in coll.trees.items()}
     stats = remove_subtrees_sequential(net, coll, [3])
-    assert {x: list(t.removed) for x, t in coll.trees.items()} == snapshot
+    assert {x: t.removed.tolist() for x, t in coll.trees.items()} == snapshot
     assert stats.rounds == 0  # nothing live to remove -> no phases run
 
 
@@ -101,7 +102,7 @@ def test_parallel_pruner_matches_sequential_and_keeps_aggregates(kind):
         removed_so_far.append(z)
         ref = centralized_removed_state(base, removed_so_far)
         for x in coll.trees:
-            assert coll.trees[x].removed == ref.trees[x].removed, (z, x)
+            assert np.array_equal(coll.trees[x].removed, ref.trees[x].removed), (z, x)
         # Aggregates stay exact for live nodes after every removal.
         for x, t in coll.trees.items():
             expect = centralized_subtree_sums(ref, x, leaf_indicators(ref, x))
@@ -125,7 +126,7 @@ def test_parallel_pruner_batch_removal_nested_roots():
     pruner.remove([2, 3])
     ref = centralized_removed_state(base, [2, 3])
     for x in coll.trees:
-        assert coll.trees[x].removed == ref.trees[x].removed
+        assert np.array_equal(coll.trees[x].removed, ref.trees[x].removed)
     def expected_totals(ref):
         totals = [0.0] * ref.n
         for x, t in ref.trees.items():
