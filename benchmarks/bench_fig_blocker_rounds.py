@@ -93,7 +93,6 @@ def test_blocker_rounds_sweep(benchmark):
         rows,
         title="F2: blocker construction rounds (h = n^{1/3}, ER graphs)",
     )
-    forced = data["Alg 2' good-set branch (force_selection)"]
     notes = "\n".join([
         render_series(
             "good-set steps / |Q| (force_selection)",

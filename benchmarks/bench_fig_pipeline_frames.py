@@ -61,7 +61,8 @@ def test_pipeline_frames(benchmark):
         ["graph", "n", "|Q|", "messages", "max node load",
          "measured rounds", "load+depth+|Q| frame shape", "n sqrt(|Q|)"],
         rows,
-        title="F8: round-robin pipeline progress (rounds ~ load + depth, not load x depth)",
+        title="F8: round-robin pipeline progress "
+              "(rounds ~ load + depth, not load x depth)",
     )
     for row in rows:
         assert row[5] <= row[6], row  # frame-style shape holds

@@ -1,4 +1,4 @@
-"""L1 — large-n throughput: rounds/sec and wall-clock vs the seed engine.
+"""L1 — large-n throughput: rounds/sec and wall-clock per execution mode.
 
 The large-n presets (``repro sweep --preset large-n``) push the
 deterministic APSP to n in the hundreds; this bench tracks the numbers
@@ -6,10 +6,9 @@ that make those sweeps feasible:
 
 * **engine throughput** — simulated CONGEST rounds per second of the full
   deterministic-APSP run, on the vectorized strict engine, the fast path,
-  the round-compressed mode (``compress=True``: batched Step-1/3/7
+  and the round-compressed mode (``compress=True``: batched Step-1/3/7
   Bellman-Ford, compressed Step-6 delivery pipeline, multi-tree
-  convergecast batches), and (at the smallest size) the frozen seed
-  engine's run loop;
+  convergecast batches), each also as a speedup over the strict engine;
 * **compressed equivalence + speedup** — the compressed run must hash
   identically to the fast run (distances, predecessors, rounds,
   messages); at n=256 it must clear >= 3x the fast path's rounds/sec;
@@ -26,8 +25,7 @@ committed ``HISTORY.jsonl`` trajectory.
 ``--smoke`` runs the CI-sized subset: the n=64 engine comparison plus a
 full n=128 deterministic-APSP run under both closure backends and all
 execution modes, asserting the records identical (the sweep smoke job
-wires this in).  The full run adds n=256 (with the speedup assertion)
-and the seed engine at n=128.
+wires this in).  The full run adds n=256 (with the speedup assertion).
 
 Usage::
 
@@ -52,14 +50,13 @@ from repro.apsp import deterministic_apsp
 from repro.experiments.registry import make_graph
 
 from _common import emit, emit_records, once
-from bench_engine_fastpath import SeedCongestNetwork
 
 SEED = 1
 SMOKE_SIZES = [64, 128]
 FULL_SIZES = [64, 128, 256]
 
-#: Engine execution modes measured per size (seed is added at the
-#: smallest size).
+#: Engine execution modes measured per size; the first is the baseline
+#: of the speedup column.
 ENGINES = ["strict", "fast", "compressed"]
 
 
@@ -79,15 +76,9 @@ def _record_hash(result) -> str:
 COMPRESSED_MIN_SPEEDUP = 3.0
 
 
-def make_net(graph, engine: str):
-    if engine == "seed":
-        return SeedCongestNetwork(graph)
-    return make_engine_net(graph, engine)
-
-
 def run_apsp(graph, engine: str, closure: str = "auto"):
     """One deterministic-APSP run; returns (result, wall seconds)."""
-    net = make_net(graph, engine)
+    net = make_engine_net(graph, engine)
     t0 = time.perf_counter()
     result = deterministic_apsp(net, graph, closure=closure)
     return result, time.perf_counter() - t0
@@ -120,21 +111,18 @@ def write_records(rows: List[dict], speedups: Dict[str, float]) -> None:
     emit_records("large_n", records)
 
 
-def large_n_report(sizes: List[int], smoke: bool):
+def large_n_report(sizes: List[int]):
     rows = []
     json_rows: List[dict] = []
     speedups: Dict[str, float] = {}
     baseline = {}
     for n in sizes:
         graph = make_graph("er", n, SEED)
-        engines = list(ENGINES)
-        if n == sizes[0] or (not smoke and n <= 128):
-            engines.insert(0, "seed")
         fast = {}
-        for engine in engines:
+        for engine in ENGINES:
             result, wall = run_apsp(graph, engine)
             rounds = result.rounds
-            if engine == "seed":
+            if engine == ENGINES[0]:
                 baseline[n] = wall
             if engine == "fast":
                 fast = {
@@ -163,12 +151,9 @@ def large_n_report(sizes: List[int], smoke: bool):
                         f"compressed rounds/sec only {speed:.2f}x of fast "
                         f"at n={n} (need >= {COMPRESSED_MIN_SPEEDUP}x)"
                     )
-            speedup = (
-                f"{baseline[n] / wall:.2f}x" if n in baseline else "--"
-            )
             rows.append([
                 n, engine, rounds, f"{wall:.2f}",
-                f"{rounds / wall:,.0f}", speedup,
+                f"{rounds / wall:,.0f}", f"{baseline[n] / wall:.2f}x",
             ])
             json_rows.append({
                 "n": n,
@@ -179,7 +164,8 @@ def large_n_report(sizes: List[int], smoke: bool):
                 "rounds_per_sec": round(rounds / wall, 1),
             })
     report = render_table(
-        ["n", "engine", "rounds", "wall (s)", "rounds/sec", "vs seed"],
+        ["n", "engine", "rounds", "wall (s)", "rounds/sec",
+         f"vs {ENGINES[0]}"],
         rows,
         title="L1: deterministic APSP at large n (er graphs; the "
               "compressed mode asserted record-identical to fast)",
@@ -208,8 +194,8 @@ def closure_equivalence_report(n: int) -> str:
     )
 
 
-def full_report(sizes: List[int], smoke: bool) -> str:
-    report, json_rows, speedups = large_n_report(sizes, smoke)
+def full_report(sizes: List[int]) -> str:
+    report, json_rows, speedups = large_n_report(sizes)
     report += "\n\n" + closure_equivalence_report(min(128, max(sizes)))
     write_records(json_rows, speedups)
     return report
@@ -218,19 +204,18 @@ def full_report(sizes: List[int], smoke: bool) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized subset (n<=128, no seed engine "
-                             "beyond the smallest size)")
+                        help="CI-sized subset (n<=128)")
     parser.add_argument("--sizes", type=int, nargs="+",
                         help="override the size ladder")
     args = parser.parse_args(argv)
     sizes = args.sizes or (SMOKE_SIZES if args.smoke else FULL_SIZES)
-    emit("large_n", full_report(sizes, args.smoke))
+    emit("large_n", full_report(sizes))
     return 0
 
 
 def test_large_n_smoke(benchmark):
     """pytest-benchmark entry: the --smoke measurement, one pass."""
-    report = once(benchmark, lambda: full_report(SMOKE_SIZES, smoke=True))
+    report = once(benchmark, lambda: full_report(SMOKE_SIZES))
     emit("large_n", report)
 
 

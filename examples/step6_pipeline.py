@@ -63,7 +63,8 @@ def main() -> None:
                 got = result.delivered[c].get(x)
                 if got is None or abs(got[0] - ref[x, c]) > 1e-9:
                     missing += 1
-    print(f"delivery check: {'all values exact' if missing == 0 else f'{missing} WRONG'}")
+    verdict = "all values exact" if missing == 0 else f"{missing} WRONG"
+    print(f"delivery check: {verdict}")
 
     _, bstats = broadcast_delivery(net, sinks, values)
     print(f"\nbroadcast strawman: {bstats.rounds} rounds "

@@ -10,7 +10,7 @@ fitted rows, so the two output styles cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 
 def render_table(
@@ -21,7 +21,8 @@ def render_table(
     """Fixed-width table with right-aligned numeric columns."""
     cells = [[_fmt(c) for c in row] for row in rows]
     widths = [
-        max(len(str(headers[j])), *(len(r[j]) for r in cells)) if cells else len(str(headers[j]))
+        max(len(str(headers[j])), *(len(r[j]) for r in cells))
+        if cells else len(str(headers[j]))
         for j in range(len(headers))
     ]
     lines = []

@@ -5,15 +5,15 @@ All of the 3-phase algorithms share one driver
 design choices the paper varies — the hop parameter ``h``, the blocker-set
 construction (Step 2), and the Step-6 delivery mechanism:
 
-========================  ==========  ===============  ============  ==================
-algorithm                 ``h``       blocker           delivery      bound
-========================  ==========  ===============  ============  ==================
-:func:`deterministic_apsp`    ``n^{1/3}``  Algorithm 2'      pipelined     ``O~(n^{4/3})`` (this paper)
-:func:`baseline_n32_apsp`     ``n^{1/2}``  greedy [2]        broadcast     ``O~(n^{3/2})`` [2]
-:func:`randomized_apsp`       ``n^{1/3}``  random sample     pipelined     ``O~(n^{4/3})`` w.h.p. [1]
-:func:`five_thirds_apsp`      ``n^{1/3}``  Algorithm 2'      broadcast     ``O~(n^{5/3})`` strawman
-:func:`naive_bf_apsp`         --           --                --            ``O(n \\cdot D_{hops})``
-========================  ==========  ===============  ============  ==================
+========================== =========== ============ ========= ==========================
+algorithm                  ``h``       blocker      delivery  bound
+========================== =========== ============ ========= ==========================
+:func:`deterministic_apsp` ``n^{1/3}`` Algorithm 2' pipelined ``O~(n^{4/3})`` this paper
+:func:`baseline_n32_apsp`  ``n^{1/2}`` greedy [2]   broadcast ``O~(n^{3/2})`` [2]
+:func:`randomized_apsp`    ``n^{1/3}`` sampling     pipelined ``O~(n^{4/3})`` w.h.p. [1]
+:func:`five_thirds_apsp`   ``n^{1/3}`` Algorithm 2' broadcast ``O~(n^{5/3})`` strawman
+:func:`naive_bf_apsp`      --          --           --        ``O(n \\cdot D_{hops})``
+========================== =========== ============ ========= ==========================
 """
 
 from repro.apsp.result import APSPResult, CertificateError, certify

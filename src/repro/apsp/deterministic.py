@@ -23,7 +23,6 @@ def deterministic_apsp(
     h: Optional[int] = None,
     params: Optional[BlockerParams] = None,
     closure: str = "auto",
-    compress: Optional[bool] = None,
 ) -> APSPResult:
     """The paper's algorithm (deterministic, ``O~(n^{4/3})`` rounds)."""
     return three_phase_apsp(
@@ -35,7 +34,6 @@ def deterministic_apsp(
         params=params,
         algorithm="det-n43",
         closure=closure,
-        compress=compress,
     )
 
 

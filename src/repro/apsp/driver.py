@@ -66,16 +66,15 @@ def three_phase_apsp(
     params: Optional[BlockerParams] = None,
     algorithm: str = "",
     closure: str = "auto",
-    compress: Optional[bool] = None,
 ) -> APSPResult:
     """Run Algorithm 1 with the given hop budget / Step 2 / Step 6 choices.
 
     ``closure`` selects the Step-5 backend (:mod:`repro.apsp.closure`):
-    ``"auto"`` / ``"numpy"`` / ``"python"``.  ``compress`` (when given)
-    sets the network's round-compressed mode for the fixed-schedule
-    phases (:mod:`repro.congest.compressed`).  Closure backends and
-    execution modes all produce bit-identical records and round counts,
-    so the choices only affect wall-clock time.
+    ``"auto"`` / ``"numpy"`` / ``"python"``.  The network's ``compress``
+    flag picks the execution tier of the fixed-schedule phases
+    (:mod:`repro.congest.compressed`).  Closure backends and execution
+    tiers all produce bit-identical records and round counts, so the
+    choices only affect wall-clock time.
     """
     if blocker not in BLOCKERS:
         raise ValueError(f"unknown blocker strategy {blocker!r}")
@@ -83,8 +82,6 @@ def three_phase_apsp(
         raise ValueError(f"unknown delivery strategy {delivery!r}")
     if closure not in CLOSURE_BACKENDS:
         raise ValueError(f"unknown closure backend {closure!r}")
-    if compress is not None:
-        net.compress = bool(compress)
     n = graph.n
     log = PhaseLog()
     meta: Dict[str, object] = {

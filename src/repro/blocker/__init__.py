@@ -25,7 +25,11 @@ spaces), :mod:`~repro.blocker.verify` (centralized coverage checking).
 
 from repro.blocker.derandomized import deterministic_blocker_set
 from repro.blocker.greedy import greedy_blocker_set
-from repro.blocker.randomized import BlockerParams, BlockerResult, randomized_blocker_set
+from repro.blocker.randomized import (
+    BlockerParams,
+    BlockerResult,
+    randomized_blocker_set,
+)
 from repro.blocker.sampling import sampling_blocker_set
 from repro.blocker.setcover import (
     Hypergraph,

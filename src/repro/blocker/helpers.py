@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -153,7 +153,6 @@ def compute_vi_counts(
     coll: CSSSPCollection,
     vi: Set[int],
     label: str = "compute-pij",
-    compress: Optional[bool] = None,
 ) -> Tuple[PathCounts, RoundStats]:
     """Per-path ``V_i``-member counts for every live length-``h`` path.
 
@@ -161,10 +160,8 @@ def compute_vi_counts(
     depth>=1 nodes in ``vi`` on the root-to-``counts.leaf[k]`` path of
     ``T_{xs[row[k]]}``.  One ``O(h)``-round flood per tree
     (Algorithms 3/4; Lemmas 3.3/3.4), ``O(|S| \\cdot h)`` in total.
-    ``compress`` selects the round-compressed execution mode (default:
-    the network's setting).
     """
-    if net.use_compressed(compress) and coll.trees:
+    if net.compress and coll.trees:
         counts, stats = net.run_compressed(
             _CompressedViCountBatch(coll, vi, label))
         stats.label = label
@@ -304,7 +301,6 @@ def collect_ancestors(
     net: CongestNetwork,
     coll: CSSSPCollection,
     label: str = "ancestors",
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, Dict[int, List[int]]], RoundStats]:
     """Every live node learns the ids on its root path, in every tree.
 
@@ -312,14 +308,11 @@ def collect_ancestors(
     of ``v`` in ``T_x`` ordered root-first (so the hyperedge ending at leaf
     ``v`` is ``anc[x][v][1:] + [v]``).  ``O(h)`` rounds per tree — each
     edge forwards one record per round and carries at most ``h`` of them.
-    ``compress`` selects the round-compressed execution mode (default:
-    the network's setting).
     """
-    compressed = net.use_compressed(compress)
     total = RoundStats(label=label)
     anc: Dict[int, Dict[int, List[int]]] = {}
     for x, t in coll.trees.items():
-        if compressed:
+        if net.compress:
             per_node, stats = net.run_compressed(
                 _CompressedAncestors(coll, x, f"{label}({x})")
             )

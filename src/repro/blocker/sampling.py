@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork

@@ -177,17 +177,15 @@ def subtree_sums(
     x: int,
     values: Sequence[float],
     label: str = "",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[float], RoundStats]:
     """Per-node live-subtree sums of ``values`` in tree ``T_x``.
 
     Returns ``sums`` with ``sums[v] = sum(values[u] for u in live
     subtree(v))`` for live ``v`` (0 elsewhere), in at most ``h + 1``
-    rounds.  ``compress`` selects the round-compressed execution mode
-    (default: the network's setting).
+    rounds.
     """
     label = label or f"subtree-sums({x})"
-    if net.use_compressed(compress):
+    if net.compress:
         stack, _live = stacked_trees(coll)
         i = stack.row_of[x]
         full = np.zeros(stack.shape)
@@ -219,7 +217,6 @@ def compute_scores(
     net: CongestNetwork,
     coll: CSSSPCollection,
     label: str = "scores",
-    compress: Optional[bool] = None,
     per_tree: bool = True,
 ) -> Tuple[List[float], Dict[int, List[float]], RoundStats]:
     """``score(v)`` for every node plus the per-tree leaf-count aggregates.
@@ -232,7 +229,7 @@ def compute_scores(
     rescore loop of Algorithm 2 only reads the totals) and returns an
     empty dict in their place.
     """
-    if net.use_compressed(compress) and coll.trees:
+    if net.compress and coll.trees:
         stack, live = stacked_trees(coll)
         score, stats = net.run_compressed(_CompressedPathCountBatch(
             coll, live.ravel()[stack.leaves], label))
@@ -249,7 +246,6 @@ def compute_scores(
     for x in coll.trees:
         sums, stats = subtree_sums(
             net, coll, x, leaf_indicators(coll, x), label=f"{label}({x})",
-            compress=compress,
         )
         total.merge(stats)
         if per_tree:
@@ -266,7 +262,6 @@ def compute_score_ij(
     coll: CSSSPCollection,
     pij_leaf: Dict[int, List[int]],
     label: str = "score-ij",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[float], RoundStats]:
     """``score_ij(v)`` — live paths in ``P_ij`` through ``v`` (Step 8, Alg. 2).
 
@@ -274,7 +269,7 @@ def compute_score_ij(
     (each leaf knows this locally after Compute-Pij).  Same convergecast as
     :func:`compute_scores`, ``O(|S| \\cdot h)`` rounds.
     """
-    if net.use_compressed(compress) and any(pij_leaf.values()):
+    if net.compress and any(pij_leaf.values()):
         stack, live = stacked_trees(coll)
         n = stack.n
         rows = np.zeros(stack.shape[0], dtype=bool)
@@ -302,8 +297,7 @@ def compute_score_ij(
             values[leaf] = 1.0
         if not pij_leaf.get(x):
             continue
-        sums, stats = subtree_sums(net, coll, x, values, label=f"{label}({x})",
-                                   compress=compress)
+        sums, stats = subtree_sums(net, coll, x, values, label=f"{label}({x})")
         total.merge(stats)
         t = coll.trees[x]
         for v in range(coll.n):

@@ -153,13 +153,12 @@ class CongestNetwork:
         returned stats (off by default: it is the one remaining per-send
         dict update).
     compress:
-        Default execution mode for fixed-schedule phases: when true, the
-        ported primitives run round-compressed (see
+        Execution tier for fixed-schedule phases: when true, the ported
+        primitives run round-compressed (see
         :mod:`repro.congest.compressed` and :meth:`run_compressed`)
-        instead of through the message engine.  Each primitive also takes
-        a per-call ``compress`` override, analogous to how ``strict``
-        selects the validation path globally.  Results and
-        :class:`RoundStats` are bit-identical in both modes; adaptive
+        instead of through the message engine.  This flag is the only
+        tier selector; every primitive branches on it directly.  Results
+        and :class:`RoundStats` are bit-identical in both tiers; adaptive
         phases always use the engine regardless of this flag.  Primitives
         over many sources or trees (multi-source Bellman-Ford, the
         multi-tree convergecasts, the Step-6 delivery pipeline) replay
@@ -257,10 +256,6 @@ class CongestNetwork:
         return self._adj[v]
 
     # ------------------------------------------------------------------
-    def use_compressed(self, override: Optional[bool] = None) -> bool:
-        """Resolve a primitive's per-call ``compress`` flag against the default."""
-        return self.compress if override is None else bool(override)
-
     def run_compressed(self, phase, label: str = ""):
         """Execute a fixed-schedule phase analytically (no messages).
 
@@ -369,7 +364,6 @@ class CongestNetwork:
             rounds.clear()
             return
 
-        n = self.n
         # One C-level transpose exposes sources and payloads of every
         # buffered message without a per-message Python step.
         src_col, _kind_col, payloads = zip(*chain.from_iterable(flat_boxes))

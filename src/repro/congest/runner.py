@@ -10,7 +10,7 @@ orchestrator can read out the local states the phase computed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork

@@ -162,18 +162,16 @@ def build_csssp(
     h: int,
     orientation: str = "out",
     label: str = "csssp",
-    compress: Optional[bool] = None,
 ) -> Tuple[CSSSPCollection, RoundStats]:
     """Build the ``h``-CSSSP (out) or ``h``-in-CSSSP for ``sources``.
 
     Returns the collection plus the composed round stats of every
-    construction phase.  ``compress`` selects the round-compressed
-    execution mode (default: the network's setting).  Compressed, the
-    construction reads the :class:`SSSPBatch` planes directly: the
-    truncation is one top-down wave over all trees (:class:`_KeptWave`)
-    and each phase family — the Bellman-Ford runs, the kept floods, the
-    children notifications — is charged once, as the sum of its
-    per-source schedules.  The kept parent and depth planes become the
+    construction phase.  On a compressing network the construction
+    reads the :class:`SSSPBatch` planes directly: the truncation is one
+    top-down wave over all trees (:class:`_KeptWave`) and each phase
+    family — the Bellman-Ford runs, the kept floods, the children
+    notifications — is charged once, as the sum of its per-source
+    schedules.  The kept parent and depth planes become the
     collection's store as they are; the engine path stacks its per-source
     rows once.
     """
@@ -186,11 +184,10 @@ def build_csssp(
     batch = bellman_ford_many(
         net, graph, source_list, h=2 * h, reverse=reverse,
         labels=[f"{label}-bf({x})" for x in source_list],
-        compress=compress,
     )
     total = batch.total(label)
 
-    if net.use_compressed(compress):
+    if net.compress:
         kept, stats = net.run_compressed(_KeptWave(batch, h, f"{label}-trunc"))
         total.merge(stats)
         parent = np.where(kept, batch.parent, -1)
@@ -206,8 +203,7 @@ def build_csssp(
         programs = [_TruncateProgram(v, graph, res, h) for v in range(graph.n)]
         total.merge(net.run(programs, label=f"{label}-trunc({x})"))
         parent = [res.parent[v] if p.kept else -1 for v, p in enumerate(programs)]
-        _, nstats = notify_children(net, parent, label=f"{label}-kids({x})",
-                                    compress=False)
+        _, nstats = notify_children(net, parent, label=f"{label}-kids({x})")
         total.merge(nstats)
         parents.append(parent)
         depths.append([res.hops[v] if p.kept else -1

@@ -155,19 +155,17 @@ def remove_subtrees_sequential(
     coll: CSSSPCollection,
     roots: Iterable[int],
     label: str = "remove-subtrees",
-    compress: Optional[bool] = None,
 ) -> RoundStats:
     """Algorithm 6: detach subtrees rooted at ``roots`` in every tree.
 
     A root is removed from tree ``T_x`` only where it sits at depth >= 1
     (a node never "covers" the paths of its own tree from the root slot).
-    One flood phase per source, ``O(h)`` rounds each.  ``compress``
-    selects the round-compressed execution mode (default: the network's
-    setting), which runs every tree's flood as one phase.
+    One flood phase per source, ``O(h)`` rounds each; round-compressed,
+    every tree's flood runs as one phase.
     """
     rootset = sorted(set(roots))
     total = RoundStats(label=label)
-    if net.use_compressed(compress):
+    if net.compress:
         phase = _CompressedSubtreeRemove(coll, rootset, label)
         if phase.starts.size:
             _, stats = net.run_compressed(phase)
@@ -412,17 +410,15 @@ class ParallelPruner:
                 if t.live(v) and t.depth[v] >= 1:
                     self.totals[v] += values[v]
 
-    def remove(self, roots: Sequence[int], label: str = "prune",
-               compress: Optional[bool] = None) -> RoundStats:
+    def remove(self, roots: Sequence[int], label: str = "prune") -> RoundStats:
         """Detach the subtrees of ``roots`` in every tree, updating aggregates.
 
         ``O(|S| + h)`` rounds per call (one subtraction per tree climbs at
         most ``h`` edges; per-edge FIFOs drain one notice per round).
-        ``compress`` selects the round-compressed exact replay (default:
-        the network's setting).
+        On a compressing network the removal is an exact replay.
         """
         rootset = tuple(sorted(set(roots)))
-        if self.net.use_compressed(compress):
+        if self.net.compress:
             _, stats = self.net.run_compressed(
                 _CompressedParallelPrune(self, rootset, label)
             )

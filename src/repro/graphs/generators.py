@@ -193,7 +193,6 @@ def barabasi_albert(
     draw = _weights(rng, wrange, integer, 0.0, dist)
     if n < 2:
         return Graph(n, [], seed=seed, name=f"ba(n={n})")
-    targets = [0]
     pairs = set()
     repeated: list = [0]
     for v in range(1, n):

@@ -106,7 +106,9 @@ def h_hop_distances(
     return cur
 
 
-def h_hop_labels(graph: Graph, source: int, h: int, reverse: bool = False) -> List[Cost]:
+def h_hop_labels(
+    graph: Graph, source: int, h: int, reverse: bool = False
+) -> List[Cost]:
     """Tie-broken ``h``-hop labels from (or to, if ``reverse``) ``source``.
 
     The centralized mirror of the distributed ``h``-hop Bellman-Ford in

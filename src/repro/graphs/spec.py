@@ -59,9 +59,9 @@ def quantize_weight(w: float) -> float:
 
 def _mix(a: int, b: int, seed: int) -> int:
     """SplitMix64-style deterministic hash of an edge, truncated to 48 bits."""
-    z = (a * 0x9E3779B97F4A7C15 + b * 0xBF58476D1CE4E5B9 + seed * 0x94D049BB133111EB) & (
-        (1 << 64) - 1
-    )
+    z = (
+        a * 0x9E3779B97F4A7C15 + b * 0xBF58476D1CE4E5B9 + seed * 0x94D049BB133111EB
+    ) & ((1 << 64) - 1)
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
     z ^= z >> 27
@@ -98,7 +98,9 @@ class Graph:
         Optional label used by benchmark reports.
     """
 
-    __slots__ = ("n", "directed", "name", "seed", "_edges", "_out", "_in", "_und", "_tb")
+    __slots__ = (
+        "n", "directed", "name", "seed", "_edges", "_out", "_in", "_und", "_tb"
+    )
 
     def __init__(
         self,

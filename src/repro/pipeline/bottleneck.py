@@ -59,14 +59,13 @@ def message_counts(
     net: CongestNetwork,
     coll: CSSSPCollection,
     label: str = "compute-count",
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, List[float]], RoundStats]:
     """Algorithm 14 for every tree: ``count_{v,c}`` = live subtree size.
 
     One fixed-schedule subtree-sum convergecast per tree; compressed, all
     of them evaluate as a single stacked phase.
     """
-    if net.use_compressed(compress) and coll.trees:
+    if net.compress and coll.trees:
         stack, live = stacked_trees(coll)
         acc, stats = batched_subtree_sums(net, coll, live, label)
         stats.label = label
@@ -75,8 +74,7 @@ def message_counts(
     counts: Dict[int, List[float]] = {}
     for c, t in coll.trees.items():
         ones = [1.0 if t.live(v) else 0.0 for v in range(coll.n)]
-        sums, stats = subtree_sums(net, coll, c, ones, label=f"{label}({c})",
-                                   compress=False)
+        sums, stats = subtree_sums(net, coll, c, ones, label=f"{label}({c})")
         total.merge(stats)
         counts[c] = sums
     return counts, total
@@ -87,15 +85,12 @@ def compute_bottleneck(
     coll: CSSSPCollection,
     threshold: Optional[float] = None,
     label: str = "bottleneck",
-    compress: Optional[bool] = None,
 ) -> BottleneckResult:
     """Algorithm 13: find and remove the bottleneck set ``B``.
 
     ``threshold`` defaults to the paper's ``n \\sqrt{|Q|}``; benches lower
     it to exercise multi-pick runs on small graphs.  Mutates ``coll``
-    (subtrees of chosen nodes are detached).  ``compress`` selects the
-    round-compressed execution of every sub-phase (default: the
-    network's setting).
+    (subtrees of chosen nodes are detached).
     """
     n = coll.n
     q = len(coll.trees)
@@ -103,11 +98,11 @@ def compute_bottleneck(
         threshold = n * math.sqrt(q)
     log = PhaseLog()
 
-    counts, stats = message_counts(net, coll, compress=compress)  # Step 1
+    counts, stats = message_counts(net, coll)  # Step 1
     log.add("compute-counts", stats)
     pruner = ParallelPruner(net, coll, counts)  # Step 2 totals
 
-    bfs, stats = build_bfs_tree(net, compress=compress)
+    bfs, stats = build_bfs_tree(net)
     log.add("bfs-tree", stats)
 
     bottlenecks: List[int] = []
@@ -119,7 +114,7 @@ def compute_bottleneck(
             for v in range(n)
         ]
         received, stats = gather_and_broadcast(
-            net, bfs, items, label="broadcast-counts", compress=compress
+            net, bfs, items, label="broadcast-counts"
         )
         log.add("broadcast-counts", stats)
         view = received[bfs.root]
@@ -130,8 +125,7 @@ def compute_bottleneck(
         _best_total, b = max(over, key=lambda tv: (tv[0], -tv[1]))
         bottlenecks.append(b)
         # Step 6: detach b's subtrees everywhere and patch counts.
-        stats = pruner.remove([b], label="bottleneck-prune",
-                              compress=compress)
+        stats = pruner.remove([b], label="bottleneck-prune")
         log.add("bottleneck-prune", stats)
 
     return BottleneckResult(

@@ -11,8 +11,7 @@ experiment F4 and the delivery step of the ``O~(n^{3/2})`` APSP of [2]
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -27,19 +26,15 @@ def broadcast_delivery(
     q_nodes: Sequence[int],
     values: Sequence[Dict[int, Cost]],
     label: str = "broadcast-delivery",
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, Dict[int, Cost]], RoundStats]:
     """Deliver ``values[x][c]`` to every ``c`` by broadcasting all of them.
 
     ``values[x]`` maps blocker node -> the finite value triple held at
     ``x`` (see :mod:`repro.pipeline.values`; infinite / absent entries are
     not sent).  Returns ``delivered[c][x]`` and the phase stats.
-    ``compress`` selects the round-compressed execution of the underlying
-    BFS-tree build and Lemma A.2 broadcast (default: the network's
-    setting).
     """
     total = RoundStats(label=label)
-    bfs, stats = build_bfs_tree(net, compress=compress)
+    bfs, stats = build_bfs_tree(net)
     total.merge(stats)
     qset = set(q_nodes)
     items: List[List[tuple]] = []
@@ -49,8 +44,7 @@ def broadcast_delivery(
             if c in qset and is_finite(val):
                 row.append((x, c) + tuple(val))
         items.append(row)
-    received, stats = gather_and_broadcast(net, bfs, items, label=label,
-                                           compress=compress)
+    received, stats = gather_and_broadcast(net, bfs, items, label=label)
     total.merge(stats)
     delivered: Dict[int, Dict[int, Cost]] = {c: {} for c in q_nodes}
     # Each blocker node keeps the records addressed to it (local filtering).

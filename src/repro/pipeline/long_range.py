@@ -35,7 +35,6 @@ def long_range_delivery(
     cq: CSSSPCollection,
     params: Optional[BlockerParams] = None,
     label: str = "long-range",
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, Dict[int, float]], List[int], PhaseLog]:
     """Algorithm 8 Steps 2-5 on the prebuilt ``n^{2/3}``-in-CSSSP ``cq``.
 
@@ -43,9 +42,6 @@ def long_range_delivery(
     the relayed value ``min_{c'} delta(x, c') + delta(c', c)`` — exact
     whenever the true path passes through ``Q'``, an upper bound otherwise
     (the orchestrator min-combines with Algorithm 9's candidates).
-    ``compress`` selects the round-compressed replay of the relay-join
-    phases (default: the network's setting); the Step-2 blocker
-    construction follows the network's mode.
     """
     log = PhaseLog()
     bres = deterministic_blocker_set(net, cq, params)  # Step 2
@@ -53,7 +49,6 @@ def long_range_delivery(
     q_prime = sorted(bres.blockers)
     candidates = relay_join(  # Steps 3-5
         net, graph, q_prime, cq.sources, log, label="qprime",
-        compress=compress,
     )
     return candidates, q_prime, log
 

@@ -20,8 +20,7 @@ with other delivery mechanisms.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork
@@ -39,28 +38,23 @@ def relay_join(
     sinks: Sequence[int],
     log: PhaseLog,
     label: str = "relay",
-    compress: Optional[bool] = None,
 ) -> Dict[int, Dict[int, Cost]]:
     """Deliver ``min_r delta(x, r) + delta(r, c)`` to every sink ``c``.
 
     Values are full lexicographic triples (see
     :mod:`repro.pipeline.values`); a broadcast item is ``(x, r, d, k, tb)``
     — five CONGEST words.  Appends its phases to ``log`` and returns
-    ``candidates[c][x]`` (finite entries only).  ``compress`` selects the
-    round-compressed execution of the per-relay SSSPs (batched through
-    the lockstep solver when available) and of the broadcast (default:
-    the network's setting).
+    ``candidates[c][x]`` (finite entries only).  On a compressing
+    network the per-relay SSSPs are batched through the lockstep solver.
     """
     relay_list = list(relays)
     ins = bellman_ford_many(
         net, graph, relay_list, reverse=True,
         labels=[f"{label}-in({r})" for r in relay_list],
-        compress=compress,
     )
     outs = bellman_ford_many(
         net, graph, relay_list, reverse=False,
         labels=[f"{label}-out({r})" for r in relay_list],
-        compress=compress,
     )
     lab_to_r: Dict[int, List[Cost]] = {r: res.label
                                        for r, res in zip(relay_list, ins)}
@@ -68,7 +62,7 @@ def relay_join(
                                          for r, res in zip(relay_list, outs)}
     log.add(f"{label}-ssps", ins.total().merge(outs.total()))
 
-    bfs, stats = build_bfs_tree(net, compress=compress)
+    bfs, stats = build_bfs_tree(net)
     log.add(f"{label}-bfs", stats)
     items: List[List[tuple]] = []
     for x in range(net.n):
@@ -79,8 +73,7 @@ def relay_join(
                 row.append((x, r) + lab)
         items.append(row)
     received, stats = gather_and_broadcast(net, bfs, items,
-                                           label=f"{label}-bcast",
-                                           compress=compress)
+                                           label=f"{label}-bcast")
     log.add(f"{label}-bcast", stats)
 
     candidates: Dict[int, Dict[int, Cost]] = {c: {} for c in sinks}

@@ -13,8 +13,8 @@ path-realizable upper bounds, so the minimum is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.congest.metrics import PhaseLog, RoundStats
 from repro.congest.network import CongestNetwork
@@ -54,15 +54,12 @@ def reversed_qsink(
     h2: Optional[int] = None,
     params: Optional[BlockerParams] = None,
     bottleneck_threshold: Optional[float] = None,
-    compress: Optional[bool] = None,
 ) -> QSinkResult:
     """Deliver ``values[x][c]`` (exact ``delta(x, c)`` held at ``x``) to ``c``.
 
     ``h2`` is the case split (default ``ceil(n^{2/3})``).  The second-level
     blocker parameters and the bottleneck threshold are exposed for the
-    component benchmarks.  ``compress`` selects the round-compressed
-    replay of the whole delivery pipeline (default: the network's
-    setting).
+    component benchmarks.
     """
     n = graph.n
     if h2 is None:
@@ -72,20 +69,17 @@ def reversed_qsink(
     # Shared Step 1 (Algorithm 8 Step 1 / Algorithm 9 input): C_Q.
     cq, stats = build_csssp(
         net, graph, sorted(q_nodes), h2, orientation="in", label="cq",
-        compress=compress,
     )
     log.add("cq-csssp", stats)
 
     # Case (i): hops > n^{2/3} (Algorithm 8).
-    far, q_prime, sublog = long_range_delivery(net, graph, cq, params=params,
-                                               compress=compress)
+    far, q_prime, sublog = long_range_delivery(net, graph, cq, params=params)
     for entry in sublog:
         log.add(f"alg8/{entry[0]}", entry[1])
 
     # Case (ii): hops <= n^{2/3} (Algorithm 9; prunes cq in place).
     near, bres, trace, sublog = short_range_delivery(
         net, graph, cq, values, threshold=bottleneck_threshold,
-        compress=compress,
     )
     for entry in sublog:
         log.add(f"alg9/{entry[0]}", entry[1])

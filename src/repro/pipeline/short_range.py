@@ -205,7 +205,6 @@ def round_robin_pipeline(
     values: Sequence[Dict[int, Cost]],
     label: str = "round-robin",
     schedule_seed: Optional[int] = None,
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, Dict[int, Cost]], RoundStats, PipelineTrace]:
     """Steps 7-9: push every live node's values up the pruned in-trees.
 
@@ -220,9 +219,8 @@ def round_robin_pipeline(
     instead of the shared sorted order.  Delivery stays exact; only the
     round schedule differs, so the F4 bench can compare the two heads-up.
 
-    ``compress`` selects the round-compressed count-level replay
-    (default: the network's setting) — results and
-    stats bit-identical to the message-level run.
+    On a compressing network the phase is a count-level replay, with
+    results and stats bit-identical to the message-level run.
     """
     order = sorted(coll.trees.keys())
     if schedule_seed is None:
@@ -235,7 +233,7 @@ def round_robin_pipeline(
             local = list(order)
             _random.Random(schedule_seed * 1_000_003 + v).shuffle(local)
             orders.append(local)
-    if net.use_compressed(compress):
+    if net.compress:
         phase = _CompressedRoundRobin(coll, values, orders, label)
         delivered, stats = net.run_compressed(phase, label=label)
         trace = PipelineTrace(
@@ -282,27 +280,20 @@ def short_range_delivery(
     values: Sequence[Dict[int, Cost]],
     threshold: Optional[float] = None,
     label: str = "short-range",
-    compress: Optional[bool] = None,
 ) -> Tuple[Dict[int, Dict[int, Cost]], BottleneckResult, PipelineTrace, PhaseLog]:
     """Algorithm 9 end to end on the prebuilt (and mutated) ``cq``.
 
     Returns ``(candidates, bottleneck_result, trace, log)``;
     ``candidates[c][x]`` min-combines the bottleneck-relay values (Steps
-    2-4) with the pipelined deliveries (Steps 7-9).  ``compress``
-    selects the round-compressed replay of every sub-phase (default:
-    the network's setting).
+    2-4) with the pipelined deliveries (Steps 7-9).
     """
     log = PhaseLog()
-    bres = compute_bottleneck(net, cq, threshold=threshold,
-                              compress=compress)  # Steps 1 + 5
+    bres = compute_bottleneck(net, cq, threshold=threshold)  # Steps 1 + 5
     log.add("bottleneck", bres.stats)
     candidates = relay_join(  # Steps 2-4
         net, graph, bres.bottlenecks, cq.sources, log, label="bneck",
-        compress=compress,
     )
-    delivered, stats, trace = round_robin_pipeline(
-        net, cq, values, compress=compress
-    )  # Steps 7-9
+    delivered, stats, trace = round_robin_pipeline(net, cq, values)  # Steps 7-9
     log.add("round-robin", stats)
     for c, sink in delivered.items():
         row = candidates.setdefault(c, {})

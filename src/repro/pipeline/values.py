@@ -16,7 +16,7 @@ references (used by standalone Step-6 tests and benchmarks).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.graphs.reference import h_hop_labels
 from repro.graphs.spec import Cost, Graph, INF_COST

@@ -386,12 +386,13 @@ def _lex_winners(g: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
     """Index of each receiver's first lexicographically minimal candidate.
 
     ``g`` names each candidate's receiver and ``keys`` its label words
-    (float weight, then int64 hops and tie-break), all in delivery order.  A stable sort on
-    ``g`` makes each receiver's candidates one contiguous segment still
-    in delivery order; segmented minima then narrow every segment to
-    its weight ties, those to their hop ties, those to their tie-break
-    ties, and the first survivor wins — exactly the candidate a full
-    lexicographic sort on ``(g, weight, hops, tb, position)`` puts first.
+    (float weight, then int64 hops and tie-break), all in delivery
+    order.  A stable sort on ``g`` makes each receiver's candidates one
+    contiguous segment still in delivery order; segmented minima then
+    narrow every segment to its weight ties, those to their hop ties,
+    those to their tie-break ties, and the first survivor wins —
+    exactly the candidate a full lexicographic sort on
+    ``(g, weight, hops, tb, position)`` puts first.
     Returns winner indices in ascending receiver order.
     """
     lo = g.min()
@@ -673,7 +674,6 @@ def bellman_ford_many(
     inits_per_source: Optional[Sequence[Optional[Dict[int, Cost]]]] = None,
     fill_equal_parent: bool = False,
     labels: Optional[Sequence[str]] = None,
-    compress: Optional[bool] = None,
 ) -> SSSPBatch:
     """Run one Bellman-Ford phase per source; return them as one batch.
 
@@ -701,13 +701,13 @@ def bellman_ford_many(
         or f"bf(src={s},h={h},{'in' if reverse else 'out'})"
         for i, s in enumerate(sources)
     ]
-    if not net.use_compressed(compress):
+    if not net.compress:
         runs = [
             bellman_ford(
                 net, graph, s, h=h, reverse=reverse,
                 inits=inits_per_source[i],
                 fill_equal_parent=fill_equal_parent,
-                label=phase_labels[i], compress=False,
+                label=phase_labels[i],
             )
             for i, s in enumerate(sources)
         ]
@@ -756,7 +756,6 @@ def bellman_ford(
     inits: Optional[Dict[int, Cost]] = None,
     fill_equal_parent: bool = False,
     label: str = "",
-    compress: Optional[bool] = None,
 ) -> SSSPResult:
     """Run one distributed (in- or out-) ``h``-hop Bellman-Ford phase.
 
@@ -776,14 +775,12 @@ def bellman_ford(
 
     Round cost: at most ``h + 1`` engine rounds (Lemma A.4's per-source
     ``O(h)``), message cost at most one label per directed edge per round.
-    ``compress`` selects the round-compressed execution mode (default:
-    the network's setting).
     """
-    if net.use_compressed(compress):
+    if net.compress:
         return bellman_ford_many(
             net, graph, [source], h=h, reverse=reverse,
             inits_per_source=[inits], fill_equal_parent=fill_equal_parent,
-            labels=[label], compress=True,
+            labels=[label],
         )[0]
     if h is None:
         h = graph.n - 1
@@ -866,7 +863,6 @@ class _CompressedNotifyChildren(CompressedPhase):
 
 def notify_children(
     net: CongestNetwork, parent: Sequence[int], label: str = "notify-children",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[List[int]], RoundStats]:
     """Make children lists local knowledge for one tree (1 round, 1 msg/edge).
 
@@ -874,7 +870,7 @@ def notify_children(
     a parent does not know its children; tree-flood algorithms (Compute-Pi,
     Remove-Subtrees, the count convergecasts) need them.  One round per tree.
     """
-    if net.use_compressed(compress):
+    if net.compress:
         parents = np.asarray(parent, dtype=np.int64).reshape(1, net.n)
         _, stats = net.run_compressed(_CompressedNotifyChildren(parents, label))
         children: List[List[int]] = [[] for _ in range(net.n)]

@@ -226,16 +226,15 @@ class _CompressedTreeWave(CompressedPhase):
 
 
 def build_bfs_tree(
-    net: CongestNetwork, root: int = 0, compress: Optional[bool] = None
+    net: CongestNetwork, root: int = 0
 ) -> Tuple[BFSTree, RoundStats]:
     """Build a BFS tree rooted at ``root`` and make ``height`` local knowledge.
 
     Round cost: ``O(D)`` (flooding) plus ``O(D)`` for the height
     convergecast/downcast — well inside the ``O(n)`` the paper charges for
-    its BFS-tree step (Lemma 3.12 proof).  ``compress`` selects the
-    round-compressed execution mode (default: the network's setting).
+    its BFS-tree step (Lemma 3.12 proof).
     """
-    if net.use_compressed(compress):
+    if net.compress:
         return _build_bfs_tree_compressed(net, root)
     programs = [_BFSProgram(v, root) for v in range(net.n)]
     stats = net.run(programs, label="bfs-tree")

@@ -169,17 +169,14 @@ def gather_and_broadcast(
     tree: BFSTree,
     items_per_node: Sequence[Sequence[tuple]],
     label: str = "broadcast-all",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[List[tuple]], RoundStats]:
     """Every node contributes items; afterwards every node knows all items.
 
     The engine-level realization of Lemma A.2 (and of Lemma A.1 when only
     one node contributes).  Returns per-node received lists (identical
-    content, root-determined order) and the phase stats.  ``compress``
-    selects the round-compressed execution mode (default: the network's
-    setting).
+    content, root-determined order) and the phase stats.
     """
-    if net.use_compressed(compress):
+    if net.compress:
         return net.run_compressed(
             _CompressedGatherBroadcast(tree, items_per_node, label)
         )
@@ -200,13 +197,11 @@ def broadcast_from_root(
     tree: BFSTree,
     items: Sequence[tuple],
     label: str = "broadcast-root",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[List[tuple]], RoundStats]:
     """Lemma A.1 specialized to the tree root: downcast ``k`` items."""
     per_node: List[Sequence[tuple]] = [[] for _ in range(net.n)]
     per_node[tree.root] = list(items)
-    return gather_and_broadcast(net, tree, per_node, label=label,
-                                compress=compress)
+    return gather_and_broadcast(net, tree, per_node, label=label)
 
 
 __all__ = ["broadcast_from_root", "gather_and_broadcast"]

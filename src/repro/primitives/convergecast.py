@@ -123,16 +123,13 @@ def aggregate_and_broadcast(
     values: Sequence[Value],
     combine: Callable[[Value, Value], Value],
     label: str = "aggregate",
-    compress: Optional[bool] = None,
 ) -> Tuple[Value, RoundStats]:
     """Combine one constant-size tuple per node; everyone learns the result.
 
     ``combine`` must be associative and commutative (sum, max, lexicographic
-    max-with-id, ...).  Cost: at most ``2·height + 2`` rounds.  ``compress``
-    selects the round-compressed execution mode (default: the network's
-    setting).
+    max-with-id, ...).  Cost: at most ``2·height + 2`` rounds.
     """
-    if net.use_compressed(compress):
+    if net.compress:
         return net.run_compressed(
             _CompressedAggregate(tree, values, combine, label)
         )
@@ -293,20 +290,17 @@ def pipelined_vector_sum(
     vectors: Sequence[Sequence[float]],
     broadcast_result: bool = False,
     label: str = "pipelined-sum",
-    compress: Optional[bool] = None,
 ) -> Tuple[List[float], RoundStats]:
     """Sum per-node vectors component-wise at the root (Algorithms 11/12).
 
     Cost: ``height + N`` rounds for ``N`` components, plus another
     ``height + N`` when ``broadcast_result`` — the ``O(n)`` bound of
-    Lemmas A.13/A.14 since ``N = O(n)`` sample points there.  ``compress``
-    selects the round-compressed execution mode (default: the network's
-    setting).
+    Lemmas A.13/A.14 since ``N = O(n)`` sample points there.
     """
     widths = {len(vec) for vec in vectors}
     if len(widths) != 1:
         raise ValueError("all nodes must hold vectors of the same length")
-    if net.use_compressed(compress):
+    if net.compress:
         return net.run_compressed(
             _CompressedPipelinedSum(tree, vectors, broadcast_result, label)
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.serving.artifact import (
     ARTIFACT_SUFFIX,

@@ -7,7 +7,6 @@ mutate a collection must use ``.copy()`` (the algorithms already do).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Tuple
 
 import pytest

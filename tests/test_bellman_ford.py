@@ -12,7 +12,6 @@ from repro.congest import CongestNetwork
 from repro.experiments.registry import make_graph
 from repro.graphs import erdos_renyi, path_graph
 from repro.graphs.reference import (
-    all_pairs_shortest_paths,
     h_hop_distances,
     h_hop_labels,
     single_source_shortest_paths,
@@ -122,8 +121,8 @@ def test_multi_init_takes_min_over_sources():
 def test_unreachable_directed():
     from repro.graphs.spec import Graph
 
-    g = Graph(3, [(0, 1, 1.0)], directed=True)  # node 2 isolated (but the
-    # communication graph must be connected for CONGEST; add a dead edge)
+    # Node 2 has no path from 0, but the communication graph must be
+    # connected for CONGEST, so it hangs off a dead edge.
     g2 = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
     net = CongestNetwork(g2)
     res = bellman_ford(net, g2, 0)
@@ -207,8 +206,7 @@ def test_batched_solver_memory_bound():
     net = CongestNetwork(graph, compress=True)
     tracemalloc.start()
     try:
-        results = bellman_ford_many(net, graph, range(graph.n), h=16,
-                                    compress=True)
+        results = bellman_ford_many(net, graph, range(graph.n), h=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -82,7 +82,6 @@ def test_bottleneck_prunes_collection_in_place():
     net = CongestNetwork(g)
     sinks = [5, 10, 15, 20]
     cq, _ = build_csssp(net, g, sinks, 10, orientation="in")
-    before = cq.path_count()
     res = compute_bottleneck(net, cq, threshold=float(g.n))
     assert res.bottlenecks
     for b in res.bottlenecks:

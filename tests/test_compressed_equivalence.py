@@ -34,7 +34,7 @@ from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork
 from repro.csssp.builder import build_csssp
 from repro.csssp.pruning import ParallelPruner, remove_subtrees_sequential
-from repro.experiments.registry import make_graph
+from repro.experiments.registry import ALGORITHMS, make_graph
 from repro.graphs.spec import ZERO_COST, Graph
 from repro.pipeline.bottleneck import message_counts
 from repro.pipeline.broadcast_delivery import broadcast_delivery
@@ -441,8 +441,8 @@ def in_collection_pair(graph, h=3, seed=0, prunes=2):
     coll_c = coll_m.copy()
     for _ in range(prunes):
         roots = rng.sample(range(graph.n), rng.randrange(1, 3))
-        remove_subtrees_sequential(net_m, coll_m, roots, compress=False)
-        remove_subtrees_sequential(net_c, coll_c, roots, compress=True)
+        remove_subtrees_sequential(net_m, coll_m, roots)
+        remove_subtrees_sequential(net_c, coll_c, roots)
     return net_m, net_c, coll_m, coll_c, sinks, rng
 
 
@@ -498,24 +498,14 @@ def test_relay_join_equivalent(family, seed, n):
 
 
 @pytest.mark.parametrize("family,seed,n", cases())
-def test_parallel_pruner_equivalent(family, seed, n, monkeypatch):
+def test_parallel_pruner_equivalent(family, seed, n):
     graph = make_graph(family, n, seed)
     net_m, net_c, coll_m, coll_c, _sinks, rng = in_collection_pair(
         graph, seed=seed, prunes=0)
-    counts_m, sm = message_counts(net_m, coll_m, compress=False)
+    counts_m, sm = message_counts(net_m, coll_m)
     counts_c, sc = message_counts(net_c, coll_c)
     assert counts_m == counts_c  # Algorithm 14, batched vs oracle
     assert_stats_equal(sm, sc, "message-counts")
-    # compress=False overrides a compressing network all the way down:
-    # no phase may reach the compressed replay.
-    with monkeypatch.context() as patch:
-        def no_replay(*_args, **_kwargs):
-            raise AssertionError("compress=False ran a compressed phase")
-
-        patch.setattr(net_c, "run_compressed", no_replay)
-        counts_e, se = message_counts(net_c, coll_c, compress=False)
-    assert counts_e == counts_m
-    assert_stats_equal(sm, se, "message-counts compress=False")
     pm = ParallelPruner(net_m, coll_m, counts_m)
     pc = ParallelPruner(net_c, coll_c, {x: list(v) for x, v in counts_c.items()})
     for _ in range(3):
@@ -527,6 +517,20 @@ def test_parallel_pruner_equivalent(family, seed, n, monkeypatch):
         for x in coll_m.trees:
             assert np.array_equal(coll_m.trees[x].removed, coll_c.trees[x].removed)
             assert pm.agg[x] == pc.agg[x]
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_engine_network_never_runs_a_compressed_phase(algorithm, monkeypatch):
+    """A network built without ``compress`` keeps every phase on the engine."""
+    graph = make_graph("er", 12, 1)
+    net = CongestNetwork(graph)
+
+    def no_replay(*_args, **_kwargs):
+        raise AssertionError(f"{algorithm} ran a compressed phase")
+
+    monkeypatch.setattr(net, "run_compressed", no_replay)
+    ALGORITHMS[algorithm](net, graph).verify(graph)
+    assert net.total.rounds > 0
 
 
 @pytest.mark.parametrize("family,seed,n", cases())
@@ -666,14 +670,14 @@ def test_batched_convergecasts_match_per_phase(family, seed, n, removals):
     net_m, net_c, coll_m, coll_c = build_collection_pair(
         graph, removals=removals, seed=seed)
 
-    score_m, per_m, stats_m = compute_scores(net_m, coll_m, compress=False)
+    score_m, per_m, stats_m = compute_scores(net_m, coll_m)
     score_b, per_b, stats_b = compute_scores(net_c, coll_c)  # batched
     assert score_m == score_b
     assert per_m == per_b
     assert_stats_equal(stats_m, stats_b, "scores batched")
 
     vi = set(random.Random(seed).sample(range(graph.n), graph.n // 3 + 1))
-    beta_m, vm = compute_vi_counts(net_m, coll_m, vi, compress=False)
+    beta_m, vm = compute_vi_counts(net_m, coll_m, vi)
     beta_b, vb = compute_vi_counts(net_c, coll_c, vi)
     assert beta_per_tree(beta_m) == beta_per_tree(beta_b)
     assert_stats_equal(vm, vb, "vi-counts batched")

@@ -47,7 +47,9 @@ def test_tree_shape_invariants(kind, h):
             assert t.depth[v] <= h
 
 
-@pytest.mark.parametrize("kind", ["er-sparse", "er-directed", "grid", "path", "er-zero"])
+@pytest.mark.parametrize(
+    "kind", ["er-sparse", "er-directed", "grid", "path", "er-zero"]
+)
 @pytest.mark.parametrize("h", [2, 3])
 def test_containment_guarantee(kind, h):
     """Definition A.3: true <= h-hop shortest paths are in the tree, exactly."""
@@ -274,10 +276,7 @@ def test_check_consistency_detects_injected_divergence():
     # conflicts with T_0?  Build the conflict on (0, 3): T_1 now claims
     # 0->3 goes 0-1-2-3 by rerouting 3 under 2 while keeping 0 an ancestor.
     t1_bad = tree(1, [1, -1, 1, 2])    # path to 3: 1-2-3, no (0,3) anymore
-    # Conflict via (1, 3): T_1 says 1-2-3; build T_3's view disagreeing.
-    t3 = tree(3, [3, 0, 1, -1])        # path 3-0-1-2: segment (1, 2)? no —
-    # segment (0, 2): T_3 says 0-1-2; T_0 says 0-1-2 as well.  Use (1, 3):
-    # T_1-bad: 1-2-3. Make another tree claiming 1-0-3:
+    # Conflict via (1, 3): T_1-bad says 1-2-3; make another tree claim 1-0-3:
     t2 = tree(2, [1, 2, -1, 0])        # paths: 2-1-0-3 => segment (1, 3) = 1-0-3
     coll = collection(3, t1_bad, t2)
     with pytest.raises(AssertionError):

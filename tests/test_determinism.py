@@ -10,10 +10,8 @@ to seed changes.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.congest import CongestNetwork
-from repro.csssp import build_csssp
 from repro.graphs import erdos_renyi
 from repro.blocker import (
     BlockerParams,

@@ -8,8 +8,6 @@ that comparison is measurable.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.congest import CongestNetwork, RoundStats
 from repro.csssp import build_csssp
 from repro.graphs import broom, path_graph

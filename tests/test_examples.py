@@ -11,8 +11,6 @@ import importlib.util
 import pathlib
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 

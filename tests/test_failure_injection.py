@@ -15,10 +15,10 @@ from repro.congest import CongestNetwork, NodeProgram
 from repro.congest.network import BandwidthExceeded, NotANeighbor
 from repro.csssp import build_csssp
 from repro.csssp.collection import CSSSPCollection
-from repro.graphs import erdos_renyi, path_graph
+from repro.graphs import path_graph
 from repro.graphs.spec import Graph
 from repro.blocker import BlockerParams, sampling_blocker_set
-from repro.pipeline import extend_h_hop, reversed_qsink
+from repro.pipeline import reversed_qsink
 from repro.pipeline.short_range import round_robin_pipeline
 from repro.primitives import bellman_ford
 
@@ -171,14 +171,16 @@ def test_nonzero_fault_plan_rejected_on_compressed_network():
     with pytest.raises(FaultsUnsupported):
         CongestNetwork(g, compress=True, faults=plan)
     # At run_compressed on a message-level network holding a plan: a
-    # phase asked to run compressed raises instead of silently skipping
-    # the plan.
+    # compressed phase reaching it (here by switching the network's tier
+    # after construction) raises instead of silently skipping the plan.
     from repro.primitives.bellman_ford import bellman_ford as bf
 
     net = CongestNetwork(g, faults=plan)
+    net.compress = True
     with pytest.raises(FaultsUnsupported):
-        bf(net, g, 0, compress=True)
+        bf(net, g, 0)
     # The message-level path on the same network applies the plan.
+    net.compress = False
     res = bf(net, g, 0)
     assert res.dist[0] == 0.0
     assert net.fault_trace is not None

@@ -8,9 +8,6 @@ bandwidth (the strict engine enforces that as a side effect).
 
 from __future__ import annotations
 
-import math
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest import CongestNetwork

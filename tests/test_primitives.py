@@ -7,7 +7,7 @@ from collections import deque
 import pytest
 
 from repro.congest import CongestNetwork
-from repro.graphs import erdos_renyi, grid2d, path_graph, ring_graph
+from repro.graphs import grid2d, path_graph, ring_graph
 from repro.primitives import (
     aggregate_and_broadcast,
     broadcast_from_root,

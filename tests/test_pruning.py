@@ -177,7 +177,8 @@ def test_every_removal_path_keeps_the_live_mask_in_step():
     engine's removal programs, the parallel pruner (both modes),
     ``mark_removed``, ``reset_removals`` and a plain item assignment.
     Either way the next compressed phase must read the state the flags
-    hold.
+    hold.  One network toggles its ``compress`` flag between calls, so
+    both tiers write the same collection.
     """
     g = graph_of("er-sparse")
     coll = collection_of("er-sparse", 3).copy()
@@ -189,19 +190,26 @@ def test_every_removal_path_keeps_the_live_mask_in_step():
         for i, x in enumerate(stack.xs):
             t = coll.trees[x]
             assert live[i].tolist() == [t.live(v) for v in range(coll.n)]
+        net.compress = True
         score, _, _ = compute_scores(net, coll, per_tree=False)
-        ref, _, _ = compute_scores(net, coll, compress=False, per_tree=False)
+        net.compress = False
+        ref, _, _ = compute_scores(net, coll, per_tree=False)
         assert score == ref
 
-    remove_subtrees_sequential(net, coll, [1], compress=True)
+    net.compress = True
+    remove_subtrees_sequential(net, coll, [1])
     check()
-    remove_subtrees_sequential(net, coll, [g.n // 2], compress=False)
+    net.compress = False
+    remove_subtrees_sequential(net, coll, [g.n // 2])
     check()
+    net.compress = True
     _, per_tree, _ = compute_scores(net, coll)
     pruner = ParallelPruner(net, coll, per_tree)
-    pruner.remove([g.n - 2], compress=False)
+    net.compress = False
+    pruner.remove([g.n - 2])
     check()
-    pruner.remove([3], compress=True)
+    net.compress = True
+    pruner.remove([3])
     check()
     x = coll.sources[0]
     kids = coll.trees[x].live_children(x)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.congest import CongestNetwork, NodeProgram
 from repro.congest.runner import run_program, run_sequence
 from repro.graphs import path_graph

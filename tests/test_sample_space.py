@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -37,7 +37,9 @@ def central_beta(coll, vi):
     return out
 
 
-@pytest.mark.parametrize("kind", ["er-sparse", "er-dense", "grid", "path", "er-directed"])
+@pytest.mark.parametrize(
+    "kind", ["er-sparse", "er-dense", "grid", "path", "er-directed"]
+)
 def test_compute_scores_matches_centralized(kind):
     g = graph_of(kind)
     coll = collection_of(kind, 3)

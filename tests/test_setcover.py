@@ -12,7 +12,6 @@ from repro.congest import CongestNetwork
 from repro.blocker import deterministic_blocker_set, greedy_blocker_set
 from repro.blocker.randomized import BlockerParams
 from repro.blocker.setcover import (
-    CoverResult,
     Hypergraph,
     brs_cover,
     collection_hypergraph,

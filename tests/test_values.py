@@ -7,8 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import erdos_renyi
-from repro.graphs.reference import all_pairs_shortest_paths, h_hop_labels
+from repro.graphs.reference import h_hop_labels
 from repro.graphs.spec import INF_COST, ZERO_COST
 from repro.pipeline.values import add_triples, is_finite, lex_min, reference_values
 
