@@ -29,8 +29,8 @@ pipeline; this module is what defends it.  Three pieces:
   (cross-machine wall clocks are not comparable; the fingerprint is
   what makes the committed history safe to check on CI runners).
   Timing is measured as the median of interleaved gc-paused CPU-time
-  repetitions (:func:`interleaved_cpu_medians` — the ``bench_large_n``
-  methodology, hoisted here) so co-tenant noise cancels.
+  repetitions (:func:`interleaved_cpu_medians`) so co-tenant noise
+  cancels.
 
 ``python -m repro perf`` wires these together: it runs the pinned smoke
 scenarios (:data:`PERF_SCENARIOS`), writes the fresh records, and
@@ -460,7 +460,7 @@ def compare_records(
 
 
 # ----------------------------------------------------------------------
-# Timing methodology (hoisted from bench_large_n)
+# Timing methodology
 # ----------------------------------------------------------------------
 
 def gc_paused_cpu(fn: Callable[[], object]) -> Tuple[object, float]:
@@ -488,7 +488,7 @@ def interleaved_cpu_medians(
 
     Within each rep every entry runs once; the order is reversed on odd
     reps so cache state and background load perturb all entries alike
-    (the ``bench_large_n`` / ``bench_engine_fastpath`` methodology).
+    (the ``bench_engine_fastpath`` methodology).
     """
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
@@ -520,10 +520,10 @@ class PerfScenario:
         return make_engine_net(graph, self.engine)
 
 
-#: the three engine modes, pinned at the CI-sized n=64 ER instance the
-#: large-n bench also uses — exact rounds/messages are identical across
-#: modes (the differential matrix proves it), so the gate additionally
-#: pins that equivalence PR-over-PR
+#: the three engine modes, pinned at the CI-sized n=64 ER instance —
+#: exact rounds/messages are identical across modes (the differential
+#: matrix proves it), so the gate additionally pins that equivalence
+#: from one commit to the next
 PERF_SCENARIOS: Tuple[PerfScenario, ...] = (
     PerfScenario("er-n64-strict", "er", 64, 1, "strict"),
     PerfScenario("er-n64-fast", "er", 64, 1, "fast"),
@@ -536,8 +536,7 @@ PERF_BENCH = "perf_smoke"
 
 def make_engine_net(graph, engine: str):
     """A :class:`~repro.congest.network.CongestNetwork` in one of the
-    three measured execution modes (shared by ``repro perf`` and the
-    benches)."""
+    three measured execution modes (``repro perf``'s engine axis)."""
     from repro.congest.network import CongestNetwork
 
     if engine == "strict":

@@ -9,26 +9,24 @@ computation*, but in the simulator it was the wall-clock bottleneck for
 ``n`` beyond ~64: the Python triple loop costs ``O(q^3 + n q^2)`` tuple
 comparisons.
 
-:func:`local_closure` is the single entry point.  Two backends produce
-**bit-identical** results:
+:func:`local_closure` is the single entry point.  It runs a blocked
+min-plus matrix product over three parallel ``int64`` planes (weight,
+hops, tie-break), closed by repeated squaring.  Lexicographic order is
+preserved exactly: quantized weights (see
+:func:`repro.graphs.spec.quantize_weight`) are scaled to integers, so
+integer sums match float sums bit for bit, and the reduction picks the
+minimum plane-by-plane (weight, then hops, then tie-break).
 
-* ``"python"`` — the original triple-loop Floyd-Warshall over label
-  triples, kept as the oracle for tests;
-* ``"numpy"`` — a blocked min-plus matrix product over three parallel
-  ``int64`` planes (weight, hops, tie-break), closed by repeated
-  squaring.  Lexicographic order is preserved exactly: quantized weights
-  (see :func:`repro.graphs.spec.quantize_weight`) are scaled to integers,
-  so integer sums match float sums bit for bit, and the reduction picks
-  the minimum plane-by-plane (weight, then hops, then tie-break).
-
-``"auto"`` (the default) uses numpy whenever the encoding provably
-stays exact — below the int64 overflow margin on every plane *and*
-below the float64 2^53-tick margin on the weight plane, since the
-oracle sums weights in floats (see :func:`_safe_limit`) — and falls
-back to the oracle otherwise.  In practice the fallback only triggers
-on adversarial weights beyond roughly ``2^30`` weight units (the dyadic
-grid puts ``2^16`` ticks per unit, and partial sums grow by a factor up
-to ``2 (q + 1)``).
+The original triple-loop Floyd-Warshall over label triples
+(:func:`_python_closure`) is kept as the oracle: the tests check the
+product against it, and :func:`local_closure` falls back to it whenever
+the integer encoding could stop being exact — at or above the int64
+overflow margin on any plane, or the float64 2^53-tick margin on the
+weight plane, since the oracle sums weights in floats (see
+:func:`_safe_limit`).  Both produce **bit-identical** results.  In
+practice the fallback only triggers on adversarial weights beyond
+roughly ``2^30`` weight units (the dyadic grid puts ``2^16`` ticks per
+unit, and partial sums grow by a factor up to ``2 (q + 1)``).
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ import numpy as np
 
 from repro.graphs.spec import Cost, INF_COST, WEIGHT_QUANTUM, ZERO_COST
 from repro.pipeline.values import add_triples, is_finite
-
-#: Backends accepted by :func:`local_closure`.
-BACKENDS = ("auto", "numpy", "python")
 
 #: Integer "infinity" for the weight plane.  Finite entries are kept far
 #: enough below it (``_SAFE_LIMIT``) that no candidate sum formed during
@@ -64,7 +59,7 @@ def _safe_limit(q: int, float_exact: bool = False) -> int:
 
 
 class ClosureOverflow(ValueError):
-    """Inputs too large for the exact int64 encoding of the numpy backend."""
+    """Inputs too large for the exact int64 encoding of the numpy product."""
 
 
 #: The (ci, cj, weight, hops, tiebreak) records broadcast in Step 4.
@@ -76,8 +71,6 @@ def local_closure(
     entries: Iterable[QQEntry],
     lab_to: Mapping[int, Sequence[Cost]],
     n: int,
-    backend: str = "auto",
-    block: Optional[int] = None,
 ) -> List[Dict[int, Cost]]:
     """Step 5: close the blocker matrix and form ``delta(x, c)`` labels.
 
@@ -94,40 +87,26 @@ def local_closure(
         (``INF_COST`` when ``x`` cannot reach ``c`` within ``h`` hops).
     n:
         Number of nodes.
-    backend:
-        ``"numpy"`` (blocked vectorized product), ``"python"`` (the
-        oracle triple loop), or ``"auto"`` (numpy with an automatic
-        oracle fallback if the int64 encoding could overflow).
-    block:
-        Optional middle-dimension block size for the numpy product
-        (default: sized so one candidate slab stays around 8 MB); tests
-        use tiny blocks to exercise the blocking logic.
 
     Returns
     -------
     ``values`` with ``values[x][c]`` the lexicographic label of the
     tie-broken shortest ``x -> c`` path through blockers (plus the direct
     ``delta_h`` term via the closure's zero diagonal); unreachable pairs
-    are absent.  Both backends return bit-identical structures.
+    are absent.  The numpy product and the oracle fallback return
+    bit-identical structures.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown closure backend {backend!r}")
-    q = len(q_nodes)
-    if q == 0:
+    if len(q_nodes) == 0:
         return [{} for _ in range(n)]
-    entries = list(entries)  # the auto fallback consumes them twice
-    if backend == "python":
-        return _python_closure(q_nodes, entries, lab_to, n)
+    entries = list(entries)  # the oracle fallback consumes them twice
     try:
-        return _numpy_closure(q_nodes, entries, lab_to, n, block)
+        return _numpy_closure(q_nodes, entries, lab_to, n)
     except ClosureOverflow:
-        if backend == "numpy":
-            raise
         return _python_closure(q_nodes, entries, lab_to, n)
 
 
 # ----------------------------------------------------------------------
-# Oracle backend: the original Python triple loop (exact reference).
+# The oracle: the original Python triple loop (exact reference).
 
 
 def _python_closure(
@@ -179,7 +158,7 @@ def _python_closure(
 
 
 # ----------------------------------------------------------------------
-# Numpy backend: blocked lexicographic min-plus over int64 planes.
+# The numpy product: blocked lexicographic min-plus over int64 planes.
 
 #: int64 ticks per weight unit (the dyadic grid of quantize_weight).
 _SCALE = round(1.0 / WEIGHT_QUANTUM)
@@ -275,8 +254,14 @@ def _numpy_closure(
     entries: Iterable[QQEntry],
     lab_to: Mapping[int, Sequence[Cost]],
     n: int,
-    block: Optional[int],
+    block: Optional[int] = None,
 ) -> List[Dict[int, Cost]]:
+    """Exact closure over int64 planes; raises :class:`ClosureOverflow`.
+
+    ``block`` is the middle-dimension block size of the product (default:
+    sized so one candidate slab stays around 8 MB); tests use tiny blocks
+    to exercise the blocking logic.
+    """
     q = len(q_nodes)
 
     # --- blocker matrix M (q x q planes) ------------------------------
@@ -340,4 +325,4 @@ def _numpy_closure(
     return values
 
 
-__all__ = ["BACKENDS", "ClosureOverflow", "local_closure"]
+__all__ = ["ClosureOverflow", "local_closure"]

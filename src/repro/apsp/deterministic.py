@@ -22,7 +22,6 @@ def deterministic_apsp(
     graph: Graph,
     h: Optional[int] = None,
     params: Optional[BlockerParams] = None,
-    closure: str = "auto",
 ) -> APSPResult:
     """The paper's algorithm (deterministic, ``O~(n^{4/3})`` rounds)."""
     return three_phase_apsp(
@@ -33,7 +32,6 @@ def deterministic_apsp(
         delivery="pipelined",
         params=params,
         algorithm="det-n43",
-        closure=closure,
     )
 
 

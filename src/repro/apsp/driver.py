@@ -37,7 +37,6 @@ from repro.pipeline.reversed_qsink import reversed_qsink
 from repro.primitives.bellman_ford import bellman_ford_many
 from repro.primitives.bfs import build_bfs_tree
 from repro.primitives.broadcast import gather_and_broadcast
-from repro.apsp.closure import BACKENDS as CLOSURE_BACKENDS
 from repro.apsp.closure import local_closure
 from repro.apsp.result import APSPResult
 
@@ -65,31 +64,21 @@ def three_phase_apsp(
     delivery: str = "pipelined",
     params: Optional[BlockerParams] = None,
     algorithm: str = "",
-    closure: str = "auto",
 ) -> APSPResult:
     """Run Algorithm 1 with the given hop budget / Step 2 / Step 6 choices.
 
-    ``closure`` selects the Step-5 backend (:mod:`repro.apsp.closure`):
-    ``"auto"`` / ``"numpy"`` / ``"python"``.  The network's ``compress``
-    flag picks the execution tier of the fixed-schedule phases
-    (:mod:`repro.congest.compressed`).  Closure backends and execution
-    tiers all produce bit-identical records and round counts, so the
-    choices only affect wall-clock time.
+    The network's ``compress`` flag picks the execution tier of the
+    fixed-schedule phases (:mod:`repro.congest.compressed`).  Both tiers
+    produce bit-identical records and round counts, so the choice only
+    affects wall-clock time.
     """
     if blocker not in BLOCKERS:
         raise ValueError(f"unknown blocker strategy {blocker!r}")
     if delivery not in DELIVERIES:
         raise ValueError(f"unknown delivery strategy {delivery!r}")
-    if closure not in CLOSURE_BACKENDS:
-        raise ValueError(f"unknown closure backend {closure!r}")
     n = graph.n
     log = PhaseLog()
-    meta: Dict[str, object] = {
-        "h": h,
-        "blocker": blocker,
-        "delivery": delivery,
-        "closure": closure,
-    }
+    meta: Dict[str, object] = {"h": h, "blocker": blocker, "delivery": delivery}
 
     # Step 1: h-CSSSP for V.
     coll, stats = build_csssp(net, graph, range(n), h, label="step1")
@@ -129,9 +118,7 @@ def three_phase_apsp(
     # CONGEST, and the simulator's former Python-triple bottleneck; now a
     # blocked numpy min-plus product behind local_closure().
     q = len(q_nodes)
-    values: List[Dict[int, Cost]] = local_closure(
-        q_nodes, received[bfs.root], lab_to, n, backend=closure
-    )
+    values = local_closure(q_nodes, received[bfs.root], lab_to, n)
 
     # Step 6: reversed q-sink delivery.
     if q == 0:

@@ -21,7 +21,6 @@ def randomized_apsp(
     net: CongestNetwork,
     graph: Graph,
     h: Optional[int] = None,
-    closure: str = "auto",
 ) -> APSPResult:
     """Randomized 3-phase APSP: sampled blocker set + pipelined Step 6."""
     return three_phase_apsp(
@@ -31,7 +30,6 @@ def randomized_apsp(
         blocker="sampling",
         delivery="pipelined",
         algorithm="rand-n43",
-        closure=closure,
     )
 
 

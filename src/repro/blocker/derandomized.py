@@ -46,6 +46,10 @@ from repro.blocker.sample_space import AffineSampleSpace
 from repro.primitives.broadcast import broadcast_from_root
 from repro.primitives.convergecast import pipelined_vector_sum
 
+#: Sample-space batches scanned per selection step before the driver
+#: falls back to the heavy node.
+_MAX_BATCHES = 64
+
 
 def sigma_vectors(
     structures: List[Tuple[Tuple[int, ...], bool]],
@@ -94,10 +98,10 @@ class DerandomizedSelector:
         space = AffineSampleSpace(net.n, ctx.selection_probability)
         vi_arr = np.asarray(ctx.vi, dtype=np.int64)
         vi_index = {v: j for j, v in enumerate(ctx.vi)}
-        width = params.batch_width or max(net.n, 1)
+        width = max(net.n, 1)  # one batch of n sample points per convergecast
         good_points = 0
         scanned = 0
-        for k in range(params.max_batches):
+        for k in range(_MAX_BATCHES):
             mus = space.batch(k, width)
             if not mus:
                 break
@@ -129,7 +133,7 @@ class DerandomizedSelector:
                 total.merge(stats)
                 chosen = space.select_set(mu, ctx.vi)
                 return sorted(chosen), total, k + 1, good_points / scanned
-        return None, total, params.max_batches, (
+        return None, total, _MAX_BATCHES, (
             good_points / scanned if scanned else 0.0
         )
 

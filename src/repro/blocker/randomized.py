@@ -62,9 +62,6 @@ class BlockerParams:
     delta: float = 1.0 / 12.0
     seed: int = 0
     force_selection: bool = False
-    max_attempts: int = 512
-    max_batches: int = 64
-    batch_width: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not (0 < self.eps <= 1.0 / 12.0 and 0 < self.delta <= 1.0 / 12.0):
@@ -176,6 +173,10 @@ def local_sigma(
     return cov_pi, cov_pij
 
 
+#: Sample draws per selection step before the driver falls back.
+_MAX_ATTEMPTS = 512
+
+
 class RandomizedSelector:
     """Steps 11-14 of Algorithm 2: sample, test goodness, retry.
 
@@ -194,14 +195,14 @@ class RandomizedSelector:
         """Draw sample points until one passes Definition 3.1.
 
         Returns ``(members, stats, attempts, nan)`` — ``members`` is None
-        after ``max_attempts`` failures (the driver falls back).
+        after ``_MAX_ATTEMPTS`` failures (the driver falls back).
         """
         total = RoundStats(label="selection-randomized")
         anc, stats = collect_ancestors(ctx.net, ctx.coll)
         total.merge(stats)
         structures = leaf_coverage_structures(ctx, anc)
         space = AffineSampleSpace(ctx.net.n, ctx.selection_probability)
-        for attempt in range(1, ctx.params.max_attempts + 1):
+        for attempt in range(1, _MAX_ATTEMPTS + 1):
             mu = ctx.rng.randrange(space.size)
             a, b = space.point(mu)
             _, stats = broadcast_from_root(
@@ -220,7 +221,7 @@ class RandomizedSelector:
             total.merge(stats)
             if ctx.is_good(len(selected), cov_pi, cov_pij):
                 return sorted(selected), total, attempt, float("nan")
-        return None, total, ctx.params.max_attempts, float("nan")
+        return None, total, _MAX_ATTEMPTS, float("nan")
 
 
 def _stage_of(value: float, eps: float) -> int:

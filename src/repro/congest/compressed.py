@@ -378,7 +378,7 @@ def simulate_upcast(tree, items_per_node: Sequence[Sequence[tuple]]):
 def simulate_round_robin(
     n: int,
     parents: Dict[int, Sequence[int]],
-    orders: Sequence[Sequence[int]],
+    order: Sequence[int],
     initial: Sequence[Dict[int, int]],
     track_edges: bool = False,
 ) -> Tuple[int, int, Dict[int, int], Optional[Dict[Tuple[int, int], int]], List[int]]:
@@ -401,10 +401,9 @@ def simulate_round_robin(
     parents:
         ``parents[c][v]`` — the parent of ``v`` in sink ``c``'s pruned
         in-tree (the hop a record for ``c`` takes from ``v``).
-    orders:
-        Per-node cyclic service order over sinks (the shared sorted order
-        in the deterministic algorithm; per-node shuffles in the
-        randomized-scheduling contrast).
+    order:
+        The cyclic service order over sinks every node follows (the
+        sorted sink order of the deterministic algorithm).
     initial:
         ``initial[v][c]`` — records queued at ``v`` for sink ``c`` at the
         start.
@@ -417,13 +416,8 @@ def simulate_round_robin(
     """
     from bisect import bisect_left, insort
 
-    # Sink -> position in each node's order; shared when the order is.
-    shared = all(o is orders[0] for o in orders)
-    if shared and orders:
-        pos0 = {c: i for i, c in enumerate(orders[0])}
-        pos: List[Dict[int, int]] = [pos0] * n
-    else:
-        pos = [{c: i for i, c in enumerate(orders[v])} for v in range(n)]
+    pos = {c: i for i, c in enumerate(order)}  # sink -> position in order
+    width = len(order)
 
     cnt: List[Dict[int, int]] = [{} for _ in range(n)]
     act: List[List[int]] = [[] for _ in range(n)]
@@ -431,7 +425,7 @@ def simulate_round_robin(
     for v in range(n):
         for c, k in initial[v].items():
             if k:
-                cnt[v][pos[v][c]] = k
+                cnt[v][pos[c]] = k
         act[v] = sorted(cnt[v])
     active = {v for v in range(n) if act[v]}
 
@@ -445,7 +439,7 @@ def simulate_round_robin(
         for dst, c in inflight:
             if dst == c:
                 continue  # arrived at its sink
-            i = pos[dst][c]
+            i = pos[c]
             d = cnt[dst]
             k = d.get(i, 0)
             if not k:
@@ -455,7 +449,6 @@ def simulate_round_robin(
         inflight = []
         for v in sorted(active):
             a = act[v]
-            order = orders[v]
             j = bisect_left(a, cur[v])
             j = j if j < len(a) else 0
             idx = a[j]
@@ -468,7 +461,7 @@ def simulate_round_robin(
                 a.pop(j)
                 if not a:
                     active.discard(v)
-            cur[v] = idx + 1 if idx + 1 < len(order) else 0
+            cur[v] = idx + 1 if idx + 1 < width else 0
             p = parents[c][v]
             inflight.append((p, c))
             sent[v] += 1

@@ -440,11 +440,10 @@ class CongestNetwork:
     def run(
         self,
         programs: Sequence[NodeProgram],
-        max_rounds: Optional[int] = None,
         label: str = "",
         hard_cap: int = 5_000_000,
     ) -> RoundStats:
-        """Execute one phase until quiescence (or ``max_rounds`` ticks).
+        """Execute one phase until quiescence.
 
         Quiescence means: no messages in flight and every program has set
         ``active = False``.  Returns the phase's :class:`RoundStats` and adds
@@ -520,8 +519,6 @@ class CongestNetwork:
                 num_active += 1
 
         while True:
-            if max_rounds is not None and tick > max_rounds:
-                break
             if tick > hard_cap:
                 if strict:
                     # Prefer reporting a model violation over the cap.

@@ -44,17 +44,15 @@ class PipelineTrace:
     """Measured progress of the round-robin phase (experiment F8).
 
     ``initial_load[v]`` counts the values queued at ``v`` at the start
-    (its own, one per live tree membership); ``completion_round[c]`` is
-    the round in which sink ``c`` received its last value;
-    ``active_sinks_per_node`` samples ``|Q_{v,i}|`` — the number of
-    distinct sinks with pending traffic at a node — at the start, the
-    quantity Lemma 4.8 bounds per stage.
+    (its own, one per live tree membership); ``active_sinks_per_node``
+    samples ``|Q_{v,i}|`` — the number of distinct sinks with pending
+    traffic at a node — at the start, the quantity Lemma 4.8 bounds per
+    stage.
     """
 
     rounds: int = 0
     messages: int = 0
     initial_load: List[int] = field(default_factory=list)
-    completion_round: Dict[int, int] = field(default_factory=dict)
     active_sinks_per_node: List[int] = field(default_factory=list)
     max_forwarded: int = 0
 
@@ -66,9 +64,7 @@ class _RoundRobinProgram(NodeProgram):
     ``c``; each round the node forwards exactly one record — for the next
     sink in the cyclic order with pending traffic — to its parent in that
     sink's pruned tree (Step 9's "round-robin sends").  The cyclic order
-    is the shared sorted order in the deterministic algorithm; the
-    randomized-scheduling contrast (`random_schedule_pipeline`) hands each
-    node its own shuffled order instead.
+    is the sorted sink order, the same at every node.
     """
 
     __slots__ = ("coll", "order", "pending", "delivered", "_cursor", "sent")
@@ -154,12 +150,12 @@ class _CompressedRoundRobin(CompressedPhase):
         self,
         coll: CSSSPCollection,
         values: Sequence[Dict[int, Cost]],
-        orders: Sequence[Sequence[int]],
+        order: Sequence[int],
         label: str,
     ) -> None:
         self.coll = coll
         self.values = values
-        self.orders = orders
+        self.order = order
         self.label = label
         self.initial_rows: Optional[List[Dict[int, int]]] = None
         self.sent: List[int] = []
@@ -172,7 +168,7 @@ class _CompressedRoundRobin(CompressedPhase):
         self.initial_rows = _pipeline_queue_rows(coll, self.values, net.n)
         parents = {c: coll.trees[c].parent for c in coll.trees}
         rounds, messages, per_node, per_edge, sent = simulate_round_robin(
-            net.n, parents, self.orders, self.initial_rows,
+            net.n, parents, self.order, self.initial_rows,
             track_edges=net.track_edges,
         )
         self.sent = sent
@@ -204,7 +200,6 @@ def round_robin_pipeline(
     coll: CSSSPCollection,
     values: Sequence[Dict[int, Cost]],
     label: str = "round-robin",
-    schedule_seed: Optional[int] = None,
 ) -> Tuple[Dict[int, Dict[int, Cost]], RoundStats, PipelineTrace]:
     """Steps 7-9: push every live node's values up the pruned in-trees.
 
@@ -213,28 +208,12 @@ def round_robin_pipeline(
     tree ``x`` is live get a message.  Returns ``(delivered, stats,
     trace)`` with ``delivered[c][x]`` at each sink.
 
-    ``schedule_seed`` switches to the *randomized-scheduling* contrast
-    (the [13]/Ghaffari [9] approach the paper's determinism replaces):
-    each node serves its pending sinks in its own seeded shuffled order
-    instead of the shared sorted order.  Delivery stays exact; only the
-    round schedule differs, so the F4 bench can compare the two heads-up.
-
     On a compressing network the phase is a count-level replay, with
     results and stats bit-identical to the message-level run.
     """
     order = sorted(coll.trees.keys())
-    if schedule_seed is None:
-        orders: List[Sequence[int]] = [order] * net.n
-    else:
-        import random as _random
-
-        orders = []
-        for v in range(net.n):
-            local = list(order)
-            _random.Random(schedule_seed * 1_000_003 + v).shuffle(local)
-            orders.append(local)
     if net.compress:
-        phase = _CompressedRoundRobin(coll, values, orders, label)
+        phase = _CompressedRoundRobin(coll, values, order, label)
         delivered, stats = net.run_compressed(phase, label=label)
         trace = PipelineTrace(
             initial_load=[sum(r.values()) for r in phase.initial_rows],
@@ -242,10 +221,7 @@ def round_robin_pipeline(
         )
         max_forwarded = max(phase.sent, default=0)
     else:
-        programs = [
-            _RoundRobinProgram(v, coll, orders[v], values[v])
-            for v in range(net.n)
-        ]
+        programs = [_RoundRobinProgram(v, coll, order, values[v]) for v in range(net.n)]
         trace = PipelineTrace(
             initial_load=[
                 sum(len(q) for q in p.pending.values()) for p in programs

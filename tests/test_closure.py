@@ -1,10 +1,10 @@
 """Step-5 ``local_closure``: numpy blocked min-plus vs the Python oracle.
 
-The numpy backend must be *bit-identical* to the retained triple-loop
+The numpy product must be *bit-identical* to the retained triple-loop
 oracle on every input the driver can produce — including unreachable
 pairs (inf labels), zero-weight ties decided by hops/tie-break planes,
 and adversarially large weights (where the int64 encoding must either
-stay exact or fall back).
+stay exact or refuse, and ``local_closure`` falls back to the oracle).
 """
 
 from __future__ import annotations
@@ -14,8 +14,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.apsp import deterministic_apsp, three_phase_apsp
-from repro.apsp.closure import BACKENDS, ClosureOverflow, local_closure
+from repro.apsp import three_phase_apsp
+from repro.apsp import closure
+from repro.apsp.closure import (
+    ClosureOverflow,
+    _numpy_closure,
+    _python_closure,
+    local_closure,
+)
 from repro.apsp.driver import default_h
 from repro.congest.network import CongestNetwork
 from repro.graphs import erdos_renyi
@@ -59,9 +65,9 @@ def random_instance(seed, n=None, q=None, zero_frac=0.0, wmax=9.0):
     return graph, q_nodes, entries, lab_to
 
 
-def assert_backends_agree(q_nodes, entries, lab_to, n, **kw):
-    ref = local_closure(q_nodes, entries, lab_to, n, backend="python")
-    out = local_closure(q_nodes, entries, lab_to, n, backend="numpy", **kw)
+def assert_backends_agree(q_nodes, entries, lab_to, n, block=None):
+    ref = _python_closure(q_nodes, entries, lab_to, n)
+    out = _numpy_closure(q_nodes, entries, lab_to, n, block)
     assert out == ref  # bit-identical: same floats, hops, tie-breaks
     return ref
 
@@ -107,12 +113,8 @@ def test_numpy_matches_oracle_with_unreachable_pairs():
 
 def test_blocked_product_agrees_with_unblocked():
     graph, q_nodes, entries, lab_to = random_instance(21, n=14, q=7)
-    ref = local_closure(q_nodes, entries, lab_to, graph.n, backend="python")
     for block in (1, 2, 3, 1000):
-        out = local_closure(
-            q_nodes, entries, lab_to, graph.n, backend="numpy", block=block
-        )
-        assert out == ref
+        assert_backends_agree(q_nodes, entries, lab_to, graph.n, block)
 
 
 def test_empty_and_singleton_blocker_sets():
@@ -121,12 +123,6 @@ def test_empty_and_singleton_blocker_sets():
     assert local_closure([], [], {}, graph.n) == [{} for _ in range(graph.n)]
     entries, lab_to = driver_inputs(graph, [3], h)
     assert_backends_agree([3], entries, lab_to, graph.n)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="closure backend"):
-        local_closure([0], [], {0: [INF_COST]}, 1, backend="cuda")
-    assert set(BACKENDS) == {"auto", "numpy", "python"}
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +136,17 @@ def test_overflow_weights_raise_on_explicit_numpy_backend():
     lab_to = {0: [(big, 1, 1), (0.0, 0, 0)], 1: [(big, 1, 1), (big, 1, 1)]}
     entries = [(0, 1, big, 1, 1), (1, 0, big, 1, 1)]
     with pytest.raises(ClosureOverflow):
-        local_closure([0, 1], entries, lab_to, 2, backend="numpy")
+        _numpy_closure([0, 1], entries, lab_to, 2)
 
 
 def test_overflow_weights_fall_back_to_oracle_on_auto():
+    # local_closure picks the oracle on its own when the product refuses.
     big = quantize_weight(float(1 << 45))
     lab_to = {0: [(big, 1, 1), (0.0, 0, 0)], 1: [(big, 1, 1), (big, 1, 1)]}
     entries = [(0, 1, big, 1, 1), (1, 0, big, 1, 1)]
-    auto = local_closure([0, 1], entries, lab_to, 2, backend="auto")
-    ref = local_closure([0, 1], entries, lab_to, 2, backend="python")
-    assert auto == ref
-    assert auto[0][0][0] == big  # the huge weight survives exactly
+    out = local_closure([0, 1], entries, lab_to, 2)
+    assert out == _python_closure([0, 1], entries, lab_to, 2)
+    assert out[0][0][0] == big  # the huge weight survives exactly
 
 
 def test_large_but_safe_weights_stay_exact():
@@ -166,13 +162,12 @@ def test_large_but_safe_weights_stay_exact():
 def test_float53_boundary_weights_agree(seed):
     # Tick counts near 2^52: the oracle's float sums would round here
     # while int64 stays exact, so the safety limit must push these onto
-    # the oracle under "auto" — either way the backends must agree.
+    # the oracle — either way the result must equal the oracle's.
     graph, q_nodes, entries, lab_to = random_instance(
         seed, n=10, q=4, wmax=float(1 << 36)
     )
-    ref = local_closure(q_nodes, entries, lab_to, graph.n, backend="python")
-    out = local_closure(q_nodes, entries, lab_to, graph.n, backend="auto")
-    assert out == ref
+    ref = _python_closure(q_nodes, entries, lab_to, graph.n)
+    assert local_closure(q_nodes, entries, lab_to, graph.n) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +197,28 @@ if HAVE_HYPOTHESIS:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: the driver's records are identical under either backend
+# end-to-end: the driver's records are identical on the oracle fallback
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_three_phase_records_identical_across_backends(directed):
+def test_three_phase_records_identical_across_backends(directed, monkeypatch):
     graph = erdos_renyi(24, p=0.2, seed=4, directed=directed)
     h = default_h(graph.n)
-    results = {}
-    for backend in ("numpy", "python"):
-        net = CongestNetwork(graph)
-        results[backend] = three_phase_apsp(
-            net, graph, h, closure=backend
-        )
-    a, b = results["numpy"], results["python"]
-    assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.pred, b.pred)
-    assert a.rounds == b.rounds and a.meta["q"] == b.meta["q"]
-    a.verify(graph)
+    fast = three_phase_apsp(CongestNetwork(graph), graph, h)
 
+    calls = []
 
-def test_deterministic_apsp_closure_parameter():
-    graph = erdos_renyi(18, p=0.25, seed=6)
-    a = deterministic_apsp(CongestNetwork(graph), graph, closure="python")
-    b = deterministic_apsp(CongestNetwork(graph), graph, closure="numpy")
-    assert np.array_equal(a.dist, b.dist)
-    assert a.meta["closure"] == "python" and b.meta["closure"] == "numpy"
+    def overflow(*args, **kwargs):
+        calls.append(args)
+        raise ClosureOverflow("forced onto the oracle")
+
+    monkeypatch.setattr(closure, "_numpy_closure", overflow)
+    oracle = three_phase_apsp(CongestNetwork(graph), graph, h)
+    assert calls  # Step 5 ran, and on the oracle
+    assert fast.dist.tobytes() == oracle.dist.tobytes()
+    assert np.array_equal(fast.pred, oracle.pred)
+    assert fast.meta == oracle.meta
+    assert [(label, s.rounds, s.messages) for label, s in fast.log] == [
+        (label, s.rounds, s.messages) for label, s in oracle.log
+    ]
+    fast.verify(graph)

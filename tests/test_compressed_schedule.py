@@ -138,7 +138,7 @@ def test_schedule_formulas_on_random_trees_full(seed):
 
 
 # ---------------------------------------------------------------------------
-# Step-6 round-robin pipeline: frame counts, q-sink ordering, round replay
+# Step-6 round-robin pipeline: frame counts and round replay
 
 
 def random_qsink_instance(seed: int, max_n: int = 20):
@@ -172,23 +172,20 @@ def random_qsink_instance(seed: int, max_n: int = 20):
                 row[c] = (float(rng.randint(0, 20)), rng.randint(1, 5),
                           rng.randint(1, 1 << 30))
         values.append(row)
-    return graph, coll, values, rng
+    return graph, coll, values
 
 
 def check_round_robin_schedule(seed: int) -> None:
     """The pipeline replay against the engine and the frame-sum formulas."""
     from repro.pipeline.short_range import round_robin_pipeline
 
-    graph, coll, values, rng = random_qsink_instance(seed)
+    graph, coll, values = random_qsink_instance(seed)
     n = graph.n
     net_m = CongestNetwork(graph, track_edges=True)
     net_c = CongestNetwork(graph, track_edges=True, compress=True)
     coll_c = coll.copy()
-    schedule_seed = rng.choice([None, seed])  # q-sink ordering: both orders
-    dm, sm, tm = round_robin_pipeline(net_m, coll, values,
-                                      schedule_seed=schedule_seed)
-    dc, sc, tc = round_robin_pipeline(net_c, coll_c, values,
-                                      schedule_seed=schedule_seed)
+    dm, sm, tm = round_robin_pipeline(net_m, coll, values)
+    dc, sc, tc = round_robin_pipeline(net_c, coll_c, values)
     assert dm == dc
     assert stats_tuple(sm) == stats_tuple(sc)
     assert sm.per_edge_sent == sc.per_edge_sent

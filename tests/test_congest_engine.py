@@ -377,8 +377,6 @@ def test_violation_in_final_round_before_max_rounds_still_raises(
     g = path_graph(3)
     net = CongestNetwork(g)
     with pytest.raises(NotANeighbor):
-        # max_rounds cuts the phase right after the violating send: the
+        # The hard cap cuts the phase right after the violating send: the
         # undelivered round must still be validated by the exit flush.
-        net.run(
-            [LastTickViolator(v) for v in range(g.n)], max_rounds=3
-        )
+        net.run([LastTickViolator(v) for v in range(g.n)], hard_cap=3)
