@@ -4,19 +4,13 @@ Every bench measures *CONGEST rounds* (the paper's metric); wall time is a
 side effect pytest-benchmark records.  Each bench prints its table/series
 (the same rows the paper's artifact would show) and also writes it to
 ``benchmarks/results/<name>.txt`` so the report survives output capture.
-Machine-readable bench records go through :func:`emit_json`, which writes
-with the same atomic sorted-keys convention as the committed
-``benchmarks/results/REPORT.json`` so diffs stay stable.
+Machine-readable perf records come from ``repro perf`` alone.
 """
 
 from __future__ import annotations
 
 import pathlib
 import sys
-from typing import Iterable
-
-from repro.analysis.sweep_report import write_json
-from repro.analysis.trajectory import BenchRecord, records_payload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -28,37 +22,6 @@ def emit(name: str, text: str) -> None:
     sys.stderr.write(banner)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def emit_json(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable bench record under benchmarks/results/.
-
-    ``name`` is a bare file stem, like :func:`emit` takes — the
-    ``.json`` suffix is appended here, the one place that enforces it
-    (a trailing ``.json`` on the stem is tolerated and normalized).
-    Delegates to :func:`repro.analysis.sweep_report.write_json` — the
-    single home of the atomic sorted-keys convention ``REPORT.json``
-    uses — so tracked trajectory files produce minimal diffs.
-    """
-    stem = name[: -len(".json")] if name.endswith(".json") else name
-    if not stem or "/" in stem or "\\" in stem:
-        raise ValueError(
-            f"emit_json takes a bare file stem under benchmarks/results/, "
-            f"got {name!r}"
-        )
-    return write_json(RESULTS_DIR / f"{stem}.json", payload)
-
-
-def emit_records(bench: str, records: Iterable[BenchRecord]) -> pathlib.Path:
-    """Persist a bench's schema'd trajectory records as ``BENCH_<bench>.json``.
-
-    Every bench funnels its machine-readable output through this: a
-    versioned :class:`~repro.analysis.trajectory.BenchRecord` payload
-    (git sha + machine fingerprint stamped) that ``repro perf
-    --records``/``--update`` can gate or promote into the committed
-    ``HISTORY.jsonl`` trajectory.
-    """
-    return emit_json(f"BENCH_{bench}", records_payload(records))
 
 
 def once(benchmark, fn):

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from repro.analysis import render_table
 from repro.analysis.sweep_report import records_by_size
-from repro.analysis.trajectory import make_record
 from repro.experiments import ScenarioMatrix, SweepExecutor
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 NS = (24, 48, 96)
 
@@ -61,15 +60,6 @@ def test_ablation_delivery(benchmark):
         title="A1a: delivery ablation (h=n^{1/3}, greedy blocker fixed)",
     )
     emit("ablation_delivery", table)
-    emit_records("ablation_delivery", [
-        make_record(
-            "ablation_delivery",
-            f"er-n{n}-{rec['spec']['delivery']}",
-            exact={"rounds": rec["rounds"],
-                   "step6_rounds": step6_rounds(rec)},
-        )
-        for n, recs in sorted(by_n.items()) for rec in recs
-    ])
 
 
 def test_ablation_blocker(benchmark):
@@ -91,16 +81,6 @@ def test_ablation_blocker(benchmark):
         title="A1b: blocker ablation (h=n^{1/3}, pipelined Step 6 fixed)",
     )
     emit("ablation_blocker", table)
-    emit_records("ablation_blocker", [
-        make_record(
-            "ablation_blocker",
-            f"er-n{n}-{rec['spec']['blocker']}",
-            exact={"rounds": rec["rounds"],
-                   "step2_rounds": rec["step_rounds"].get("step2-blocker", 0),
-                   "q": rec["meta"]["q"]},
-        )
-        for n, recs in sorted(by_n.items()) for rec in recs
-    ])
 
 
 def test_ablation_hop_budget(benchmark):
@@ -119,12 +99,3 @@ def test_ablation_hop_budget(benchmark):
         title="A1c: hop-budget ablation (greedy blocker, pipelined Step 6)",
     )
     emit("ablation_hop_budget", table)
-    emit_records("ablation_hop_budget", [
-        make_record(
-            "ablation_hop_budget",
-            f"er-n{n}-h{rec['meta']['h']}",
-            exact={"rounds": rec["rounds"], "h": rec["meta"]["h"],
-                   "q": rec["meta"]["q"]},
-        )
-        for n, recs in sorted(by_n.items()) for rec in recs
-    ])

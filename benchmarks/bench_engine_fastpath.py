@@ -29,12 +29,11 @@ import time
 from typing import List
 
 from repro.analysis import render_table
-from repro.analysis.trajectory import make_record
 from repro.congest.network import CongestNetwork
 from repro.graphs import erdos_renyi
 from repro.primitives.bfs import build_bfs_tree
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 N = 64
 REPS = 50
@@ -107,22 +106,6 @@ def test_engine_fastpath_speedup(benchmark):
         ),
     )
     emit("engine_fastpath", table)
-    emit_records("engine_fastpath", [
-        make_record(
-            "engine_fastpath", f"bfs-n{N}-{engine}",
-            exact={"rounds": s.rounds, "messages": s.messages},
-            timing={"best_wall_s": round(best, 6)},
-        )
-        for engine, s, best in [
-            ("strict", s_strict, t_strict),
-            ("fast", s_fast, t_fast),
-        ]
-    ] + [
-        make_record(
-            "engine_fastpath", f"bfs-n{N}-ratios",
-            timing={"fast_over_strict_speedup": round(1.0 / strict_ratio, 3)},
-        )
-    ])
     assert strict_ratio <= 1.3, (
         f"vectorized strict path is {strict_ratio:.2f}x the fast path "
         f"(want <= 1.3x)"

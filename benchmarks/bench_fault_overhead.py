@@ -28,13 +28,12 @@ import time
 from typing import List, Optional
 
 from repro.analysis import render_table
-from repro.analysis.trajectory import make_record
 from repro.apsp import naive_bf_apsp
 from repro.congest.faults import FAULT_MODELS, FaultPlan
 from repro.congest.network import CongestNetwork
 from repro.graphs import erdos_renyi
 
-from _common import emit, emit_records
+from _common import emit
 
 N = 64
 REPS = 30
@@ -132,22 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     emit("fault_overhead", table)
-    emit_records("fault_overhead", [
-        make_record(
-            "fault_overhead", f"naive-bf-n{n}-zero-plan",
-            exact={"rounds": nets[1].total.rounds,
-                   "messages": nets[1].total.messages,
-                   "fault_events": 0},
-            timing={"cpu_ratio_vs_plain": round(zero_ratio, 3)},
-        ),
-        make_record(
-            "fault_overhead", f"naive-bf-n{n}-drop-plan",
-            exact={"rounds": nets[2].total.rounds,
-                   "messages": nets[2].total.messages,
-                   "fault_events": events},
-            timing={"cpu_ratio_vs_plain": round(drop_ratio, 3)},
-        ),
-    ])
 
     assert events > 0, "the drop plan never fired at this size"
     assert zero_ratio <= 1.25, (

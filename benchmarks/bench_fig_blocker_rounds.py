@@ -28,20 +28,12 @@ from repro.blocker import (
     greedy_blocker_set,
     sampling_blocker_set,
 )
-from repro.analysis.trajectory import make_record
 from repro.apsp.driver import default_h
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 SWEEP_NS = (16, 24, 32, 48, 64, 96)
 
-#: display name -> stable scenario slug for the emitted records
-SLUGS = {
-    "derandomized (Alg 2')": "derandomized",
-    "Alg 2' good-set branch (force_selection)": "forced-goodset",
-    "greedy [2]": "greedy",
-    "sampling": "sampling",
-}
 
 
 def test_blocker_rounds_sweep(benchmark):
@@ -112,11 +104,3 @@ def test_blocker_rounds_sweep(benchmark):
         ),
     ])
     emit("fig_blocker_rounds", table + "\n\n" + notes)
-    emit_records("fig_blocker_rounds", [
-        make_record(
-            "fig_blocker_rounds", f"er-n{n}-{SLUGS[key]}",
-            exact={"rounds": r, "q": q, "selection_steps": s},
-        )
-        for key in data
-        for n, r, q, s in zip(ns, data[key], sizes[key], steps[key])
-    ])

@@ -15,10 +15,9 @@ from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.graphs import erdos_renyi, grid2d
 from repro.blocker import deterministic_blocker_set
-from repro.analysis.trajectory import make_record
 from repro.blocker.verify import greedy_reference_size
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 
 def test_blocker_size_sweep(benchmark):
@@ -51,10 +50,3 @@ def test_blocker_size_sweep(benchmark):
         title="F3: blocker-set size vs Lemma 3.10 (ratio must stay bounded)",
     )
     emit("fig_blocker_size", table)
-    emit_records("fig_blocker_size", [
-        make_record(
-            "fig_blocker_size", f"{row[0]}-h{row[2]}",
-            exact={"paths": row[3], "q": row[4], "greedy_ref": row[5]},
-        )
-        for row in rows
-    ])

@@ -17,10 +17,9 @@ from repro.analysis import render_table
 from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.graphs import star_of_paths
-from repro.analysis.trajectory import make_record
 from repro.pipeline.bottleneck import compute_bottleneck, message_counts
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 
 def test_bottleneck_invariants_sweep(benchmark):
@@ -63,11 +62,3 @@ def test_bottleneck_invariants_sweep(benchmark):
         title="F5: Algorithm 13 invariants (Lemmas A.15-A.17)",
     )
     emit("fig_bottleneck", table)
-    emit_records("fig_bottleneck", [
-        make_record(
-            "fig_bottleneck", f"{row[0]}-q{row[2]}",
-            exact={"total_load": row[3], "b_size": row[5],
-                   "max_residual": row[7], "rounds": row[8]},
-        )
-        for row in rows
-    ])

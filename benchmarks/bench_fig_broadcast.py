@@ -8,19 +8,12 @@ node in ``O(n)``.  Measured rounds vs the additive bound across ``n`` and
 from __future__ import annotations
 
 from repro.analysis import render_table
-from repro.analysis.trajectory import make_record
 from repro.congest import CongestNetwork
 from repro.graphs import erdos_renyi, path_graph, ring_graph
 from repro.primitives import broadcast_from_root, build_bfs_tree, gather_and_broadcast
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
-#: display label -> stable scenario slug for the emitted records
-SLUGS = {
-    "A.1 (root, ring)": "a1-ring",
-    "A.2 (path)": "a2-path",
-    "A.2 (er)": "a2-er",
-}
 
 
 def test_broadcast_primitives(benchmark):
@@ -63,10 +56,3 @@ def test_broadcast_primitives(benchmark):
     for row in rows:
         assert row[3] <= row[4], row
     emit("fig_broadcast", table)
-    emit_records("fig_broadcast", [
-        make_record(
-            "fig_broadcast", f"{SLUGS[row[0]]}-n{row[1]}-k{row[2]}",
-            exact={"rounds": row[3], "bound": row[4]},
-        )
-        for row in rows
-    ])

@@ -19,10 +19,9 @@ from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.graphs import erdos_renyi
 from repro.blocker import BlockerParams, deterministic_blocker_set, is_blocker_set
-from repro.analysis.trajectory import make_record
 from repro.blocker import randomized_blocker_set
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 
 def test_goodset_machinery(benchmark):
@@ -71,12 +70,3 @@ def test_goodset_machinery(benchmark):
         ),
     )
     emit("fig_goodset", table)
-    emit_records("fig_goodset", [
-        make_record(
-            "fig_goodset", row[0],
-            exact={"paths": row[1], "selection_steps": row[2],
-                   "good_picks": row[3], "fallbacks": row[4],
-                   "rounds": row[8]},
-        )
-        for row in rows
-    ])

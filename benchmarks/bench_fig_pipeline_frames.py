@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 
 from repro.analysis import render_table
-from repro.analysis.trajectory import make_record
 from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.graphs import broom, star_of_paths
 from repro.pipeline.short_range import round_robin_pipeline
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 
 def test_pipeline_frames(benchmark):
@@ -67,11 +66,3 @@ def test_pipeline_frames(benchmark):
     for row in rows:
         assert row[5] <= row[6], row  # frame-style shape holds
     emit("fig_pipeline_frames", table)
-    emit_records("fig_pipeline_frames", [
-        make_record(
-            "fig_pipeline_frames", f"{row[0]}-q{row[2]}",
-            exact={"messages": row[3], "max_load": row[4],
-                   "rounds": row[5]},
-        )
-        for row in rows
-    ])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from repro.analysis import crossover, fit_exponent, render_series, render_table
-from repro.analysis.trajectory import make_record
 from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.graphs import erdos_renyi
@@ -20,7 +19,7 @@ from repro.blocker import deterministic_blocker_set
 from repro.pipeline import broadcast_delivery, reversed_qsink
 from repro.apsp.driver import default_h
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 SWEEP_NS = (16, 24, 32, 48, 64, 96)
 
@@ -83,10 +82,3 @@ def test_step6_pipelined_vs_broadcast(benchmark):
     benchmark.extra_info["alpha_pipelined"] = fit_p.alpha
     benchmark.extra_info["alpha_broadcast"] = fit_b.alpha
     emit("fig_step6", table + "\n\n" + series + "\n" + xover)
-    emit_records("fig_step6", [
-        make_record(
-            "fig_step6", f"er-n{n}",
-            exact={"q": q, "pipelined_rounds": p, "broadcast_rounds": b},
-        )
-        for n, q, p, b in rows
-    ])

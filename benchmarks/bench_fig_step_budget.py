@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from repro.analysis import render_table
 from repro.analysis.sweep_report import records_by_size
-from repro.analysis.trajectory import make_record
 from repro.experiments import ScenarioMatrix, SweepExecutor
 
-from _common import emit, emit_records, once
+from _common import emit, once
 
 STEP_GROUPS = [
     ("step1-csssp", "Step 1 (h-CSSSP)"),
@@ -76,25 +75,3 @@ def test_step_budget(benchmark):
         ),
     )
     emit("fig_step_budget", table)
-    bench_records = []
-    for rec in records:
-        n = rec["spec"]["n"]
-        for prefix, _label in STEP_GROUPS:
-            bench_records.append(make_record(
-                "fig_step_budget", f"er-n{n}-{prefix.rstrip('/')}",
-                exact={
-                    "rounds": sum(v for k, v in rec["step_rounds"].items()
-                                  if k.startswith(prefix)),
-                    "max_congestion": max(
-                        (v for k, v in rec["step_congestion"].items()
-                         if k.startswith(prefix)),
-                        default=0,
-                    ),
-                },
-            ))
-        bench_records.append(make_record(
-            "fig_step_budget", f"er-n{n}-total",
-            exact={"rounds": rec["rounds"],
-                   "max_congestion": rec["max_node_congestion"]},
-        ))
-    emit_records("fig_step_budget", bench_records)

@@ -198,8 +198,8 @@ def load_records(dirs: Sequence[object]) -> List[dict]:
         records = []
         for path in sorted(dpath.glob("*.json")):
             try:
-                record = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                record = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise RecordError(f"unreadable record {path}: {exc}") from exc
             records.append(validate_record(record, source=path))
         record_sets.append(records)
@@ -804,9 +804,8 @@ def write_json(path: object, payload: dict) -> pathlib.Path:
 
     Sorted keys, two-space indent, trailing newline, tmp-file +
     ``replace``.  The single home of the machine-readable-artifact
-    serialization: :func:`write_report` and the benches'
-    ``_common.emit_json`` both go through it, so tracked trajectory
-    files keep one diff-stable format.
+    serialization: :func:`write_report` and ``repro perf --out`` both
+    go through it, so tracked files keep one diff-stable format.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -831,7 +830,7 @@ def write_report(
         path = pathlib.Path(results_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(render_results_md(report))
+        tmp.write_text(render_results_md(report), encoding="utf-8")
         tmp.replace(path)
     if json_path is not None:
         write_json(json_path, report)
@@ -864,14 +863,19 @@ def check_report(
     json_path = pathlib.Path(json_path)
     if not results_path.exists():
         problems.append(f"{results_path} is missing")
-    elif results_path.read_text() != render_results_md(report):
-        problems.append(f"{results_path} is stale")
+    else:
+        try:
+            committed_md = results_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            committed_md = None
+        if committed_md != render_results_md(report):
+            problems.append(f"{results_path} is stale")
     if not json_path.exists():
         problems.append(f"{json_path} is missing")
     else:
         try:
-            committed = json.loads(json_path.read_text())
-        except json.JSONDecodeError:
+            committed = json.loads(json_path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             committed = None
         if not isinstance(committed, dict):  # truncated / conflict-mangled
             committed = None

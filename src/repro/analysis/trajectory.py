@@ -4,14 +4,13 @@ PRs 1-5 bought a ~16-19x rounds/sec win on the deterministic-APSP
 pipeline; this module is what defends it.  Three pieces:
 
 * **Record schema.**  :class:`BenchRecord` is the versioned
-  (:data:`SCHEMA_VERSION`) unit every bench emits: bench name, scenario
-  key, git sha, machine fingerprint, and two metric groups — ``exact``
+  (:data:`SCHEMA_VERSION`) unit of one pinned perf scenario: bench name,
+  scenario key, git sha, machine fingerprint, and two metric groups — ``exact``
   (rounds, messages, set sizes: deterministic quantities where *any*
   change is a real behavioral diff, the way the paper's Theorem 1.1
   budgets rounds per step) and ``timing`` (wall seconds, rounds/sec:
-  noisy quantities gated against a relative band).  Benches build
-  records with :func:`make_record` and persist them through
-  ``benchmarks/_common.emit_records``.
+  noisy quantities gated against a relative band).  ``repro perf``
+  builds them with :func:`make_record` and is their only writer.
 
 * **Tracked history.**  ``benchmarks/results/HISTORY.jsonl`` is the
   append-only committed trajectory: one sorted-keys JSON record per
@@ -223,7 +222,7 @@ def records_payload(records: Iterable[BenchRecord]) -> dict:
 
     One ``records`` list under one schema stamp; written through the
     shared atomic sorted-keys :func:`~repro.analysis.sweep_report
-    .write_json` path (``_common.emit_records`` / ``repro perf --out``).
+    .write_json` path (``repro perf --out``).
     """
     return {
         "schema": SCHEMA_VERSION,
@@ -232,12 +231,14 @@ def records_payload(records: Iterable[BenchRecord]) -> dict:
 
 
 def load_records_file(path: object) -> List[BenchRecord]:
-    """Read a ``records`` payload (``BENCH_*.json`` / ``PERF.json``)."""
+    """Read a ``records`` payload (the ``PERF.json`` ``repro perf`` writes)."""
     path = pathlib.Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise TrajectoryError(f"no record file at {path}") from None
+    except UnicodeDecodeError as exc:
+        raise TrajectoryError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TrajectoryError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
@@ -260,16 +261,18 @@ def render_record_line(record: BenchRecord) -> str:
 def load_history(path: object = HISTORY_PATH) -> List[BenchRecord]:
     """All records in a history file, oldest first.
 
-    Raises :class:`TrajectoryError` on a missing file, a non-JSON line,
-    or a record with a foreign schema version.
+    Raises :class:`TrajectoryError` on a missing file, bytes that are
+    not UTF-8, a non-JSON line, or a record with a foreign schema version.
     """
     path = pathlib.Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise TrajectoryError(
             f"no perf history at {path}; seed it with `repro perf --update`"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise TrajectoryError(f"{path} is not UTF-8 text: {exc}") from exc
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -623,8 +626,7 @@ SERVING_PATH_QUERIES = 128
 
 def serving_spec():
     """The :class:`~repro.experiments.spec.ScenarioSpec` behind the
-    pinned serving scenario (shared by ``repro perf`` and
-    ``benchmarks/bench_serving.py`` so both gate the same artifact)."""
+    pinned serving scenario ``repro perf`` measures."""
     from repro.experiments.spec import ScenarioSpec
 
     return ScenarioSpec(family="er", n=48, algorithm="det-n43", seed=1,

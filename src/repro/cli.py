@@ -27,7 +27,7 @@ result without writing code:
 * ``serve`` — answer distance/path queries over an oracle store from a
   stdlib-asyncio HTTP server with per-request metrics
   (:mod:`repro.serving.server`).
-* ``orchestrate`` — run a declarative YAML/JSON sweep config through the
+* ``orchestrate`` — run a declarative JSON sweep config through the
   resumable stage DAG (``generate -> shard-0..N-1 -> fit -> report``)
   with scenario-hash sharding and a crash-resumable JSONL journal
   (:mod:`repro.orchestrator`); ``--resume`` continues a killed run,
@@ -335,7 +335,7 @@ def cmd_perf(args) -> int:
         )
 
     # Current records: measured from the pinned scenarios, or replayed
-    # from record files a previous invocation (or a bench) emitted.
+    # from record files a previous invocation wrote.
     if args.records:
         try:
             current = [r for path in args.records
@@ -789,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append-only trajectory file "
                         "(default: %(default)s)")
     p.add_argument("--records", nargs="+",
-                   help="gate these previously emitted record payloads "
-                        "(PERF.json / BENCH_*.json) instead of "
+                   help="gate these record payloads written by an "
+                        "earlier `repro perf` (PERF.json) instead of "
                         "re-measuring")
     p.add_argument("--out", default=str(PERF_JSON_PATH),
                    help="where measured records are written "
@@ -811,8 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
              "sharded stage DAG (generate -> shards -> fit -> report)",
     )
     p.add_argument("config",
-                   help="YAML/JSON orchestration config (see "
-                        "examples/orchestrator_quick.yaml)")
+                   help="JSON (or, with pyyaml, YAML) orchestration "
+                        "config (see examples/orchestrator_quick.json)")
     p.add_argument("--resume", action="store_true",
                    help="continue a journaled run: completed stages are "
                         "skipped, an interrupted stage re-runs against "

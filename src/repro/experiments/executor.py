@@ -114,9 +114,11 @@ class SweepExecutor:
         if path is None or self.force or not path.exists():
             return None
         try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None  # torn write or hand-edited file: just re-run
+        if not isinstance(record, dict):
+            return None
         if record.get("version") != RECORD_VERSION or record.get("hash") != spec.key:
             return None
         if self.verify and not record.get("verified"):

@@ -6,7 +6,7 @@ resumable DAG of stages::
 
     generate -> shard-0 .. shard-(N-1) -> fit -> report
 
-* :mod:`repro.orchestrator.config` parses a declarative YAML/JSON config
+* :mod:`repro.orchestrator.config` parses a declarative JSON config
   (matrix axes or a sweep preset, shard count, budget, record/output
   dirs) into a validated :class:`~repro.orchestrator.config.OrchestratorPlan`;
 * :mod:`repro.orchestrator.shards` partitions the expanded matrix

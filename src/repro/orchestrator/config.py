@@ -1,24 +1,27 @@
 """Declarative sweep-orchestration configs: one checked-in file per fleet run.
 
-A config is YAML or JSON (by file suffix) and names the whole run::
+A config is JSON (or YAML when pyyaml is installed, by file suffix) and
+names the whole run, like ``examples/orchestrator_quick.json``::
 
-    # examples/orchestrator_quick.yaml
-    preset: quick              # or matrix: {families: [...], sizes: [...]}
-    shards: 2                  # scenario-hash partitions (hash % N == i)
-    workers: 1                 # worker processes per shard stage
-    budget: 64                 # optional cap on expanded scenarios
-    records_dir: results/orchestrator/records
-    state_dir: results/orchestrator/state
-    results: results/orchestrator/RESULTS.md   # default <state_dir>/RESULTS.md
-    json: results/orchestrator/REPORT.json     # default <state_dir>/REPORT.json
+    {"preset": "quick",
+     "shards": 2,
+     "workers": 1,
+     "budget": 64,
+     "records_dir": "results/orchestrator/records",
+     "state_dir": "results/orchestrator/state",
+     "results": "results/orchestrator/RESULTS.md",
+     "json": "results/orchestrator/REPORT.json"}
 
-Parsing is strict: unknown keys, a missing matrix, a non-positive shard
-count, or a matrix that expands beyond ``budget`` raise
-:class:`ConfigError` naming the file and the problem.  YAML needs no
-third-party dependency — :mod:`yaml` is used when installed, otherwise a
-built-in parser covers the declarative subset these configs use (nested
-mappings, ``[a, b]`` inline lists, ``- item`` block lists, scalars,
-comments).
+``preset`` names a sweep preset; a ``matrix`` mapping of axis lists
+(``{"families": [...], "sizes": [...]}``) replaces it.  ``shards``
+partitions the scenarios by hash (``hash % N == i``), ``workers`` is
+the worker-process count per shard stage, ``budget`` optionally caps
+the expanded scenario count, and ``results`` / ``json`` default to
+``<state_dir>/RESULTS.md`` and ``<state_dir>/REPORT.json``.
+
+Parsing is strict: unknown or duplicate keys, a missing matrix, a
+non-positive shard count, or a matrix that expands beyond ``budget``
+raise :class:`ConfigError` naming the file and the problem.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.sweep_report import report_matrix
 from repro.experiments.spec import ScenarioMatrix, ScenarioSpec
@@ -37,125 +40,48 @@ class ConfigError(ValueError):
     """An orchestrator config file is missing, malformed, or invalid."""
 
 
-# ----------------------------------------------------------------------
-# Minimal YAML subset (used when pyyaml is not installed)
-# ----------------------------------------------------------------------
-
-def _strip_comment(line: str) -> str:
-    """Cut an unquoted ``#`` comment off one line."""
-    quote = None
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch == "#" and (i == 0 or line[i - 1] in " \t"):
-            return line[:i]
-    return line
-
-
-def _scalar(token: str) -> object:
-    token = token.strip()
-    if token in ("", "~", "null"):
-        return None
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        return [] if not inner else [_scalar(t) for t in inner.split(",")]
-    for cast in (int, float):
-        try:
-            return cast(token)
-        except ValueError:
-            pass
-    return token
-
-
-def _parse_block(
-    lines: List[Tuple[int, int, str]], pos: int, indent: int
-) -> Tuple[object, int]:
-    """Parse one mapping or list block starting at ``lines[pos]``."""
-    is_list = lines[pos][2].startswith("- ") or lines[pos][2] == "-"
-    mapping: Dict[str, object] = {}
-    items: List[object] = []
-    while pos < len(lines):
-        lineno, line_indent, text = lines[pos]
-        if line_indent < indent:
-            break
-        if line_indent > indent:
-            raise ConfigError(f"line {lineno}: unexpected indentation")
-        if is_list:
-            if not (text.startswith("- ") or text == "-"):
-                break
-            items.append(_scalar(text[1:].strip()))
-            pos += 1
-            continue
-        if ":" not in text:
-            raise ConfigError(f"line {lineno}: expected 'key: value'")
-        key, _, rest = text.partition(":")
-        key, rest = key.strip(), rest.strip()
-        pos += 1
-        if rest:
-            mapping[key] = _scalar(rest)
-        elif pos < len(lines) and lines[pos][1] > indent:
-            mapping[key], pos = _parse_block(lines, pos, lines[pos][1])
-        else:
-            mapping[key] = None
-    return (items if is_list else mapping), pos
-
-
-def _mini_yaml_load(text: str) -> object:
-    """Parse the declarative YAML subset orchestrator configs use."""
-    lines: List[Tuple[int, int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if "\t" in raw:
-            raise ConfigError(f"line {lineno}: tabs are not allowed in YAML")
-        stripped = _strip_comment(raw).rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
-        lines.append((lineno, indent, stripped.strip()))
-    if not lines:
-        return {}
-    value, pos = _parse_block(lines, 0, lines[0][1])
-    if pos != len(lines):
-        raise ConfigError(
-            f"line {lines[pos][0]}: content outside the top-level block"
-        )
-    return value
-
-
 def load_config(path: object) -> dict:
-    """Read one YAML/JSON config file into a plain mapping."""
+    """Read one JSON (or, with pyyaml, YAML) config file into a mapping.
+
+    Fails closed: a missing or unreadable file, bytes that are not
+    UTF-8, malformed syntax, a duplicate JSON key, or a non-mapping top
+    level raise :class:`ConfigError` naming the file.
+    """
     path = pathlib.Path(path)
     if not path.exists():
         raise ConfigError(f"config not found: {path}")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"unreadable config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     if path.suffix == ".json":
+
+        def unique_keys(pairs):
+            mapping = {}
+            for key, value in pairs:
+                if key in mapping:
+                    raise ConfigError(f"duplicate key {key!r} in {path}")
+                mapping[key] = value
+            return mapping
+
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     elif path.suffix in (".yaml", ".yml"):
         try:
             import yaml
         except ImportError:
-            data = _mini_yaml_load(text)
-        else:
-            try:
-                data = yaml.safe_load(text)
-            except yaml.YAMLError as exc:
-                raise ConfigError(
-                    f"malformed YAML in {path}: {exc}"
-                ) from exc
+            raise ConfigError(
+                f"config {path} is YAML, which needs pyyaml; install "
+                f"pyyaml or write the config as JSON"
+            ) from None
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     else:
         raise ConfigError(
             f"config {path} must be .yaml, .yml, or .json"

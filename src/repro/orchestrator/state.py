@@ -59,8 +59,13 @@ class Journal:
         """Every journaled event, in append order (empty if no journal)."""
         if not self.path.exists():
             return []
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise StateError(
+                f"corrupt journal {self.path}: not UTF-8 text: {exc}") from exc
         events = []
-        for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:

@@ -14,9 +14,10 @@ three layers:
   (``python -m repro serve``) answering distance and path queries with
   per-request latency/hit-rate metrics at ``GET /stats``.
 
-``benchmarks/bench_serving.py`` measures p50/p99 latency and QPS under
-concurrent load and emits the schema'd bench record the perf gate
-tracks alongside the engine trajectories.
+The benchmark's ``oracle-serve`` workload (``perfbench/``) measures
+p50/p99 latency and QPS under concurrent keep-alive load, checking every
+reply against the oracle's plane; ``repro perf`` gates the pinned
+serving scenario alongside the engine trajectories.
 """
 
 from repro.serving.artifact import (

@@ -410,8 +410,8 @@ def iter_cached_records(paths: Iterable) -> Iterator[Tuple[pathlib.Path, dict]]:
             raise ArtifactError(f"no record JSON under {p}")
         for f in files:
             try:
-                record = json.loads(f.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                record = json.loads(f.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ArtifactError(f"{f} is not a record file: {exc}") \
                     from exc
             if not isinstance(record, dict):

@@ -14,7 +14,12 @@ from repro.experiments import (
     run_scenario,
 )
 from repro.experiments.executor import strip_timing
-from repro.experiments.runner import fault_plan_seed, scenario_seed
+from repro.experiments.registry import ALGORITHMS
+from repro.experiments.runner import (
+    RECORD_VERSION,
+    fault_plan_seed,
+    scenario_seed,
+)
 from repro.experiments.spec import THREE_PHASE
 
 # ---------------------------------------------------------------------------
@@ -197,6 +202,19 @@ def test_corrupt_cache_entry_is_rerun(tmp_path):
     assert json.loads(path.read_text())["hash"] == specs[0].key  # healed
 
 
+@pytest.mark.parametrize("body", [b'{"hash": "\xff\xfe"}', b"[1, 2]"],
+                         ids=["not-utf8", "not-an-object"])
+def test_unusable_cache_entry_is_rerun(tmp_path, body):
+    specs = SMALL.expand()[:1]
+    ex = SweepExecutor(cache_dir=str(tmp_path), workers=1)
+    ex.run(specs)
+    path = ex.cache_path(specs[0])
+    path.write_bytes(body)
+    ex.run(specs)
+    assert (ex.executed, ex.cached) == (1, 0)
+    assert json.loads(path.read_text())["hash"] == specs[0].key  # healed
+
+
 def test_record_contents_and_verification():
     spec = ScenarioSpec(family="er", n=12, algorithm="det-n43", seed=1)
     rec = run_scenario(spec)
@@ -208,6 +226,50 @@ def test_record_contents_and_verification():
     assert set(rec["step_rounds"]) == set(rec["step_congestion"])
     assert rec["timing"]["wall_s"] > 0
     json.dumps(rec)  # JSON-safe end to end
+
+
+#: The record layout ``RECORD_VERSION`` 2 stands for.  Caches are keyed by
+#: scenario hash and served while the version matches, so a layout change
+#: that keeps the version would serve pre-change records as fresh.
+PINNED_RECORD_VERSION = 2
+RECORD_KEYS = (
+    "actual_n", "algorithm", "dist_sha256", "dist_sum", "finite_pairs",
+    "graph", "hash", "max_node_congestion", "messages", "meta", "rounds",
+    "spec", "step_congestion", "step_rounds", "timing", "verified",
+    "version",
+)
+FAULTED_RECORD_KEYS = tuple(sorted(
+    RECORD_KEYS + ("baseline", "fault_outcome", "faults")))
+THREE_PHASE_META = ("blocker", "bottlenecks", "delivery", "h",
+                    "pipeline_rounds", "q", "q_prime")
+META_KEYS = {
+    "det-n32": ("blocker", "delivery", "h", "q"),
+    "det-n43": THREE_PHASE_META,
+    "det-n53": ("blocker", "delivery", "h", "q"),
+    "naive-bf": (),
+    "rand-n43": THREE_PHASE_META,
+}
+
+
+@pytest.mark.parametrize("algorithm,faults", [
+    *((a, "none") for a in sorted(ALGORITHMS)),
+    ("naive-bf", "drop"),
+])
+def test_record_layout_is_pinned_to_record_version(algorithm, faults):
+    spec = ScenarioSpec(family="er", n=10, algorithm=algorithm, seed=1,
+                        strict=False, compress=faults == "none",
+                        faults=faults)
+    record = run_scenario(spec, verify=False)
+    layout = (tuple(sorted(record)), tuple(sorted(record["meta"])))
+    pinned = (FAULTED_RECORD_KEYS if faults != "none" else RECORD_KEYS,
+              () if faults != "none" else META_KEYS[algorithm])
+    assert (RECORD_VERSION, layout) == (PINNED_RECORD_VERSION, pinned), (
+        f"{spec.label}: record layout {layout} (RECORD_VERSION "
+        f"{RECORD_VERSION}) differs from the layout pinned for version "
+        f"{PINNED_RECORD_VERSION}. A changed layout needs a RECORD_VERSION "
+        f"bump in repro/experiments/runner.py, so cached records of the "
+        f"old layout are re-run instead of served; then re-pin it here."
+    )
 
 
 def test_fast_engine_matches_strict_engine():

@@ -137,6 +137,7 @@ class TestErrorPaths:
         assert "repro orchestrate: config not found" in str(exc.value)
 
     def test_malformed_yaml_names_line(self, tmp_path):
+        pytest.importorskip("yaml")
         bad = tmp_path / "bad.yaml"
         bad.write_text("shards: 2\n\tbroken: tab indentation\n")
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
 from repro.orchestrator.config import (
     ConfigError,
-    _mini_yaml_load,
     load_config,
     load_plan,
     plan_from_dict,
@@ -58,6 +58,7 @@ class TestLoading:
         assert len(plan.specs()) == 8
 
     def test_yaml_config_loads(self, tmp_path):
+        pytest.importorskip("yaml")
         plan = load_plan(write(tmp_path, "cfg.yaml", YAML_TEXT))
         assert plan.shards == 2 and plan.budget == 16
         assert [s.key for s in plan.specs()] == [
@@ -65,34 +66,21 @@ class TestLoading:
                 write(tmp_path, "cfg.json", json.dumps(BASE))).specs()
         ]
 
-    def test_mini_yaml_agrees_with_pyyaml(self):
-        # The built-in subset parser must read the checked-in config
-        # dialect exactly as pyyaml does (when pyyaml is installed).
-        yaml = pytest.importorskip("yaml")
-        assert _mini_yaml_load(YAML_TEXT) == yaml.safe_load(YAML_TEXT)
+    def test_yaml_without_pyyaml_names_pyyaml_and_json(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        path = write(tmp_path, "cfg.yaml", YAML_TEXT)
+        with pytest.raises(ConfigError, match="pyyaml.*JSON"):
+            load_config(path)
 
-    def test_mini_yaml_block_lists_and_scalars(self):
-        text = (
-            "preset: quick\n"
-            "flags:\n"
-            "  - alpha\n"
-            "  - 2\n"
-            "  - 2.5\n"
-            "nested:\n"
-            "  a: true\n"
-            "  b: false\n"
-            "  c: null\n"
-            "  d: 'quoted # not a comment'\n"
-        )
-        data = _mini_yaml_load(text)
-        assert data == {
-            "preset": "quick",
-            "flags": ["alpha", 2, 2.5],
-            "nested": {"a": True, "b": False, "c": None,
-                       "d": "quoted # not a comment"},
-        }
-        yaml = pytest.importorskip("yaml")
-        assert data == yaml.safe_load(text)
+    @pytest.mark.parametrize("text,key", [
+        ('{"shards": 2, "state_dir": "s", "shards": 3}', "shards"),
+        ('{"matrix": {"sizes": [10], "sizes": [14]}}', "sizes"),
+    ], ids=["top-level", "in-matrix"])
+    def test_duplicate_json_key_named(self, tmp_path, text, key):
+        path = write(tmp_path, "cfg.json", text)
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            load_config(path)
 
     def test_missing_config_named(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):
@@ -104,6 +92,7 @@ class TestLoading:
             load_plan(path)
 
     def test_malformed_yaml_line_named(self, tmp_path):
+        pytest.importorskip("yaml")
         path = write(tmp_path, "cfg.yaml", "shards: 2\n\tbad: tab\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
@@ -193,7 +182,7 @@ class TestValidation:
 def test_checked_in_example_config_loads():
     # the README quickstart points at this file; keep it loadable
     example = (pathlib.Path(__file__).resolve().parents[1]
-               / "examples" / "orchestrator_quick.yaml")
+               / "examples" / "orchestrator_quick.json")
     plan = load_plan(example)
     assert plan.preset == "quick"
     assert plan.shards == 2 and plan.verify is True
@@ -202,6 +191,7 @@ def test_checked_in_example_config_loads():
 
 class TestFingerprint:
     def test_stable_across_loads(self, tmp_path):
+        pytest.importorskip("yaml")
         a = load_plan(write(tmp_path, "a.json", json.dumps(BASE)))
         b = load_plan(write(tmp_path, "b.yaml", YAML_TEXT))
         # budget/workers differences do not change the run identity

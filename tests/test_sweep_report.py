@@ -281,6 +281,15 @@ def test_check_report_handles_mangled_json(tmp_path):
         assert problems == [f"{payload} is stale"]
 
 
+def test_check_report_calls_non_utf8_artifacts_stale(tmp_path):
+    report = build_report(synthetic_records(lambda n: 5.0 * n ** 1.2))
+    results, payload = tmp_path / "RESULTS.md", tmp_path / "REPORT.json"
+    results.write_bytes(b"\xff\xfe")
+    payload.write_bytes(b'{"timing": "\xff"}')
+    assert check_report(report, results_path=results, json_path=payload) == [
+        f"{results} is stale", f"{payload} is stale"]
+
+
 def test_report_matrix_covers_three_bounded_families():
     specs = report_matrix().expand()
     from repro.experiments.registry import CLAIMED_BOUNDS
