@@ -40,26 +40,30 @@ from repro.primitives.broadcast import gather_and_broadcast
 class _ViCountProgram(NodeProgram):
     """Algorithm 4 for one tree: flood the V_i-member count down."""
 
-    __slots__ = ("tree", "in_vi", "beta")
+    __slots__ = ("tree", "live", "in_vi", "beta")
 
-    def __init__(self, node: int, tree: TreeView, in_vi: bool) -> None:
+    def __init__(self, node: int, tree: TreeView, live: List[bool],
+                 in_vi: bool) -> None:
         super().__init__(node)
         self.tree = tree
+        self.live = live
         self.in_vi = in_vi
         self.beta = -1
-        if tree.live(node) and tree.depth[node] == 0:
+        if live[node] and tree.depth[node] == 0:
             self.beta = 0  # the root slot never counts (hyperedges exclude it)
         self.active = self.beta == 0
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
         t = self.tree
-        for msg in ctx.inbox:
-            if msg.kind == "beta" and msg.src == t.parent[v] and self.beta < 0:
-                self.beta = msg.payload[0] + (1 if self.in_vi else 0)
+        for src, kind, payload in ctx.inbox:
+            if kind == "beta" and src == t.parent[v] and self.beta < 0:
+                self.beta = payload[0] + (1 if self.in_vi else 0)
         if self.beta >= 0 and ctx.round == t.depth[v]:
-            for c in t.live_children(v):
-                ctx.send(c, "beta", (self.beta,))
+            live = self.live
+            for c in t.children[v]:
+                if live[c]:
+                    ctx.send(c, "beta", (self.beta,))
         self.active = False
 
 
@@ -171,10 +175,12 @@ def compute_vi_counts(
     leaves: List[int] = []
     betas: List[int] = []
     for i, (x, t) in enumerate(coll.trees.items()):
-        programs = [_ViCountProgram(v, t, v in vi) for v in range(coll.n)]
+        live = t.live_list()
+        programs = [_ViCountProgram(v, t, live, v in vi)
+                    for v in range(coll.n)]
         total.merge(net.run(programs, label=f"{label}({x})"))
         for v in range(coll.n):
-            if t.depth[v] == coll.h and not t.removed[v]:
+            if t.depth[v] == coll.h and live[v]:
                 rows.append(i)
                 leaves.append(v)
                 betas.append(programs[v].beta)
@@ -229,11 +235,11 @@ class _AncestorsProgram(NodeProgram):
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
         t = self.tree
-        for msg in ctx.inbox:
-            if msg.kind == "anc" and msg.src == t.parent[v]:
-                self.ancestors.append(msg.payload)
+        for src, kind, payload in ctx.inbox:
+            if kind == "anc" and src == t.parent[v]:
+                self.ancestors.append(payload)
                 if t.live_children(v):
-                    self.queue.append(msg.payload)
+                    self.queue.append(payload)
         if self.queue:
             record = self.queue.popleft()
             for c in t.live_children(v):

@@ -40,25 +40,27 @@ class _SubtreeSumProgram(NodeProgram):
     (removed) nodes stay silent, so sums cover live nodes only.
     """
 
-    __slots__ = ("tree", "h", "acc")
+    __slots__ = ("tree", "live", "h", "acc")
 
-    def __init__(self, node: int, tree: TreeView, h: int, value: float) -> None:
+    def __init__(self, node: int, tree: TreeView, live: List[bool], h: int,
+                 value: float) -> None:
         super().__init__(node)
         self.tree = tree
+        self.live = live
         self.h = h
         self.acc = value
-        self.active = tree.live(node)
+        self.active = live[node]
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
         t = self.tree
-        for msg in ctx.inbox:
-            if msg.kind == "ss" and t.parent[msg.src] == v:
-                self.acc += msg.payload[0]
+        for src, kind, payload in ctx.inbox:
+            if kind == "ss" and t.parent[src] == v:
+                self.acc += payload[0]
         fire = self.h - t.depth[v]
         if ctx.round == fire and t.parent[v] >= 0:
             ctx.send(t.parent[v], "ss", (self.acc,))
-        self.active = t.live(v) and ctx.round < fire
+        self.active = self.live[v] and ctx.round < fire
 
 
 class _CompressedSubtreeSumBatch(CompressedPhase):
@@ -195,12 +197,13 @@ def subtree_sums(
         acc, stats = batched_subtree_sums(net, coll, full, label, rows)
         return acc[i].tolist(), stats
     t = coll.trees[x]
+    live = t.live_list()
     programs = [
-        _SubtreeSumProgram(v, t, coll.h, values[v] if t.live(v) else 0.0)
+        _SubtreeSumProgram(v, t, live, coll.h, values[v] if live[v] else 0.0)
         for v in range(coll.n)
     ]
     stats = net.run(programs, label=label)
-    sums = [programs[v].acc if t.live(v) else 0.0 for v in range(coll.n)]
+    sums = [programs[v].acc if live[v] else 0.0 for v in range(coll.n)]
     return sums, stats
 
 

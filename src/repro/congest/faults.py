@@ -68,7 +68,7 @@ from typing import (
     Tuple,
 )
 
-from repro.congest.message import Message
+from repro.congest.message import Wire
 
 #: One recorded fault decision: (phase, tick, src, dst, k, action, delay).
 #: ``k`` counts same-edge messages within the tick (the k-th message from
@@ -350,7 +350,7 @@ class _FaultRuntime:
         self._rng: Optional[random.Random] = None
         self._crashed: List[Tuple[int, int, int]] = []
         self._holdback: Dict[Tuple[int, int],
-                             Deque[Tuple[int, Message]]] = {}
+                             Deque[Tuple[int, Wire]]] = {}
 
     # ------------------------------------------------------------------
     def start_phase(self) -> None:
@@ -412,7 +412,7 @@ class _FaultRuntime:
     def apply(
         self,
         tick: int,
-        inboxes: List[Optional[List[Message]]],
+        inboxes: List[Optional[List[Wire]]],
         in_touched: List[int],
     ) -> FrozenSet[int]:
         """Apply the plan to this tick's deliveries; return crashed nodes.
@@ -425,7 +425,7 @@ class _FaultRuntime:
         edge order; everything else preserves the engine's delivery
         order, so decisions consume the PRNG stream deterministically.
         """
-        released: Dict[int, List[Message]] = {}
+        released: Dict[int, List[Wire]] = {}
         if self._holdback:
             drained = []
             for ekey in sorted(self._holdback):
@@ -454,24 +454,24 @@ class _FaultRuntime:
                 # The node is down: everything addressed to it this tick
                 # is lost (k = -1 marks a released delayed message).
                 if freed:
-                    for msg in freed:
+                    for src, _kind, _payload in freed:
                         events.append(
-                            (phase, tick, msg.src, dst, -1, "crash-drop", 0)
+                            (phase, tick, src, dst, -1, "crash-drop", 0)
                         )
                 kcount: Dict[int, int] = {}
-                for msg in fresh:
-                    k = kcount.get(msg.src, 0)
-                    kcount[msg.src] = k + 1
+                for src, _kind, _payload in fresh:
+                    k = kcount.get(src, 0)
+                    kcount[src] = k + 1
                     events.append(
-                        (phase, tick, msg.src, dst, k, "crash-drop", 0)
+                        (phase, tick, src, dst, k, "crash-drop", 0)
                     )
                 inboxes[dst] = None
                 continue
 
-            out: List[Message] = list(freed) if freed else []
+            out: List[Wire] = list(freed) if freed else []
             kcount = {}
             for msg in fresh:
-                src = msg.src
+                src = msg[0]
                 k = kcount.get(src, 0)
                 kcount[src] = k + 1
                 action, d = self._decide(tick, src, dst, k)

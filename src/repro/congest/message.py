@@ -5,11 +5,18 @@ A CONGEST message carries ``O(log n)`` bits; following the paper
 distance values" per message.  The engine does not inspect payloads, but
 :meth:`Message.words` gives a rough word count that strict mode can bound so
 that programs cannot smuggle unbounded data through a single message.
+
+On the wire (in outboxes and in ``Ctx.inbox``) a message is a plain
+``(src, kind, payload)`` tuple, :data:`Wire`: :class:`Message` documents
+that field layout and counts its words, and the engine never builds one.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Tuple
+
+#: One message as the engine moves it: ``(src, kind, payload)``.
+Wire = Tuple[int, str, tuple]
 
 
 class Message(NamedTuple):
@@ -44,4 +51,4 @@ def _count_words(obj: Any) -> int:
     return 1
 
 
-__all__ = ["Message"]
+__all__ = ["Message", "Wire"]

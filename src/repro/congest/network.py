@@ -25,8 +25,18 @@ Model fidelity
 Implementation notes
 --------------------
 The engine is the innermost loop of every experiment, so the hot path is
-organized around three ideas:
+organized around four ideas:
 
+* **One call and one plain tuple per send** — :attr:`Ctx.send
+  <repro.congest.node.Ctx.send>` is a slot holding the phase's ``send``
+  closure, so a program's send is one Python call.  The closure reads
+  the sender from a variable the wake loop sets, appends a plain
+  ``(src, kind, payload)`` tuple (the
+  :class:`~repro.congest.message.Message` field layout, never built as
+  one) and bumps one counter; the wake loop folds that counter into the
+  per-node and total counts once per woken node, not once per message.
+  Per-edge counts (``track_edges``) are tallied from the delivered boxes
+  at the tick boundary, so ``send`` has no branch.
 * **Batched delivery** — outgoing messages land directly in per-destination
   inbox lists that are swapped wholesale at the tick boundary (no
   per-message dict churn), and ``send`` itself does no validation work in
@@ -37,16 +47,16 @@ organized around three ideas:
   of list operations per round, independent of the message count) and
   validates them in batch: every ``_FLUSH_AT`` buffered messages — and at
   every phase exit — the buffered rounds are flattened with C-level
-  ``chain`` / ``map`` passes into numpy arrays of dense ``src * n + dst``
-  edge keys and payload word counts, and the locality / bandwidth /
-  word-size rules are checked with a handful of array ops.  Edge keys
+  ``chain`` / ``map`` passes into numpy arrays of sources and destinations,
+  and the locality / bandwidth rules are checked with a handful of array
+  ops; word sizes are read off the chunk's distinct payloads.  Edge keys
   resolve through a preallocated dense edge index (an ``n x n`` edge-id
   matrix when the graph is dense enough, a sorted-key binary search
   otherwise — auto-selected from the average degree at construction).  The
   per-round bandwidth rule survives batching because each buffered round
-  is a recorded segment of the chunk.  Rounds and chunks with only a few
-  messages use an equivalent scalar loop (the numpy fixed cost would
-  dominate); both report the same exception types.
+  is a recorded segment of the chunk.  Chunks with only a few messages
+  use an equivalent scalar loop (the numpy fixed cost would dominate);
+  both report the same exception types.
 * **Vectorized wake scan** — on networks with at least
   ``_WAKE_VECTOR_MIN`` nodes the per-round "who runs" scan (nodes with a
   delivered message or ``active=True``) is a ``flatnonzero`` over a numpy
@@ -77,14 +87,9 @@ from repro.congest.faults import (
     FaultTrace,
     FaultsUnsupported,
 )
-from repro.congest.message import Message, _count_words
+from repro.congest.message import Wire, _count_words
 from repro.congest.metrics import RoundStats
 from repro.congest.node import Ctx, NodeProgram
-
-#: Rounds with at most this many messages are validated inline by the
-#: scalar loop instead of being buffered (cheaper than the buffering
-#: bookkeeping, and it keeps tiny phases' violations prompt).
-_INLINE_MAX = 8
 
 #: Chunks with fewer messages than this are validated by the scalar loop —
 #: below this size the numpy fixed cost exceeds the per-message savings.
@@ -106,13 +111,39 @@ _DENSE_N_CAP = 256
 #: fall back to binary search over sorted edge keys.
 _DENSE_FILL_SHIFT = 3
 
-_GET_BOXES = itemgetter(1)
-_GET_DSTS = itemgetter(2)
+_SRC = itemgetter(0)
+_PAYLOAD = itemgetter(2)
 
-#: One buffered round of strict-mode traffic: the tick it happened in, the
-#: outbox list of every destination that received messages, and those
-#: destination ids (parallel lists).
-_PendingRound = Tuple[int, List[List[Message]], List[int]]
+
+class _Pending:
+    """Strict-mode traffic buffered for one batched check.
+
+    Every buffered round's outbox lists (by reference) and their
+    destination ids, flat and parallel, plus one ``(tick, number of
+    boxes)`` mark per round and the number of messages held.
+    """
+
+    __slots__ = ("boxes", "dsts", "marks", "msgs")
+
+    def __init__(self) -> None:
+        self.boxes: List[List[Wire]] = []
+        self.dsts: List[int] = []
+        self.marks: List[Tuple[int, int]] = []
+        self.msgs = 0
+
+    def rounds(self):
+        """Yield ``(tick, boxes, dsts)`` per buffered round."""
+        start = 0
+        for tick, count in self.marks:
+            end = start + count
+            yield tick, self.boxes[start:end], self.dsts[start:end]
+            start = end
+
+    def clear(self) -> None:
+        self.boxes.clear()
+        self.dsts.clear()
+        self.marks.clear()
+        self.msgs = 0
 
 
 class BandwidthExceeded(RuntimeError):
@@ -150,8 +181,8 @@ class CongestNetwork:
         identical in both modes.
     track_edges:
         Additionally accumulate per-directed-edge send counts into the
-        returned stats (off by default: it is the one remaining per-send
-        dict update).
+        returned stats (off by default: it is the one remaining
+        per-message dict update, made when each round is delivered).
     compress:
         Execution tier for fixed-schedule phases: when true, the ported
         primitives run round-compressed (see
@@ -314,7 +345,7 @@ class CongestNetwork:
 
     # ------------------------------------------------------------------
     def _validate_round_scalar(
-        self, boxes: List[List[Message]], dsts: List[int], tick: int
+        self, boxes: List[List[Wire]], dsts: List[int], tick: int
     ) -> None:
         """Scalar strict check of one round's traffic (the tiny-round path)."""
         edge_pos = self._edge_pos
@@ -322,28 +353,28 @@ class CongestNetwork:
         word_limit = self.word_limit
         load: Dict[int, int] = {}
         for dst, box in zip(dsts, boxes):
-            for msg in box:
-                eid = edge_pos[msg.src].get(dst)
+            for src, _kind, payload in box:
+                eid = edge_pos[src].get(dst)
                 if eid is None:
-                    raise NotANeighbor(f"node {msg.src} -> {dst}: not an edge")
+                    raise NotANeighbor(f"node {src} -> {dst}: not an edge")
                 count = load.get(eid, 0) + 1
                 if count > bandwidth:
                     raise BandwidthExceeded(
-                        f"edge {msg.src}->{dst} carried {count} messages in "
+                        f"edge {src}->{dst} carried {count} messages in "
                         f"one round (bandwidth {bandwidth}, tick {tick})"
                     )
                 load[eid] = count
-                words = _count_words(msg.payload)
+                words = _count_words(payload)
                 if words > word_limit:
                     raise BandwidthExceeded(
-                        f"message from {msg.src} has {words} words "
+                        f"message from {src} has {words} words "
                         f"(limit {word_limit})"
                     )
 
-    def _validate_chunk(self, rounds: List[_PendingRound]) -> None:
+    def _validate_chunk(self, pending: _Pending) -> None:
         """Strict check of the buffered rounds (locality, bandwidth, words).
 
-        Each entry buffers one round's outbox lists by reference (the
+        The buffer holds each round's outbox lists by reference (the
         engine never mutates a delivered box, so the references stay
         valid).  Tiny chunks reuse the scalar per-round loop; larger ones
         flatten everything in C-level passes and check the three rules
@@ -351,29 +382,28 @@ class CongestNetwork:
         locality first, then bandwidth, then word size (not interleaved in
         send order) — the edge and tick reported are the same either way.
         """
-        if not rounds:
+        total = pending.msgs
+        if not total:
+            pending.clear()
             return
-        flat_boxes = list(chain.from_iterable(map(_GET_BOXES, rounds)))
+        if total < _VECTOR_MIN:
+            for tick, boxes, dsts in pending.rounds():
+                self._validate_round_scalar(boxes, dsts, tick)
+            pending.clear()
+            return
+
+        # C-level passes expose the sources and payloads of every buffered
+        # message without a per-message Python step.
+        flat_boxes = pending.boxes
         box_lens = np.fromiter(
             map(len, flat_boxes), dtype=np.intp, count=len(flat_boxes)
         )
-        total = int(box_lens.sum())
-        if total < _VECTOR_MIN:
-            for tick, boxes, dsts in rounds:
-                self._validate_round_scalar(boxes, dsts, tick)
-            rounds.clear()
-            return
-
-        # One C-level transpose exposes sources and payloads of every
-        # buffered message without a per-message Python step.
-        src_col, _kind_col, payloads = zip(*chain.from_iterable(flat_boxes))
-        srcs = np.fromiter(src_col, dtype=np.int64, count=total)
-        box_dsts = np.fromiter(
-            chain.from_iterable(map(_GET_DSTS, rounds)),
-            dtype=np.int64,
-            count=len(flat_boxes),
+        msgs = list(chain.from_iterable(flat_boxes))
+        srcs = np.fromiter(map(_SRC, msgs), dtype=np.int64, count=total)
+        dsts_arr = np.repeat(
+            np.fromiter(pending.dsts, dtype=np.int64, count=len(flat_boxes)),
+            box_lens,
         )
-        dsts_arr = np.repeat(box_dsts, box_lens)
 
         # Locality: every (src, dst) pair must resolve to an edge id.
         eids = self._resolve_eids(srcs, dsts_arr)
@@ -390,15 +420,16 @@ class CongestNetwork:
         # per-round.
         if int(np.bincount(eids).max(initial=0)) > self.bandwidth:
             m = self._num_directed_edges
+            marks = pending.marks
             boxes_per_round = np.fromiter(
-                (len(boxes) for _tick, boxes, _dsts in rounds),
+                (count for _tick, count in marks),
                 dtype=np.int64,
-                count=len(rounds),
+                count=len(marks),
             )
             offsets = np.concatenate(([0], np.cumsum(boxes_per_round)[:-1]))
             round_lens = np.add.reduceat(box_lens, offsets)
             round_ids = np.repeat(
-                np.arange(len(rounds), dtype=np.int64), round_lens
+                np.arange(len(marks), dtype=np.int64), round_lens
             )
             grouped, counts = np.unique(round_ids * m + eids, return_counts=True)
             worst = int(counts.max(initial=0))
@@ -409,32 +440,34 @@ class CongestNetwork:
                     f"edge {int(self._edge_src[eid])}->"
                     f"{int(self._edge_dst[eid])} carried {worst} messages in "
                     f"one round (bandwidth {self.bandwidth}, "
-                    f"tick {rounds[ridx][0]})"
+                    f"tick {marks[ridx][0]})"
                 )
 
-        # Word size: for flat tuple payloads (Ctx.send's documented
-        # contract) the word count is len(payload), with an empty payload
-        # counting as one word — computed in one C pass.  Payloads with
-        # nested tuples (or non-iterable payloads) fall back to the exact
-        # recursive Message.words() count.
+        # Word size, over the distinct payloads only (a node sends one
+        # record to many neighbors, so payloads repeat).  For flat tuples
+        # (Ctx.send's documented contract) the word count is
+        # len(payload), with an empty payload counting as one word, read
+        # in C-level passes; nested tuples, non-tuple or unhashable
+        # payloads take the exact recursive Message.words() count.
         try:
-            lens = np.fromiter(map(len, payloads), dtype=np.int64, count=total)
-            deep = tuple in map(type, chain.from_iterable(payloads))
+            distinct = set(map(_PAYLOAD, msgs))
         except TypeError:
-            deep = True
-        if deep:
-            words = np.fromiter(
-                map(_count_words, payloads), dtype=np.int64, count=total
-            )
+            distinct = list(map(_PAYLOAD, msgs))
+        if set(map(type, distinct)) == {tuple} and tuple not in map(
+            type, chain.from_iterable(distinct)
+        ):
+            worst = max(max(map(len, distinct)), 1)
         else:
-            words = lens
-        if max(int(words.max(initial=0)), 1) > self.word_limit:
-            i = int(np.argmax(words > self.word_limit))
-            raise BandwidthExceeded(
-                f"message from {int(srcs[i])} has "
-                f"{max(int(words[i]), 1)} words (limit {self.word_limit})"
-            )
-        rounds.clear()
+            worst = max(map(_count_words, distinct))
+        if worst > self.word_limit:
+            for src, _kind, payload in msgs:
+                words = _count_words(payload)
+                if words > self.word_limit:
+                    raise BandwidthExceeded(
+                        f"message from {src} has {words} words "
+                        f"(limit {self.word_limit})"
+                    )
+        pending.clear()
 
     # ------------------------------------------------------------------
     def run(
@@ -467,8 +500,8 @@ class CongestNetwork:
         # Batched delivery: per-destination inbox lists, swapped wholesale
         # at the tick boundary.  ``None`` means "no messages this round" so
         # idle destinations cost nothing to reset.
-        inboxes: List[Optional[List[Message]]] = [None] * n
-        outboxes: List[Optional[List[Message]]] = [None] * n
+        inboxes: List[Optional[List[Wire]]] = [None] * n
+        outboxes: List[Optional[List[Wire]]] = [None] * n
         in_touched: List[int] = []
         out_touched: List[int] = []
         per_node_sent = [0] * n
@@ -477,33 +510,32 @@ class CongestNetwork:
         last_send_tick = -1
         tick = 0
 
-        # Pending strict-check chunk: buffered (tick, boxes, dsts) rounds
-        # plus the number of messages they hold (see _validate_chunk).
-        pending: List[_PendingRound] = []
-        pending_msgs = 0
+        # Pending strict-check chunk (see _validate_chunk).
+        pending = _Pending()
         round_sent_base = 0
 
-        def send(src: int, dst: int, kind: str, payload: tuple) -> None:
+        # The running node and its send count, shared with ``send``: the
+        # wake loop sets ``src`` before each ``on_round`` and folds ``sent``
+        # into the per-node and total counts after it.
+        src = -1
+        sent = 0
+
+        def send(dst: int, kind: str, payload: tuple = ()) -> None:
             # Identical in strict and fast mode: strict validation reads the
             # outboxes back in batch at the round boundary, so a send pays
             # zero per-message validation cost (see module docstring).
-            nonlocal messages_total
-            msg = Message(src, kind, payload)
+            nonlocal sent
             box = outboxes[dst]
             if box is None:
-                outboxes[dst] = [msg]
+                outboxes[dst] = [(src, kind, payload)]
                 out_touched.append(dst)
             else:
-                box.append(msg)
-            messages_total += 1
-            per_node_sent[src] += 1
-            if track_edges:
-                ekey = (src, dst)
-                per_edge_sent[ekey] = per_edge_sent.get(ekey, 0) + 1
+                box.append((src, kind, payload))
+            sent += 1
 
         ctx = Ctx()
-        ctx._send = send
-        empty: List[Message] = []
+        ctx.send = send
+        empty: List[Wire] = []
 
         # Activity flags live in a bytearray so the vectorized wake scan can
         # read them zero-copy through a numpy view.
@@ -529,6 +561,12 @@ class CongestNetwork:
             # Deliver: last tick's outboxes become this tick's inboxes.
             inboxes, outboxes = outboxes, inboxes
             in_touched, out_touched = out_touched, in_touched
+            if track_edges:
+                # Tally what was sent, before any fault rewrites delivery.
+                for dst in in_touched:
+                    for sender, _kind, _payload in inboxes[dst]:
+                        ekey = (sender, dst)
+                        per_edge_sent[ekey] = per_edge_sent.get(ekey, 0) + 1
             if faults is not None:
                 # Delivery-time fault application: releases due delayed
                 # messages, drops/duplicates/delays fresh ones, and
@@ -544,6 +582,7 @@ class CongestNetwork:
 
             # Wake = has inbox or active, processed in increasing node id
             # (deterministic execution order).
+            ctx.round = tick
             if num_active:
                 if vector_wake:
                     # flatnonzero / union1d return sorted unique ids, so the
@@ -557,75 +596,58 @@ class CongestNetwork:
                         ).tolist()
                     else:
                         wake = np.flatnonzero(active_view).tolist()
-                    for v in wake:
-                        box = inboxes[v]
-                        prog = programs[v]
-                        ctx.node = v
-                        ctx.round = tick
-                        ctx.inbox = empty if box is None else box
-                        ctx.neighbors = adj[v]
-                        prog.on_round(ctx)
-                        if prog.active:
-                            if not active[v]:
-                                active[v] = 1
-                                num_active += 1
-                        elif active[v]:
-                            active[v] = 0
-                            num_active -= 1
                 else:
-                    for v in range(n):
-                        box = inboxes[v]
-                        if box is None and not active[v]:
-                            continue
-                        if crashed and v in crashed:
-                            # Down this tick: no execution, state and
-                            # active flag preserved for recovery.
-                            continue
-                        prog = programs[v]
-                        ctx.node = v
-                        ctx.round = tick
-                        ctx.inbox = empty if box is None else box
-                        ctx.neighbors = adj[v]
-                        prog.on_round(ctx)
-                        if prog.active:
-                            if not active[v]:
-                                active[v] = 1
-                                num_active += 1
-                        elif active[v]:
-                            active[v] = 0
-                            num_active -= 1
+                    wake = [v for v in range(n)
+                            if inboxes[v] is not None or active[v]]
+                    if crashed:
+                        # Down this tick: no execution, state and active
+                        # flag preserved for recovery.
+                        wake = [v for v in wake if v not in crashed]
+                for v in wake:
+                    box = inboxes[v]
+                    prog = programs[v]
+                    src = ctx.node = v
+                    ctx.inbox = empty if box is None else box
+                    ctx.neighbors = adj[v]
+                    prog.on_round(ctx)
+                    if sent:
+                        per_node_sent[v] += sent
+                        messages_total += sent
+                        sent = 0
+                    if prog.active:
+                        if not active[v]:
+                            active[v] = 1
+                            num_active += 1
+                    elif active[v]:
+                        active[v] = 0
+                        num_active -= 1
             else:
                 in_touched.sort()
                 for v in in_touched:
                     prog = programs[v]
-                    ctx.node = v
-                    ctx.round = tick
+                    src = ctx.node = v
                     ctx.inbox = inboxes[v]
                     ctx.neighbors = adj[v]
                     prog.on_round(ctx)
+                    if sent:
+                        per_node_sent[v] += sent
+                        messages_total += sent
+                        sent = 0
                     if prog.active:
                         active[v] = 1
                         num_active += 1
 
             if strict and out_touched:
-                # Validate tiny rounds inline; buffer the rest by reference
-                # (a delivered box is never mutated by the engine, so the
-                # references stay valid after the inbox slots are reset).
-                round_msgs = messages_total - round_sent_base
+                # Buffer the round by reference (a delivered box is never
+                # mutated by the engine, so the references stay valid
+                # after the inbox slots are reset).
+                pending.boxes += map(outboxes.__getitem__, out_touched)
+                pending.dsts += out_touched
+                pending.marks.append((tick, len(out_touched)))
+                pending.msgs += messages_total - round_sent_base
                 round_sent_base = messages_total
-                if round_msgs <= _INLINE_MAX:
-                    self._validate_round_scalar(
-                        [outboxes[dst] for dst in out_touched], out_touched, tick
-                    )
-                else:
-                    pending.append(
-                        (tick, [outboxes[dst] for dst in out_touched],
-                         list(out_touched))
-                    )
-                    pending_msgs += round_msgs
-                    if pending_msgs >= _FLUSH_AT:
-                        self._validate_chunk(pending)
-                        pending_msgs = 0
+                if pending.msgs >= _FLUSH_AT:
+                    self._validate_chunk(pending)
 
             for v in in_touched:
                 inboxes[v] = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.congest.message import Message
+from repro.congest.message import Wire
 
 
 class Ctx:
@@ -21,23 +21,35 @@ class Ctx:
 
     Instances are created by the engine and reused across rounds; programs
     must not retain references to ``inbox`` across rounds (copy if needed).
+    ``inbox`` holds plain ``(src, kind, payload)`` tuples (the field layout
+    of :class:`~repro.congest.message.Message`), in ascending sender order
+    on a fault-free run; programs unpack them:
+    ``for src, kind, payload in ctx.inbox``.
     """
 
-    __slots__ = ("node", "round", "inbox", "_send", "neighbors")
+    __slots__ = {
+        "node": "This node's id.",
+        "round": "The current round (tick) of the phase.",
+        "inbox": "The ``(src, kind, payload)`` tuples delivered this round.",
+        "neighbors": "This node's communication neighbors.",
+        "send": (
+            "``send(dst, kind, payload=())``: queue one message to neighbor "
+            "``dst``, delivered next round.\n\n"
+            "A slot holding the engine's per-phase closure, so one program "
+            "call is one Python call; outside a phase it raises "
+            "``RuntimeError``."
+        ),
+    }
 
     def __init__(self) -> None:
         self.node: int = -1
         self.round: int = 0
-        self.inbox: List[Message] = []
+        self.inbox: List[Wire] = []
         self.neighbors: Sequence[int] = ()
-        self._send: Callable[[int, int, str, tuple], None] = _no_send
-
-    def send(self, dst: int, kind: str, payload: tuple = ()) -> None:
-        """Queue one message to neighbor ``dst``, delivered next round."""
-        self._send(self.node, dst, kind, payload)
+        self.send: Callable[..., None] = _no_send
 
 
-def _no_send(src: int, dst: int, kind: str, payload: tuple) -> None:
+def _no_send(dst: int, kind: str, payload: tuple = ()) -> None:
     raise RuntimeError("send() called outside an engine round")
 
 

@@ -78,11 +78,11 @@ class _TruncateProgram(NodeProgram):
         self._sent = False
 
     def on_round(self, ctx: Ctx) -> None:
-        for msg in ctx.inbox:
-            if msg.kind == "kp" and msg.src == self.parent and not self.kept:
+        for src, kind, payload in ctx.inbox:
+            if kind == "kp" and src == self.parent and not self.kept:
                 if 0 < self.hops <= self.h:
-                    w, tb = self._edge_in[msg.src]
-                    if add_cost(msg.payload, w, tb) == self.label:
+                    w, tb = self._edge_in[src]
+                    if add_cost(payload, w, tb) == self.label:
                         self.kept = True
         if self.kept and not self._sent and ctx.round == self.hops:
             self._sent = True

@@ -77,6 +77,15 @@ class TreeView:
         """In the tree and not detached by a removal."""
         return self.depth[v] >= 0 and not self.removed[v]
 
+    def live_list(self) -> List[bool]:
+        """:meth:`live` of every node as one plain list.
+
+        One numpy pass per call: engine programs that test liveness per
+        message read a list taken once per run instead of the ``removed``
+        row, valid while the run writes no removals.
+        """
+        return (self._stack.member[self._row] & ~self.removed).tolist()
+
     def live_children(self, v: int) -> List[int]:
         """Children of ``v`` not detached by removals."""
         return [c for c in self.children[v] if not self.removed[c]]

@@ -53,8 +53,8 @@ class _SequentialRemoveProgram(NodeProgram):
         fire = False
         if ctx.round == 0 and self._start:
             fire = not self.tree.removed[v]
-        for msg in ctx.inbox:
-            if msg.kind == "rm" and not self.tree.removed[v]:
+        for _src, kind, _payload in ctx.inbox:
+            if kind == "rm" and not self.tree.removed[v]:
                 fire = True
         if fire:
             self.tree.removed[v] = True
@@ -225,14 +225,13 @@ class _ParallelPruneProgram(NodeProgram):
                     # Ancestors lose this whole subtree's aggregate.
                     self._enqueue(t.parent[v], "sub", (x, self.agg[x][v]))
                     self._detach(x)
-        for msg in ctx.inbox:
-            kind = msg.kind
+        for _src, kind, payload in ctx.inbox:
             if kind == "rm":
-                (x,) = msg.payload
+                (x,) = payload
                 if not coll.trees[x].removed[v]:
                     self._detach(x)
             elif kind == "sub":
-                x, delta = msg.payload
+                x, delta = payload
                 t = coll.trees[x]
                 self.agg[x][v] -= delta
                 if t.removed[v]:

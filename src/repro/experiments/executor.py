@@ -11,7 +11,9 @@ The executor is deliberately dumb about *what* runs (that is
   overlapping matrix loads the finished scenarios instead of re-running
   them; ``force=True`` ignores and rewrites the cache.
 * **Isolation** — parallel mode uses ``ProcessPoolExecutor`` (one Python
-  simulation is GIL-bound, so threads would serialize anyway).
+  simulation is GIL-bound, so threads would serialize anyway).  Each
+  worker exits on its own once the process that started it is gone, so
+  a killed sweep leaves no orphaned workers behind.
 """
 
 from __future__ import annotations
@@ -20,12 +22,35 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.experiments.runner import RECORD_VERSION, run_scenario_dict
 from repro.experiments.spec import ScenarioSpec
+
+
+#: How often a pool worker checks that its parent process is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _watch_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A SIGKILLed sweep cannot shut its pool down, and its workers are
+    reparented; a daemon thread notices the new parent id and exits the
+    worker instead of leaving it asleep under pid 1.
+    """
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="parent-watch", daemon=True).start()
 
 
 @dataclass(frozen=True)
@@ -192,7 +217,8 @@ class SweepExecutor:
                 progress(specs[i], False)
 
         if todo and self.workers > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            with ProcessPoolExecutor(max_workers=self.workers,
+                                     initializer=_watch_parent) as pool:
                 futures = {
                     pool.submit(self.runner, specs[i].to_dict(), self.verify): i
                     for i in todo

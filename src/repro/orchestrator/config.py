@@ -44,8 +44,8 @@ def load_config(path: object) -> dict:
     """Read one JSON (or, with pyyaml, YAML) config file into a mapping.
 
     Fails closed: a missing or unreadable file, bytes that are not
-    UTF-8, malformed syntax, a duplicate JSON key, or a non-mapping top
-    level raise :class:`ConfigError` naming the file.
+    UTF-8, malformed syntax, a duplicate key in any mapping, or a
+    non-mapping top level raise :class:`ConfigError` naming the file.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -78,8 +78,25 @@ def load_config(path: object) -> dict:
                 f"config {path} is YAML, which needs pyyaml; install "
                 f"pyyaml or write the config as JSON"
             ) from None
+
+        class UniqueKeyLoader(yaml.SafeLoader):
+            def construct_mapping(self, node, deep=False):
+                # Merged (``<<``) entries may be overridden; explicit keys
+                # may not repeat.  The base constructor rejects
+                # unhashable keys first.
+                explicit = [key for key, _value in node.value
+                            if key.tag != "tag:yaml.org,2002:merge"]
+                mapping = super().construct_mapping(node, deep=deep)
+                seen = set()
+                for key_node in explicit:
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in seen:
+                        raise ConfigError(f"duplicate key {key!r} in {path}")
+                    seen.add(key)
+                return mapping
+
         try:
-            data = yaml.safe_load(text)
+            data = yaml.load(text, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     else:

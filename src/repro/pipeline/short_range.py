@@ -91,10 +91,10 @@ class _RoundRobinProgram(NodeProgram):
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
-        for msg in ctx.inbox:
-            if msg.kind != "rr":
+        for _src, kind, payload in ctx.inbox:
+            if kind != "rr":
                 continue
-            c, x, d, k, tb = msg.payload
+            c, x, d, k, tb = payload
             if c == v:
                 self.delivered[x] = (d, k, tb)
             else:

@@ -209,9 +209,9 @@ class _BFProgram(NodeProgram):
     def __init__(
         self,
         node: int,
-        graph: Graph,
+        edge_in: Dict[int, Tuple[float, int]],
+        targets: Tuple[int, ...],
         h: int,
-        reverse: bool,
         init: Optional[Cost],
         fill_equal_parent: bool = False,
     ) -> None:
@@ -222,19 +222,8 @@ class _BFProgram(NodeProgram):
         self.parent = -1
         self._fill_equal = fill_equal_parent
         self._dirty = self.label != INF_COST
-        if not reverse:
-            # Receive from tails of in-edges; announce to heads of out-edges.
-            self._edge_in: Dict[int, Tuple[float, int]] = {
-                u: (w, tb) for (u, w, tb) in graph.in_edges(node)
-            }
-            self._targets: Tuple[int, ...] = tuple(
-                u for (u, _w, _tb) in graph.out_edges(node)
-            )
-        else:
-            # Labels flow against edge direction: receive from heads of
-            # out-edges, announce to tails of in-edges.
-            self._edge_in = {u: (w, tb) for (u, w, tb) in graph.out_edges(node)}
-            self._targets = tuple(u for (u, _w, _tb) in graph.in_edges(node))
+        self._edge_in = edge_in
+        self._targets = targets
 
     def on_round(self, ctx: Ctx) -> None:
         # Hot loop of Steps 1/3/7: most announcements lose on weight
@@ -248,13 +237,13 @@ class _BFProgram(NodeProgram):
         edge_in = self._edge_in
         label = self.label
         gate = label[0] + 1e-9 * (1.0 + abs(label[0]))
-        for msg in ctx.inbox:
-            if msg.kind != "bf":
+        for src, kind, payload in ctx.inbox:
+            if kind != "bf":
                 continue
-            wt = edge_in.get(msg.src)
+            wt = edge_in.get(src)
             if wt is None:  # pragma: no cover - defensive
                 continue
-            d, k, t, b = msg.payload
+            d, k, t, b = payload
             if b >= h or d + wt[0] > gate:
                 continue
             cand: Cost = (d + wt[0], k + 1, t + wt[1])
@@ -262,7 +251,7 @@ class _BFProgram(NodeProgram):
                 label = self.label = cand
                 gate = label[0] + 1e-9 * (1.0 + abs(label[0]))
                 self.budget = b + 1
-                self.parent = msg.src
+                self.parent = src
                 self._dirty = True
             elif (
                 self._fill_equal
@@ -280,13 +269,41 @@ class _BFProgram(NodeProgram):
                 # pins the unique tie-broken shortest path, the resulting
                 # predecessor pointers form a tree even across zero-weight
                 # ties.
-                self.parent = msg.src
+                self.parent = src
         if self._dirty:
             self._dirty = False
             if self.budget < self.h:
                 for u in self._targets:
                     ctx.send(u, "bf", self.label + (self.budget,))
         self.active = False  # wake again only on message delivery
+
+
+def _bf_tables(net: CongestNetwork, graph: Graph, reverse: bool):
+    """Per-node ``(edge_in, targets)`` tables of the engine's `_BFProgram`.
+
+    ``edge_in[v]`` maps each node ``v`` hears from to the ``(weight,
+    tie-break)`` of the connecting edge; ``targets[v]`` lists the nodes
+    ``v`` announces to.  Forward runs receive from the tails of in-edges
+    and announce to the heads of out-edges; reverse runs (labels flowing
+    against edge direction) swap the two.  Programs only read the
+    tables, so they are cached on the network like
+    :func:`_announce_arrays`: one entry per graph and direction.
+    """
+    cache = getattr(net, "_bf_tables", None)
+    if cache is None:
+        cache = net._bf_tables = {}
+    key = (id(graph), reverse)
+    entry = cache.get(key)
+    if entry is not None and entry[0] is graph:
+        return entry[1]
+    hear, tell = ((graph.out_edges, graph.in_edges) if reverse
+                  else (graph.in_edges, graph.out_edges))
+    tables = (
+        [{u: (w, tb) for (u, w, tb) in hear(v)} for v in range(graph.n)],
+        [tuple(u for (u, _w, _tb) in tell(v)) for v in range(graph.n)],
+    )
+    cache[key] = (graph, tables)
+    return tables
 
 
 def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
@@ -787,8 +804,10 @@ def bellman_ford(
     if inits is None:
         inits = {source: ZERO_COST}
     phase_label = label or f"bf(src={source},h={h},{'in' if reverse else 'out'})"
+    edge_in, targets = _bf_tables(net, graph, reverse)
     programs = [
-        _BFProgram(v, graph, h, reverse, inits.get(v), fill_equal_parent)
+        _BFProgram(v, edge_in[v], targets[v], h, inits.get(v),
+                   fill_equal_parent)
         for v in range(graph.n)
     ]
     stats = net.run(programs, label=phase_label)
@@ -817,9 +836,9 @@ class _NotifyChildrenProgram(NodeProgram):
     def on_round(self, ctx: Ctx) -> None:
         if ctx.round == 0 and self.parent >= 0:
             ctx.send(self.parent, "child")
-        for msg in ctx.inbox:
-            if msg.kind == "child":
-                self.children.append(msg.src)
+        for src, kind, _payload in ctx.inbox:
+            if kind == "child":
+                self.children.append(src)
         self.active = False
 
 

@@ -75,17 +75,17 @@ class _BFSProgram(NodeProgram):
             self.depth = 0
 
     def on_round(self, ctx: Ctx) -> None:
-        for msg in ctx.inbox:
-            if msg.kind == "bfs" and self.depth < 0:
+        for _src, kind, payload in ctx.inbox:
+            if kind == "bfs" and self.depth < 0:
                 # Adopt the min-id announcer (inbox order is engine order,
                 # so scan all announcements before choosing).
-                best = min(m.src for m in ctx.inbox if m.kind == "bfs")
+                best = min(s for s, k, _p in ctx.inbox if k == "bfs")
                 self.parent = best
-                self.depth = msg.payload[0] + 1
+                self.depth = payload[0] + 1
                 break
-        for msg in ctx.inbox:
-            if msg.kind == "child":
-                self.children.append(msg.src)
+        for src, kind, _payload in ctx.inbox:
+            if kind == "child":
+                self.children.append(src)
         if self.depth >= 0 and not self._announced:
             self._announced = True
             for u in ctx.neighbors:
@@ -115,12 +115,12 @@ class _HeightProgram(NodeProgram):
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
-        for msg in ctx.inbox:
-            if msg.kind == "h-up":
-                self.pending.discard(msg.src)
-                self.best = max(self.best, msg.payload[0])
-            elif msg.kind == "h-dn":
-                self.height = msg.payload[0]
+        for src, kind, payload in ctx.inbox:
+            if kind == "h-up":
+                self.pending.discard(src)
+                self.best = max(self.best, payload[0])
+            elif kind == "h-dn":
+                self.height = payload[0]
                 for c in self.tree.children[v]:
                     ctx.send(c, "h-dn", (self.height,))
         if not self._sent_up and not self.pending:

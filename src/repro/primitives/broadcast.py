@@ -57,18 +57,18 @@ class _GatherBroadcastProgram(NodeProgram):
         v = ctx.node
         tree = self.tree
         root = v == tree.root
-        for msg in ctx.inbox:
-            if msg.kind == "it":
+        for src, kind, payload in ctx.inbox:
+            if kind == "it":
                 if root:
-                    self.collected.append(msg.payload)
+                    self.collected.append(payload)
                 else:
-                    self.upq.append(msg.payload)
-            elif msg.kind == "ud":
-                self.pending_up.discard(msg.src)
-            elif msg.kind == "dit":
-                self.received.append(msg.payload)
-                self.downq.append(("dit", msg.payload))
-            elif msg.kind == "dd":
+                    self.upq.append(payload)
+            elif kind == "ud":
+                self.pending_up.discard(src)
+            elif kind == "dit":
+                self.received.append(payload)
+                self.downq.append(("dit", payload))
+            elif kind == "dd":
                 self._down_done_from_parent = True
                 self.downq.append(("dd", ()))
 

@@ -59,12 +59,12 @@ class _AggregateProgram(NodeProgram):
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
         tree = self.tree
-        for msg in ctx.inbox:
-            if msg.kind == "agg":
-                self.pending.discard(msg.src)
-                self.acc = self.combine(self.acc, msg.payload)
-            elif msg.kind == "res":
-                self.result = msg.payload
+        for src, kind, payload in ctx.inbox:
+            if kind == "agg":
+                self.pending.discard(src)
+                self.acc = self.combine(self.acc, payload)
+            elif kind == "res":
+                self.result = payload
                 for c in tree.children[v]:
                     ctx.send(c, "res", self.result)
         if not self._sent and not self.pending:
@@ -190,13 +190,13 @@ class _PipelinedSumProgram(NodeProgram):
         H = tree.height
         d = tree.depth[v]
         root = v == tree.root
-        for msg in ctx.inbox:
-            if msg.kind == "pv":
-                mu, val = msg.payload
+        for _src, kind, payload in ctx.inbox:
+            if kind == "pv":
+                mu, val = payload
                 assert mu == ctx.round - (H - d), "pipelined schedule violated"
                 self.acc[mu] += val
-            elif msg.kind == "pt":
-                mu, val = msg.payload
+            elif kind == "pt":
+                mu, val = payload
                 self.totals[mu] = val
                 for c in tree.children[v]:
                     ctx.send(c, "pt", (mu, val))

@@ -6,8 +6,10 @@ these tests make that a hard property of the codebase rather than a hope.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -74,11 +76,43 @@ def test_exports_resolve(module):
 
 
 def test_subpackage_list_matches_disk():
-    import pathlib
-
     root = pathlib.Path(repro.__file__).parent
     on_disk = {
         p.name for p in root.iterdir()
         if p.is_dir() and (p / "__init__.py").exists()
     }
     assert on_disk == set(repro.__all__)
+
+
+_FIELDS = {"src", "kind", "payload"}
+
+
+def _inbox_reads(tree: ast.AST):
+    """``(line, problem)`` for every inbox item read by attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it, target = node.iter, node.target
+            if (isinstance(it, ast.Attribute) and it.attr == "inbox"
+                    and not (isinstance(target, ast.Tuple)
+                             and len(target.elts) == 3)):
+                yield it.lineno, "iterates the inbox without unpacking"
+        elif (isinstance(node, ast.Attribute) and node.attr in _FIELDS
+              and isinstance(node.value, ast.Subscript)
+              and isinstance(node.value.value, ast.Attribute)
+              and node.value.value.attr == "inbox"):
+            yield node.lineno, f"reads .{node.attr} of an inbox item"
+
+
+def test_programs_unpack_inbox_items():
+    """Inbox items are plain ``(src, kind, payload)`` tuples: a program
+    that reads ``msg.src`` / ``.kind`` / ``.payload`` would only fail
+    when its phase runs, so every module is checked here instead."""
+    root = pathlib.Path(repro.__file__).parent
+    problems = [
+        f"{path.relative_to(root.parent)}:{line}: {what}"
+        for path in sorted(root.rglob("*.py"))
+        for line, what in _inbox_reads(ast.parse(path.read_text()))
+    ]
+    assert not problems, (
+        "unpack inbox items as `for src, kind, payload in ctx.inbox`:\n"
+        + "\n".join(problems))

@@ -228,3 +228,18 @@ def test_h_hop_property(n, seed, h):
         assert ok, (v, res.dist[v], mat[0, v])
         if res.label[v] != INF_COST:
             assert res.label[v][1] <= h
+
+
+def test_bf_tables_cached_per_graph_and_direction():
+    """One network caches the programs' edge tables per (graph, direction);
+    every cached run equals a run on a fresh network."""
+    g = erdos_renyi(24, p=0.25, directed=True, seed=5)
+    g_rev = g.reverse()  # a second directed graph on the same links
+    net = CongestNetwork(g)
+    for graph, reverse in [(g, False), (g, True), (g_rev, False),
+                           (g_rev, True), (g, False)]:
+        cached = bellman_ford(net, graph, 3, h=6, reverse=reverse)
+        fresh = bellman_ford(CongestNetwork(graph), graph, 3, h=6,
+                             reverse=reverse)
+        assert cached == fresh, (graph.name, reverse)
+    assert len(net._bf_tables) == 4

@@ -21,8 +21,8 @@ class Echo(NodeProgram):
     def on_round(self, ctx):
         if ctx.node == 0 and ctx.round == 0:
             ctx.send(1, "ping", (0,))
-        for msg in ctx.inbox:
-            if msg.kind == "ping" and self.received_at < 0:
+        for _src, kind, _payload in ctx.inbox:
+            if kind == "ping" and self.received_at < 0:
                 self.received_at = ctx.round
                 if ctx.node + 1 < self.n:
                     ctx.send(ctx.node + 1, "ping", (ctx.node,))
@@ -237,6 +237,60 @@ def test_bf_payload_is_four_words():
 
 
 # ---------------------------------------------------------------------------
+# the wire format: one plain (src, kind, payload) tuple per message
+
+
+class Greeter(NodeProgram):
+    """Round 0: greet every neighbor; node 0 greets node 1 again in round 1.
+
+    Records every inbox it is handed, as delivered.
+    """
+
+    def __init__(self, node: int) -> None:
+        super().__init__(node)
+        self.inboxes = []
+
+    def on_round(self, ctx):
+        self.inboxes.append((ctx.round, list(ctx.inbox)))
+        if ctx.round == 0:
+            for u in ctx.neighbors:
+                ctx.send(u, "hi", (ctx.node,))
+        elif ctx.round == 1 and ctx.node == 0:
+            ctx.send(1, "again")
+        self.active = ctx.round < 1
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "fast"])
+def test_pinned_phase_counts_by_hand(strict):
+    # Path 0-1-2-3: six directed links greet once each in round 0, and
+    # 0 -> 1 carries one more message in round 1.
+    g = path_graph(4)
+    net = CongestNetwork(g, strict=strict, track_edges=True)
+    stats = net.run([Greeter(v) for v in range(g.n)])
+    assert stats.rounds == 2
+    assert stats.messages == 7
+    assert stats.per_node_sent == {0: 2, 1: 2, 2: 2, 3: 1}
+    assert stats.per_edge_sent == {
+        (0, 1): 2, (1, 0): 1, (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1,
+    }
+
+
+def test_inbox_items_are_plain_tuples_in_sender_order():
+    g = path_graph(4)
+    programs = [Greeter(v) for v in range(g.n)]
+    CongestNetwork(g).run(programs)
+    inbox = dict(programs[1].inboxes)
+    assert inbox[1] == [(0, "hi", (0,)), (2, "hi", (2,))]
+    assert inbox[2] == [(0, "again", ())]
+    for prog in programs:
+        for _tick, items in prog.inboxes:
+            assert all(type(item) is tuple and len(item) == 3
+                       for item in items)
+            assert [src for src, _k, _p in items] == sorted(
+                src for src, _k, _p in items)
+
+
+# ---------------------------------------------------------------------------
 # vectorized strict validation: the batched numpy checks must enforce the
 # same rules as the scalar per-message loop, on both edge-lookup layouts.
 
@@ -249,7 +303,6 @@ from repro.primitives.bfs import build_bfs_tree  # noqa: E402
 @pytest.fixture
 def force_vector(monkeypatch):
     """Route every strict check through the numpy chunk validator."""
-    monkeypatch.setattr(network_mod, "_INLINE_MAX", 0)
     monkeypatch.setattr(network_mod, "_VECTOR_MIN", 1)
 
 

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -141,3 +145,68 @@ def test_store_cleans_up_tmp_on_write_failure(tmp_path):
     with pytest.raises(TypeError):
         executor._store(unserializable)
     assert list(tmp_path.glob("*")) == []  # failed write leaves nothing
+
+
+_KILLED_SWEEP = """
+import os, pathlib, sys, time
+from repro.experiments import ScenarioMatrix, SweepExecutor
+
+PIDS = pathlib.Path(sys.argv[1])
+
+def sleeping_runner(spec_dict, verify):
+    (PIDS / str(os.getpid())).touch()
+    time.sleep(60)
+
+specs = ScenarioMatrix(families=["er"], sizes=[10, 12],
+                       algorithms=["naive-bf"]).expand()
+SweepExecutor(cache_dir=None, workers=2, runner=sleeping_runner).run(specs)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie no longer does)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads worker state from /proc")
+def test_killed_sweep_leaves_no_orphaned_workers(tmp_path):
+    """SIGKILL a 2-worker sweep mid-scenario: both workers exit within 5 s."""
+    pids_dir = tmp_path / "pids"
+    pids_dir.mkdir()
+    script = tmp_path / "sweep.py"
+    script.write_text(_KILLED_SWEEP)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    child = subprocess.Popen([sys.executable, str(script), str(pids_dir)],
+                             env=env)
+    workers: list = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert child.poll() is None, "the sweep exited early"
+            time.sleep(0.05)
+            workers = [int(p.name) for p in pids_dir.iterdir()]
+        assert len(workers) == 2, "the two pool workers never started"
+        child.send_signal(signal.SIGKILL)
+        child.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers)), (
+            f"pool workers {[w for w in workers if _alive(w)]} outlived "
+            "their killed sweep by 5 s")
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -89,8 +89,8 @@ class _Pipe(NodeProgram):
             else:
                 self.active = False
             return
-        for msg in ctx.inbox:
-            self.seen.append((ctx.round, msg.payload[0]))
+        for _src, _kind, payload in ctx.inbox:
+            self.seen.append((ctx.round, payload[0]))
         self.active = False  # woken only by deliveries
 
 

@@ -82,6 +82,16 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,key", [
+        ("shards: 2\nstate_dir: s\nshards: 3\n", "shards"),
+        ("matrix:\n  sizes: [10]\n  sizes: [14]\n", "sizes"),
+    ], ids=["top-level", "in-matrix"])
+    def test_duplicate_yaml_key_named(self, tmp_path, text, key):
+        pytest.importorskip("yaml")
+        path = write(tmp_path, "cfg.yaml", text)
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            load_config(path)
+
     def test_missing_config_named(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):
             load_plan(tmp_path / "nope.yaml")
