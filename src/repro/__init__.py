@@ -32,13 +32,13 @@ Subpackages: :mod:`repro.congest` (simulator), :mod:`repro.graphs`
 convergecast / Bellman-Ford), :mod:`repro.csssp` (consistent hop-limited
 SSSP collections), :mod:`repro.blocker` (Section 3), :mod:`repro.pipeline`
 (Section 4 + Step 7), :mod:`repro.apsp` (end-to-end algorithms),
-:mod:`repro.experiments` (scenario-sweep subsystem),
-:mod:`repro.orchestrator` (resumable sharded sweep orchestration),
-:mod:`repro.analysis` (exponent fits + Table 1), :mod:`repro.serving`
-(memory-mapped distance-oracle artifacts + the async query server).
+:mod:`repro.experiments` (scenario-sweep subsystem, hash-sharded by
+``repro report --shard i/N``), :mod:`repro.analysis` (exponent fits +
+Table 1), :mod:`repro.serving` (memory-mapped distance-oracle artifacts
++ the async query server).
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "analysis",
@@ -48,7 +48,6 @@ __all__ = [
     "csssp",
     "experiments",
     "graphs",
-    "orchestrator",
     "pipeline",
     "primitives",
     "serving",

@@ -199,7 +199,10 @@ def load_records(dirs: Sequence[object]) -> List[dict]:
         for path in sorted(dpath.glob("*.json")):
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except UnicodeDecodeError as exc:
+                raise RecordError(
+                    f"record {path} is not UTF-8 text: {exc}") from exc
+            except (OSError, json.JSONDecodeError) as exc:
                 raise RecordError(f"unreadable record {path}: {exc}") from exc
             records.append(validate_record(record, source=path))
         record_sets.append(records)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Five subcommands mirror the example scripts so users can reproduce any
+Nine subcommands mirror the example scripts so users can reproduce any
 result without writing code:
 
 * ``apsp`` — run one APSP algorithm on a generated instance, verify it,
@@ -12,7 +12,11 @@ result without writing code:
   from cached sweep records, compare them against each algorithm
   family's claimed bound, and regenerate ``docs/RESULTS.md`` +
   ``benchmarks/results/REPORT.json`` (``--check`` fails when the
-  committed artifacts are stale; CI runs it).
+  committed artifacts are stale; CI runs it).  ``--shard i/N`` runs
+  only the generating-sweep scenarios that shard ``i`` of ``N`` owns
+  into the record cache and exits without fitting; re-running it
+  resumes, and a plain ``report`` over the same ``--cache-dir`` then
+  fits and writes.
 * ``perf`` — the perf-trajectory regression gate: measure the pinned
   smoke scenarios into schema'd bench records and compare them against
   the committed append-only history
@@ -27,12 +31,6 @@ result without writing code:
 * ``serve`` — answer distance/path queries over an oracle store from a
   stdlib-asyncio HTTP server with per-request metrics
   (:mod:`repro.serving.server`).
-* ``orchestrate`` — run a declarative JSON sweep config through the
-  resumable stage DAG (``generate -> shard-0..N-1 -> fit -> report``)
-  with scenario-hash sharding and a crash-resumable JSONL journal
-  (:mod:`repro.orchestrator`); ``--resume`` continues a killed run,
-  ``--shard i/N`` runs one shard's stage, ``--status`` prints the
-  journaled stage table.
 * ``table1`` — regenerate Table 1 (measured) on a size sweep: every
   implemented contender runs through the sweep executor and is fitted
   like ``sweep`` and ``report`` fit theirs.
@@ -54,7 +52,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import (
     fit_groups,
@@ -78,6 +76,7 @@ from repro.experiments import (
     SweepError,
     SweepExecutor,
     make_graph,
+    shard_specs,
 )
 from repro.experiments.spec import THREE_PHASE
 
@@ -203,6 +202,35 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def parse_shard(text: str) -> Tuple[int, int]:
+    """Parse an ``i/N`` shard selector into ``(index, count)``.
+
+    ``i`` is zero-based and must satisfy ``0 <= i < N``; anything else
+    raises :class:`argparse.ArgumentTypeError` naming the spec.
+    """
+    parts = text.split("/")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"invalid shard spec {text!r}: expected the form i/N, e.g. 0/2"
+        )
+    try:
+        index, count = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid shard spec {text!r}: both i and N must be integers"
+        ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid shard spec {text!r}: shard count N must be >= 1"
+        )
+    if not 0 <= index < count:
+        raise argparse.ArgumentTypeError(
+            f"invalid shard spec {text!r}: shard index must satisfy "
+            f"0 <= i < {count} (indices are zero-based)"
+        )
+    return index, count
+
+
 def cmd_report(args) -> int:
     from repro.analysis import sweep_report
 
@@ -210,6 +238,11 @@ def cmd_report(args) -> int:
     # stays machine-consumable (e.g. `repro report --format json | jq`).
     def status(message: str) -> None:
         print(message, file=sys.stderr)
+
+    def name_failures(exc: SweepError) -> None:
+        for failure in exc.failures:
+            status(f"  [fail] {failure.spec.key} {failure.spec.label}: "
+                   f"{failure.error}")
 
     record_sets = []
     sources = []
@@ -221,6 +254,24 @@ def cmd_report(args) -> int:
     cache_dir = args.cache_dir
     if cache_dir is None and not custom_preset:
         cache_dir = "benchmarks/results/records"
+    if args.shard is not None:
+        if args.records:
+            raise SystemExit(
+                "repro report: --shard fills the record cache from the "
+                "generating sweep and cannot merge --records; drop one "
+                "of them"
+            )
+        if args.check:
+            raise SystemExit(
+                "repro report: --shard writes no report to --check; run "
+                "a plain `repro report --check` once every shard is done"
+            )
+        if cache_dir is None:
+            raise SystemExit(
+                f"repro report: --shard needs a record cache to fill; "
+                f"pass --cache-dir (the {args.preset!r} preset has no "
+                f"default cache)"
+            )
     if run_sweep:
         try:
             matrix = sweep_report.report_matrix(args.preset)
@@ -229,14 +280,30 @@ def cmd_report(args) -> int:
         specs = matrix.expand()
         executor = SweepExecutor(cache_dir=cache_dir,
                                  workers=args.workers)
+        if args.shard is not None:
+            # One hash-owned share into the shared cache, no fit: the
+            # cache is the only progress record, so a rerun resumes and
+            # the closing line is the status.
+            index, count = args.shard
+            owned = shard_specs(specs, count)[index]
+            status(f"report: shard {index}/{count} ({len(owned)} of "
+                   f"{len(specs)} scenarios, preset={args.preset}, "
+                   f"cache={cache_dir})")
+            try:
+                executor.run(owned)
+            except SweepError as exc:
+                name_failures(exc)
+            done = sum(executor.load_cached(s) is not None for s in specs)
+            print(f"shard {index}/{count}: {executor.executed} executed, "
+                  f"{executor.cached} from cache; {done} of {len(specs)} "
+                  f"matrix scenarios cached")
+            return 1 if executor.failures else 0
         status(f"report: generating sweep ({len(specs)} scenarios, "
                f"preset={args.preset}, cache={cache_dir or 'off'})")
         try:
             record_sets.append(executor.run(specs))
         except SweepError as exc:
-            for failure in exc.failures:
-                status(f"  [fail] {failure.spec.key} {failure.spec.label}: "
-                       f"{failure.error}")
+            name_failures(exc)
             raise SystemExit(
                 f"repro report: generating sweep failed — {exc}"
             ) from exc
@@ -448,82 +515,6 @@ def cmd_perf(args) -> int:
             return 1
         print(f"perf trajectory OK ({comparison.checked} gated metrics, "
               f"{len(current)} scenario(s))")
-    return 0
-
-
-def cmd_orchestrate(args) -> int:
-    from repro.orchestrator import (
-        COMPLETED_SUCCESS,
-        TERMINAL,
-        ConfigError,
-        Orchestrator,
-        StateError,
-        load_plan,
-        parse_shard,
-    )
-
-    try:
-        plan = load_plan(args.config)
-    except ConfigError as exc:
-        raise SystemExit(f"repro orchestrate: {exc}") from exc
-    only_shard = None
-    if args.shard:
-        try:
-            only_shard, count = parse_shard(args.shard)
-        except ValueError as exc:
-            raise SystemExit(f"repro orchestrate: {exc}") from exc
-        if count != plan.shards:
-            raise SystemExit(
-                f"repro orchestrate: --shard {args.shard} does not match "
-                f"the plan's {plan.shards} shard(s) (from {plan.source})"
-            )
-
-    def echo(line: str) -> None:
-        print(line)
-
-    orch = Orchestrator(plan, resume=args.resume, echo=echo)
-
-    def stage_table(graph) -> None:
-        print(render_table(
-            ["stage", "status", "detail"],
-            [[s.name, s.status, s.detail] for s in graph.stages],
-            title=f"orchestration of {plan.source} "
-                  f"({plan.shards} shard(s), state={plan.state_dir})",
-        ))
-        # Failure lines keep the exact `[fail] <key> <label>: <error>`
-        # format `repro sweep` prints, so the failing stage and scenario
-        # keys are named verbatim.
-        for stage in graph.stages:
-            for line in stage.failures:
-                print(f"  {stage.name} {line}")
-
-    if args.status:
-        if not orch.plan.journal_path.exists():
-            print(f"repro orchestrate: no journal at "
-                  f"{orch.plan.journal_path} (run not started)")
-        try:
-            stage_table(orch.load_graph())
-        except StateError as exc:
-            raise SystemExit(f"repro orchestrate: {exc}") from exc
-        return 0
-
-    try:
-        graph = orch.run(only_shard=only_shard)
-    except (ConfigError, StateError) as exc:
-        raise SystemExit(f"repro orchestrate: {exc}") from exc
-    stage_table(graph)
-    # Exit 0 only when every stage that reached a terminal status
-    # succeeded outright (in --shard mode the other stages stay
-    # blocked, which is expected, not a failure).
-    bad = [s for s in graph.stages
-           if s.status in TERMINAL and s.status != COMPLETED_SUCCESS]
-    if bad:
-        names = ", ".join(f"{s.name} ({s.status})" for s in bad)
-        print(f"orchestration finished with problems: {names}")
-        if plan.records_dir:
-            print(f"completed records are cached under {plan.records_dir}; "
-                  f"re-running with --resume retries only the failures")
-        return 1
     return 0
 
 
@@ -763,6 +754,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flat-tol", type=float, default=FLAT_TOL,
                    help="adjusted-slope tolerance for the flatness "
                         "verdict (default: %(default)s)")
+    p.add_argument("--shard", type=parse_shard, metavar="i/N",
+                   help="run only the generating-sweep scenarios shard i "
+                        "of N owns (int(key, 16) %% N == i, zero-based) "
+                        "into the record cache and exit without fitting; "
+                        "re-run to resume, then a plain `repro report` "
+                        "with the same --cache-dir fits and writes")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
@@ -804,28 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", nargs="+",
                    help="subset of pinned scenario keys to measure")
     p.set_defaults(func=cmd_perf)
-
-    p = sub.add_parser(
-        "orchestrate",
-        help="run a declarative sweep config through the resumable "
-             "sharded stage DAG (generate -> shards -> fit -> report)",
-    )
-    p.add_argument("config",
-                   help="JSON (or, with pyyaml, YAML) orchestration "
-                        "config (see examples/orchestrator_quick.json)")
-    p.add_argument("--resume", action="store_true",
-                   help="continue a journaled run: completed stages are "
-                        "skipped, an interrupted stage re-runs against "
-                        "the record cache")
-    p.add_argument("--shard",
-                   help="run only shard i of N as 'i/N' (zero-based; N "
-                        "must match the config); generate runs first if "
-                        "needed, fit/report stay blocked")
-    p.add_argument("--status", action="store_true",
-                   help="print the journaled stage table (incl. exact "
-                        "[fail] scenario lines) and exit without running "
-                        "anything")
-    p.set_defaults(func=cmd_orchestrate)
 
     from repro.serving.server import DEFAULT_HOST, DEFAULT_PORT
     from repro.serving.store import DEFAULT_HOT_SET

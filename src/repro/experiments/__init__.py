@@ -15,7 +15,9 @@ compares fitted exponents against.  ``python -m repro sweep`` is the CLI
 entry; :func:`repro.analysis.sweep_report.fit_groups` fits records into
 the Table-1-style exponent table (``repro sweep``, ``repro table1``)
 and ``python -m repro report`` turns cached record directories into the
-committed cross-family results page.
+committed cross-family results page.  :func:`shard_specs` splits a matrix
+by scenario hash, so ``repro report --shard i/N`` can fill one shared
+record cache from several processes or hosts.
 """
 
 from repro.experiments.executor import (
@@ -33,7 +35,7 @@ from repro.experiments.registry import (
     make_graph,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.spec import ScenarioMatrix, ScenarioSpec
+from repro.experiments.spec import ScenarioMatrix, ScenarioSpec, shard_specs
 
 __all__ = [
     "ALGORITHMS",
@@ -49,4 +51,5 @@ __all__ = [
     "SweepExecutor",
     "make_graph",
     "run_scenario",
+    "shard_specs",
 ]

@@ -134,7 +134,8 @@ class SweepExecutor:
             return None
         return self.cache_dir / f"{spec.key}.json"
 
-    def _load_cached(self, spec: ScenarioSpec) -> Optional[dict]:
+    def load_cached(self, spec: ScenarioSpec) -> Optional[dict]:
+        """``spec``'s usable cached record, or ``None`` (it would re-run)."""
         path = self.cache_path(spec)
         if path is None or self.force or not path.exists():
             return None
@@ -200,7 +201,7 @@ class SweepExecutor:
         failed: List[tuple] = []
 
         for i, spec in enumerate(specs):
-            cached = self._load_cached(spec)
+            cached = self.load_cached(spec)
             if cached is not None:
                 records[i] = cached
                 self.cached += 1

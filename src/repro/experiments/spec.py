@@ -3,7 +3,8 @@
 A :class:`ScenarioSpec` is a frozen value object; its canonical JSON form
 is hashed into a stable scenario id (:attr:`ScenarioSpec.key`) that keys
 the result cache and lets parallel and serial executions be compared
-record-for-record.
+record-for-record.  The same id shards a matrix (:func:`shard_specs`):
+shard ``i`` of ``N`` owns the scenarios with ``int(key, 16) % N == i``.
 """
 
 from __future__ import annotations
@@ -221,4 +222,22 @@ class ScenarioMatrix:
         return len(self.expand())
 
 
-__all__ = ["THREE_PHASE", "ScenarioMatrix", "ScenarioSpec"]
+def shard_specs(
+    specs: Sequence[ScenarioSpec], n_shards: int
+) -> List[List[ScenarioSpec]]:
+    """Partition ``specs`` into ``n_shards`` hash-owned lists.
+
+    Shard ``i`` owns the specs with ``int(spec.key, 16) % n_shards ==
+    i``: a pure function of each spec, so any host or rerun recomputes
+    the same partition from the matrix alone.  Every spec lands in
+    exactly one shard, and each shard keeps the input order.
+    """
+    if n_shards < 1:
+        raise ValueError(f"shard count must be >= 1, got {n_shards}")
+    shards: List[List[ScenarioSpec]] = [[] for _ in range(n_shards)]
+    for spec in specs:
+        shards[int(spec.key, 16) % n_shards].append(spec)
+    return shards
+
+
+__all__ = ["THREE_PHASE", "ScenarioMatrix", "ScenarioSpec", "shard_specs"]

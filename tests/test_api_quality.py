@@ -24,7 +24,6 @@ PACKAGES = [
     "repro.congest",
     "repro.csssp",
     "repro.graphs",
-    "repro.orchestrator",
     "repro.pipeline",
     "repro.primitives",
     "repro.serving",

@@ -46,27 +46,13 @@ API = [
                     "naive_bf_apsp", "APSPResult", "certify",
                     "CertificateError"]),
     ("repro.experiments.spec", ["ScenarioSpec", "ScenarioMatrix",
-                                "ScenarioMatrix.expand"]),
+                                "ScenarioMatrix.expand", "shard_specs"]),
     ("repro.experiments.registry", ["make_graph", "ClaimedBound"]),
     ("repro.experiments.runner", ["run_scenario", "scenario_seed",
                                   "fault_plan_seed"]),
     ("repro.experiments.executor", ["SweepExecutor", "SweepExecutor.run",
+                                    "SweepExecutor.load_cached",
                                     "SweepError", "ScenarioFailure"]),
-    ("repro.orchestrator.config", ["OrchestratorPlan",
-                                   "OrchestratorPlan.specs",
-                                   "load_plan", "load_config",
-                                   "ConfigError"]),
-    ("repro.orchestrator.shards", ["shard_index", "shard_specs",
-                                   "parse_shard"]),
-    ("repro.orchestrator.dag", ["Stage", "StageGraph",
-                                "StageGraph.refresh",
-                                "StageGraph.select_next",
-                                "build_sweep_graph", "StageGraphError"]),
-    ("repro.orchestrator.state", ["Journal", "Journal.record_stage",
-                                  "plan_fingerprint", "replay",
-                                  "StateError"]),
-    ("repro.orchestrator.run", ["Orchestrator", "Orchestrator.run",
-                                "drive"]),
     ("repro.serving.artifact", ["build_artifact", "build_store",
                                 "load_artifact", "read_header",
                                 "DistanceOracle", "DistanceOracle.distance",
