@@ -31,14 +31,18 @@ from repro.congest.compressed import (
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
-from repro.congest.node import Ctx, NodeProgram
+from repro.congest.node import _SILENT, Ctx, NodeProgram
 from repro.csssp.collection import CSSSPCollection, TreeView
 from repro.primitives.bfs import BFSTree
 from repro.primitives.broadcast import gather_and_broadcast
 
 
 class _ViCountProgram(NodeProgram):
-    """Algorithm 4 for one tree: flood the V_i-member count down."""
+    """Algorithm 4 for one tree: flood the V_i-member count down.
+
+    Only live nodes get this program; the root starts the flood and the
+    rest wake when their parent's count arrives.
+    """
 
     __slots__ = ("tree", "live", "in_vi", "beta")
 
@@ -49,7 +53,7 @@ class _ViCountProgram(NodeProgram):
         self.live = live
         self.in_vi = in_vi
         self.beta = -1
-        if live[node] and tree.depth[node] == 0:
+        if tree.depth[node] == 0:
             self.beta = 0  # the root slot never counts (hyperedges exclude it)
         self.active = self.beta == 0
 
@@ -176,8 +180,8 @@ def compute_vi_counts(
     betas: List[int] = []
     for i, (x, t) in enumerate(coll.trees.items()):
         live = t.live_list()
-        programs = [_ViCountProgram(v, t, live, v in vi)
-                    for v in range(coll.n)]
+        programs = [_ViCountProgram(v, t, live, v in vi) if alive else _SILENT
+                    for v, alive in enumerate(live)]
         total.merge(net.run(programs, label=f"{label}({x})"))
         for v in range(coll.n):
             if t.depth[v] == coll.h and live[v]:

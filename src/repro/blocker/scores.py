@@ -27,7 +27,7 @@ from repro.congest.compressed import (
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
-from repro.congest.node import Ctx, NodeProgram
+from repro.congest.node import _SILENT, Ctx, NodeProgram
 from repro.csssp.collection import CSSSPCollection, TreeView
 
 
@@ -36,20 +36,21 @@ class _SubtreeSumProgram(NodeProgram):
 
     A node at depth ``d`` accumulates its children's sums (delivered in
     round ``h - d``, since children fire in round ``h - d - 1``) and sends
-    its own subtree sum to its parent during round ``h - d``.  Detached
-    (removed) nodes stay silent, so sums cover live nodes only.
+    its own subtree sum to its parent during round ``h - d``.  Only live
+    nodes get this program (detached ones stay silent), so sums cover
+    live nodes only.  The root never sends, so only its children's sums
+    wake it.
     """
 
-    __slots__ = ("tree", "live", "h", "acc")
+    __slots__ = ("tree", "h", "acc")
 
-    def __init__(self, node: int, tree: TreeView, live: List[bool], h: int,
+    def __init__(self, node: int, tree: TreeView, h: int,
                  value: float) -> None:
         super().__init__(node)
         self.tree = tree
-        self.live = live
         self.h = h
         self.acc = value
-        self.active = live[node]
+        self.active = tree.parent[node] >= 0
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
@@ -60,7 +61,7 @@ class _SubtreeSumProgram(NodeProgram):
         fire = self.h - t.depth[v]
         if ctx.round == fire and t.parent[v] >= 0:
             ctx.send(t.parent[v], "ss", (self.acc,))
-        self.active = self.live[v] and ctx.round < fire
+        self.active = ctx.round < fire
 
 
 class _CompressedSubtreeSumBatch(CompressedPhase):
@@ -197,23 +198,51 @@ def subtree_sums(
         acc, stats = batched_subtree_sums(net, coll, full, label, rows)
         return acc[i].tolist(), stats
     t = coll.trees[x]
-    live = t.live_list()
+    return _engine_subtree_sums(net, coll.h, t, t.live_list(), values, label)
+
+
+def _engine_subtree_sums(
+    net: CongestNetwork,
+    h: int,
+    t: TreeView,
+    live: List[bool],
+    values: Sequence[float],
+    label: str,
+) -> Tuple[List[float], RoundStats]:
+    """:func:`subtree_sums` on the message engine, given ``t``'s live list.
+
+    Only live nodes take part, so every other slot holds the shared
+    silent program.
+    """
     programs = [
-        _SubtreeSumProgram(v, t, live, coll.h, values[v] if live[v] else 0.0)
-        for v in range(coll.n)
+        _SubtreeSumProgram(v, t, h, values[v]) if alive else _SILENT
+        for v, alive in enumerate(live)
     ]
     stats = net.run(programs, label=label)
-    sums = [programs[v].acc if live[v] else 0.0 for v in range(coll.n)]
+    sums = [p.acc if alive else 0.0 for p, alive in zip(programs, live)]
     return sums, stats
+
+
+def _leaf_values(h: int, t: TreeView, live: List[bool]) -> List[float]:
+    """1.0 at the live depth-``h`` leaves of ``t``, given its live list."""
+    depth = t.depth
+    return [1.0 if alive and depth[v] == h else 0.0
+            for v, alive in enumerate(live)]
+
+
+def _add_below_root(score: List[float], sums: List[float], t: TreeView,
+                    live: List[bool]) -> None:
+    """Add each live depth >= 1 node's tree sum into its ``score``."""
+    depth = t.depth
+    for v, alive in enumerate(live):
+        if alive and depth[v] >= 1:
+            score[v] += sums[v]
 
 
 def leaf_indicators(coll: CSSSPCollection, x: int) -> List[float]:
     """1.0 at live depth-``h`` leaves of ``T_x`` (hyperedge endpoints)."""
     t = coll.trees[x]
-    return [
-        1.0 if t.depth[v] == coll.h and not t.removed[v] else 0.0
-        for v in range(coll.n)
-    ]
+    return _leaf_values(coll.h, t, t.live_list())
 
 
 def compute_scores(
@@ -246,17 +275,16 @@ def compute_scores(
     total = RoundStats(label=label)
     score = [0.0] * coll.n
     tree_sums: Dict[int, List[float]] = {}
-    for x in coll.trees:
-        sums, stats = subtree_sums(
-            net, coll, x, leaf_indicators(coll, x), label=f"{label}({x})",
+    for x, t in coll.trees.items():
+        live = t.live_list()
+        sums, stats = _engine_subtree_sums(
+            net, coll.h, t, live, _leaf_values(coll.h, t, live),
+            f"{label}({x})",
         )
         total.merge(stats)
         if per_tree:
             tree_sums[x] = sums
-        t = coll.trees[x]
-        for v in range(coll.n):
-            if t.depth[v] >= 1 and not t.removed[v]:
-                score[v] += sums[v]
+        _add_below_root(score, sums, t, live)
     return score, tree_sums, total
 
 
@@ -294,18 +322,18 @@ def compute_score_ij(
         return score.tolist(), stats
     total = RoundStats(label=label)
     score = [0.0] * coll.n
-    for x in coll.trees:
-        values = [0.0] * coll.n
-        for leaf in pij_leaf.get(x, ()):
-            values[leaf] = 1.0
-        if not pij_leaf.get(x):
+    for x, t in coll.trees.items():
+        leaves = pij_leaf.get(x)
+        if not leaves:
             continue
-        sums, stats = subtree_sums(net, coll, x, values, label=f"{label}({x})")
+        values = [0.0] * coll.n
+        for leaf in leaves:
+            values[leaf] = 1.0
+        live = t.live_list()
+        sums, stats = _engine_subtree_sums(net, coll.h, t, live, values,
+                                           f"{label}({x})")
         total.merge(stats)
-        t = coll.trees[x]
-        for v in range(coll.n):
-            if t.depth[v] >= 1 and not t.removed[v]:
-                score[v] += sums[v]
+        _add_below_root(score, sums, t, live)
     return score, total
 
 

@@ -57,11 +57,14 @@ organized around four ideas:
   is a recorded segment of the chunk.  Chunks with only a few messages
   use an equivalent scalar loop (the numpy fixed cost would dominate);
   both report the same exception types.
-* **Vectorized wake scan** — on networks with at least
-  ``_WAKE_VECTOR_MIN`` nodes the per-round "who runs" scan (nodes with a
-  delivered message or ``active=True``) is a ``flatnonzero`` over a numpy
-  view of the activity buffer instead of a Python sweep over all ``n``
-  program objects.
+* **Wakes cost only the nodes woken** — the engine keeps the set of
+  nodes whose ``active`` flag is set, and each tick runs that set merged
+  with the tick's destinations, sorted, on every network size and with
+  or without faults.  Nothing sweeps all ``n`` nodes, so a node that is
+  inactive and receives nothing costs nothing; programs keep it that way
+  by starting inactive unless they have tick-0 work, and phases that
+  involve only some nodes give the rest the shared never-active
+  ``_Silent`` program (see :class:`~repro.congest.node.NodeProgram`).
 
 Validation therefore happens *after* the violating round, not inside the
 offending ``send`` call: the engine may simulate up to ``_FLUSH_AT``
@@ -75,8 +78,8 @@ quiescence) are identical in both modes and both check paths.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,9 +102,6 @@ _VECTOR_MIN = 48
 #: messages; phases also flush at every exit point.
 _FLUSH_AT = 4096
 
-#: Networks with fewer nodes than this keep the Python wake scan.
-_WAKE_VECTOR_MIN = 128
-
 #: Always use the dense ``n x n`` edge-id matrix up to this many nodes
 #: (the matrix is at most 256 KiB of int32 — cheaper than being clever).
 _DENSE_N_CAP = 256
@@ -113,6 +113,7 @@ _DENSE_FILL_SHIFT = 3
 
 _SRC = itemgetter(0)
 _PAYLOAD = itemgetter(2)
+_ACTIVE = attrgetter("active")
 
 
 class _Pending:
@@ -537,18 +538,12 @@ class CongestNetwork:
         ctx.send = send
         empty: List[Wire] = []
 
-        # Activity flags live in a bytearray so the vectorized wake scan can
-        # read them zero-copy through a numpy view.
-        active = bytearray(n)
-        active_view = np.frombuffer(active, dtype=np.uint8)
-        # Faulted runs pin the scalar wake scan: it is the one path with
-        # the crashed-node filter, and faulted phases are small by design.
-        vector_wake = n >= _WAKE_VECTOR_MIN and faults is None
-        num_active = 0
-        for v in range(n):
-            if programs[v].active:
-                active[v] = 1
-                num_active += 1
+        # The ids of the nodes whose ``active`` flag is set.  A tick wakes
+        # them and the nodes with a delivery, in increasing id order, so
+        # the wake scan costs the nodes it wakes, not ``n``.
+        active = set(compress(range(n), map(_ACTIVE, programs)))
+        add_active = active.add
+        discard_active = active.discard
 
         while True:
             if tick > hard_cap:
@@ -575,67 +570,39 @@ class CongestNetwork:
                 # for the strict-mode batch checks) and rewrites
                 # in_touched in place.
                 crashed = faults.apply(tick, inboxes, in_touched)
-                if not in_touched and not num_active and not faults.pending:
+                if not in_touched and not active and not faults.pending:
                     break
-            elif not in_touched and not num_active:
+            elif not in_touched and not active:
                 break
 
             # Wake = has inbox or active, processed in increasing node id
-            # (deterministic execution order).
+            # (deterministic execution order).  Fault application already
+            # removed crashed nodes from in_touched.
             ctx.round = tick
-            if num_active:
-                if vector_wake:
-                    # flatnonzero / union1d return sorted unique ids, so the
-                    # execution order matches the Python sweep exactly.
-                    if in_touched:
-                        wake = np.union1d(
-                            np.flatnonzero(active_view),
-                            np.fromiter(
-                                in_touched, dtype=np.int64, count=len(in_touched)
-                            ),
-                        ).tolist()
-                    else:
-                        wake = np.flatnonzero(active_view).tolist()
-                else:
-                    wake = [v for v in range(n)
-                            if inboxes[v] is not None or active[v]]
-                    if crashed:
-                        # Down this tick: no execution, state and active
-                        # flag preserved for recovery.
-                        wake = [v for v in wake if v not in crashed]
-                for v in wake:
-                    box = inboxes[v]
-                    prog = programs[v]
-                    src = ctx.node = v
-                    ctx.inbox = empty if box is None else box
-                    ctx.neighbors = adj[v]
-                    prog.on_round(ctx)
-                    if sent:
-                        per_node_sent[v] += sent
-                        messages_total += sent
-                        sent = 0
-                    if prog.active:
-                        if not active[v]:
-                            active[v] = 1
-                            num_active += 1
-                    elif active[v]:
-                        active[v] = 0
-                        num_active -= 1
+            if active:
+                wake = sorted(active.union(in_touched))
+                if crashed:
+                    # Down this tick: no execution, state and active
+                    # flag preserved for recovery.
+                    wake = [v for v in wake if v not in crashed]
             else:
                 in_touched.sort()
-                for v in in_touched:
-                    prog = programs[v]
-                    src = ctx.node = v
-                    ctx.inbox = inboxes[v]
-                    ctx.neighbors = adj[v]
-                    prog.on_round(ctx)
-                    if sent:
-                        per_node_sent[v] += sent
-                        messages_total += sent
-                        sent = 0
-                    if prog.active:
-                        active[v] = 1
-                        num_active += 1
+                wake = in_touched
+            for v in wake:
+                box = inboxes[v]
+                prog = programs[v]
+                src = ctx.node = v
+                ctx.inbox = empty if box is None else box
+                ctx.neighbors = adj[v]
+                prog.on_round(ctx)
+                if sent:
+                    per_node_sent[v] += sent
+                    messages_total += sent
+                    sent = 0
+                if prog.active:
+                    add_active(v)
+                elif v in active:
+                    discard_active(v)
 
             if strict and out_touched:
                 # Buffer the round by reference (a delivered box is never

@@ -62,6 +62,11 @@ class NodeProgram:
     ``self.active = False`` so the engine can detect quiescence.  Programs
     with a fixed schedule (pipelines) keep ``active`` true until their
     schedule is exhausted.
+
+    Every wake costs the engine a Python call, so a program should start
+    inactive unless it has work in tick 0, and stay inactive while only
+    a delivery can give it work.  A node with no part in a phase gets the
+    shared never-active ``_Silent`` program instead of a real one.
     """
 
     __slots__ = ("node", "active")
@@ -75,4 +80,34 @@ class NodeProgram:
         raise NotImplementedError
 
 
-__all__ = ["Ctx", "NodeProgram"]
+class SilentNodeMessaged(RuntimeError):
+    """A message reached a node that has no part in the phase."""
+
+
+class _Silent(NodeProgram):
+    """The program of every node with no part in a phase.
+
+    One never-active instance fills every such slot, so a phase over a
+    few live tree nodes builds no programs for the rest.  Being sent a
+    message is a bug in the phase, so :meth:`on_round`, which only a
+    delivery can trigger, raises :class:`SilentNodeMessaged`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(-1)
+        self.active = False
+
+    def on_round(self, ctx: Ctx) -> None:
+        raise SilentNodeMessaged(
+            f"node {ctx.node} has no part in this phase but was sent a "
+            f"message by node {ctx.inbox[0][0]} (round {ctx.round})"
+        )
+
+
+#: The shared program of every node with no part in a phase.
+_SILENT = _Silent()
+
+
+__all__ = ["Ctx", "NodeProgram", "SilentNodeMessaged"]

@@ -45,6 +45,7 @@ from repro.primitives.bellman_ford import (
     SSSPBatch,
     SSSPResult,
     _CompressedNotifyChildren,
+    _bf_tables,
     bellman_ford_many,
     notify_children,
 )
@@ -61,21 +62,21 @@ class _TruncateProgram(NodeProgram):
     __slots__ = ("h", "hops", "parent", "label", "_edge_in", "kept", "_sent")
 
     def __init__(
-        self, node: int, graph: Graph, res: SSSPResult, h: int
+        self,
+        node: int,
+        edge_in: Dict[int, Tuple[float, int]],
+        res: SSSPResult,
+        h: int,
     ) -> None:
         super().__init__(node)
         self.h = h
         self.hops = res.hops[node]
         self.parent = res.parent[node]
         self.label = res.label[node]
-        if not res.reverse:
-            self._edge_in: Dict[int, Tuple[float, int]] = {
-                u: (w, tb) for (u, w, tb) in graph.in_edges(node)
-            }
-        else:
-            self._edge_in = {u: (w, tb) for (u, w, tb) in graph.out_edges(node)}
+        self._edge_in = edge_in
         self.kept = node == res.source
         self._sent = False
+        self.active = self.kept  # the rest wait for their parent's flag
 
     def on_round(self, ctx: Ctx) -> None:
         for src, kind, payload in ctx.inbox:
@@ -198,9 +199,11 @@ def build_csssp(
         return CSSSPCollection(graph, h, source_list, parent, depth,
                                orientation), total
 
+    edge_in = _bf_tables(net, graph, reverse)[0]
     parents, depths = [], []
     for x, res in zip(source_list, batch):
-        programs = [_TruncateProgram(v, graph, res, h) for v in range(graph.n)]
+        programs = [_TruncateProgram(v, edge_in[v], res, h)
+                    for v in range(graph.n)]
         total.merge(net.run(programs, label=f"{label}-trunc({x})"))
         parent = [res.parent[v] if p.kept else -1 for v, p in enumerate(programs)]
         _, nstats = notify_children(net, parent, label=f"{label}-kids({x})")

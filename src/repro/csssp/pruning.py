@@ -34,7 +34,7 @@ from repro.congest.compressed import (
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
-from repro.congest.node import Ctx, NodeProgram
+from repro.congest.node import _SILENT, Ctx, NodeProgram
 from repro.csssp.collection import CSSSPCollection
 
 
@@ -47,6 +47,7 @@ class _SequentialRemoveProgram(NodeProgram):
         super().__init__(node)
         self.tree = tree
         self._start = start
+        self.active = start  # the rest wait for a notice
 
     def on_round(self, ctx: Ctx) -> None:
         v = ctx.node
@@ -177,8 +178,11 @@ def remove_subtrees_sequential(
         }
         if not startset:
             continue
+        live = t.live_list()
         programs = [
-            _SequentialRemoveProgram(v, t, v in startset) for v in range(t.n)
+            _SequentialRemoveProgram(v, t, v in startset) if live[v]
+            else _SILENT
+            for v in range(t.n)
         ]
         total.merge(net.run(programs, label=f"{label}({x})"))
     return total

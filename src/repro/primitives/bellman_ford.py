@@ -224,6 +224,7 @@ class _BFProgram(NodeProgram):
         self._dirty = self.label != INF_COST
         self._edge_in = edge_in
         self._targets = targets
+        self.active = self._dirty  # otherwise only a delivery brings work
 
     def on_round(self, ctx: Ctx) -> None:
         # Hot loop of Steps 1/3/7: most announcements lose on weight
@@ -273,8 +274,10 @@ class _BFProgram(NodeProgram):
         if self._dirty:
             self._dirty = False
             if self.budget < self.h:
+                send = ctx.send
+                msg = self.label + (self.budget,)
                 for u in self._targets:
-                    ctx.send(u, "bf", self.label + (self.budget,))
+                    send(u, "bf", msg)
         self.active = False  # wake again only on message delivery
 
 

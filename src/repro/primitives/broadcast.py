@@ -30,73 +30,101 @@ from repro.primitives.bfs import BFSTree
 
 
 class _GatherBroadcastProgram(NodeProgram):
-    __slots__ = (
-        "tree",
-        "upq",
-        "pending_up",
-        "collected",
-        "downq",
-        "received",
-        "_sent_ud",
-        "_down_done_from_parent",
-    )
+    """A non-root node's side of the gather-then-broadcast.
+
+    Upcast: one item per round to the parent (the node's own items, then
+    whatever its children pass up), then the end marker ``ud`` once every
+    child has sent its own.  Downcast: each record from the parent (an
+    item ``dit`` or the end marker ``dd``) goes on to every child in the
+    round it arrives.  The node is active only while it has something to
+    send, so waiting on its children costs no wakes.
+
+    On a fault-free run one record arrives per round at most.  Under
+    duplicate or delay faults a few can arrive at once; the extras wait in
+    ``_backlog`` so each child edge still carries one record per round.
+    """
+
+    __slots__ = ("parent", "children", "upq", "pending_up", "received",
+                 "_sent_ud", "_backlog")
 
     def __init__(self, node: int, tree: BFSTree, items: Sequence[tuple]) -> None:
         super().__init__(node)
-        self.tree = tree
-        root = node == tree.root
-        self.upq = deque() if root else deque(items)
-        self.pending_up = set(tree.children[node])
-        self.collected: List[tuple] = list(items) if root else []
-        self.downq: deque = deque()
+        self.parent = tree.parent[node]
+        self.children = tree.children[node]
+        self.upq = deque(items)
+        self.pending_up = set(self.children)
         self.received: List[tuple] = []
         self._sent_ud = False
-        self._down_done_from_parent = False
+        self._backlog: deque = deque()
+        self.active = bool(items) or not self.pending_up
 
     def on_round(self, ctx: Ctx) -> None:
-        v = ctx.node
-        tree = self.tree
-        root = v == tree.root
+        send = ctx.send
+        if self._sent_ud:
+            # Downcast: only records from the parent arrive now.
+            inbox = ctx.inbox
+            if len(inbox) == 1 and not self._backlog:
+                _src, kind, payload = inbox[0]
+            else:
+                backlog = self._backlog
+                backlog.extend(inbox)
+                _src, kind, payload = backlog.popleft()
+                self.active = bool(backlog)
+            if kind == "dit":
+                self.received.append(payload)
+            for c in self.children:
+                send(c, kind, payload)
+            return
+
         for src, kind, payload in ctx.inbox:
             if kind == "it":
-                if root:
-                    self.collected.append(payload)
-                else:
-                    self.upq.append(payload)
+                self.upq.append(payload)
+            else:  # "ud": that child's subtree has sent everything
+                self.pending_up.discard(src)
+        upq = self.upq
+        if upq:
+            send(self.parent, "it", upq.popleft())
+        elif not self.pending_up:
+            self._sent_ud = True
+            send(self.parent, "ud")
+        self.active = bool(upq) or not (self._sent_ud or self.pending_up)
+
+
+class _GatherBroadcastRoot(NodeProgram):
+    """The root's side: collect every item, then stream them all down.
+
+    Items arrive as ``it`` records until every child's ``ud`` is in.  Then
+    the root sends the collected items and the end marker ``dd`` to every
+    child, one record per round; it sleeps while it waits for its
+    children.
+    """
+
+    __slots__ = ("children", "pending_up", "received", "_streamed")
+
+    def __init__(self, node: int, tree: BFSTree, items: Sequence[tuple]) -> None:
+        super().__init__(node)
+        self.children = tree.children[node]
+        self.pending_up = set(self.children)
+        self.received: List[tuple] = list(items)
+        self._streamed = 0
+        self.active = bool(self.children) and not self.pending_up
+
+    def on_round(self, ctx: Ctx) -> None:
+        for src, kind, payload in ctx.inbox:
+            if kind == "it":
+                self.received.append(payload)
             elif kind == "ud":
                 self.pending_up.discard(src)
-            elif kind == "dit":
-                self.received.append(payload)
-                self.downq.append(("dit", payload))
-            elif kind == "dd":
-                self._down_done_from_parent = True
-                self.downq.append(("dd", ()))
-
-        # --- upcast: one item per round toward the parent --------------
-        if not root:
-            if self.upq:
-                ctx.send(tree.parent[v], "it", self.upq.popleft())
-            elif not self._sent_ud and not self.pending_up:
-                self._sent_ud = True
-                ctx.send(tree.parent[v], "ud")
-        elif not self._sent_ud and not self.pending_up and not self.upq:
-            # Root has everything: switch to the downcast phase.
-            self._sent_ud = True
-            self.received = list(self.collected)
-            for item in self.collected:
-                self.downq.append(("dit", item))
-            self.downq.append(("dd", ()))
-
-        # --- downcast: one item per round along every child edge -------
-        if self.downq:
-            kind, payload = self.downq.popleft()
-            for c in tree.children[v]:
-                ctx.send(c, kind, payload)
-
-        # Stay active until the upcast end-of-stream marker is out (a node
-        # that sent its last item must still send "ud" next round) and
-        # while downcast work is queued.
-        self.active = bool(self.upq) or bool(self.downq) or not self._sent_ud
+        if self.pending_up:
+            return
+        received = self.received
+        k = self._streamed
+        kind, payload = ("dit", received[k]) if k < len(received) else ("dd", ())
+        send = ctx.send
+        for c in self.children:
+            send(c, kind, payload)
+        self._streamed = k + 1
+        self.active = k < len(received)  # the end marker is still to go
 
 
 class _CompressedGatherBroadcast(CompressedPhase):
@@ -181,9 +209,19 @@ def gather_and_broadcast(
             _CompressedGatherBroadcast(tree, items_per_node, label)
         )
     programs = [
-        _GatherBroadcastProgram(v, tree, items_per_node[v]) for v in range(net.n)
+        (_GatherBroadcastRoot if v == tree.root else _GatherBroadcastProgram)(
+            v, tree, items_per_node[v])
+        for v in range(net.n)
     ]
     stats = net.run(programs, label=label)
+    root = programs[tree.root]
+    if root.pending_up:
+        # An end marker was lost (a fault): the phase went quiet before
+        # the root could start the downcast.
+        raise AssertionError(
+            f"broadcast incomplete at node {tree.root}: the root never heard "
+            f"the end of children {sorted(root.pending_up)}"
+        )
     received = [p.received for p in programs]
     # Every node must have ended with the same multiset of items.
     expected = sorted(received[tree.root])

@@ -296,7 +296,6 @@ def test_inbox_items_are_plain_tuples_in_sender_order():
 
 import repro.congest.network as network_mod  # noqa: E402
 from repro.graphs import erdos_renyi  # noqa: E402
-from repro.primitives.bellman_ford import bellman_ford  # noqa: E402
 from repro.primitives.bfs import build_bfs_tree  # noqa: E402
 
 
@@ -392,17 +391,40 @@ def test_sparse_lookup_detects_violations(force_vector, force_sparse):
         net2.run([Flood(v) for v in range(g.n)])
 
 
-def test_vectorized_wake_scan_matches_python_scan(monkeypatch):
-    g = erdos_renyi(32, p=0.2, seed=11)
-    ref = bellman_ford(CongestNetwork(g), g, 0, h=5)
-    monkeypatch.setattr(network_mod, "_WAKE_VECTOR_MIN", 1)
-    out = bellman_ford(CongestNetwork(g), g, 0, h=5)
-    assert out.label == ref.label
-    assert out.parent == ref.parent
-    assert (out.rounds.rounds, out.rounds.messages) == (
-        ref.rounds.rounds,
-        ref.rounds.messages,
-    )
+class Scripted(NodeProgram):
+    """Active for rounds ``0 .. spin - 1``; sends ``sends[r]`` if woken in ``r``."""
+
+    def __init__(self, node, spin, sends, log):
+        super().__init__(node)
+        self.spin, self.sends, self.log = spin, sends, log
+        self.active = spin > 0
+
+    def on_round(self, ctx):
+        self.log.append((ctx.round, ctx.node))
+        for dst in self.sends.get(ctx.round, ()):
+            ctx.send(dst, "p")
+        self.active = ctx.round + 1 < self.spin
+
+
+def test_wake_order_is_ascending_ids_over_active_and_delivered():
+    # Ticks mix nodes woken by their flag, by a delivery, and by both;
+    # every tick must run its nodes once each, in increasing id order.
+    spin = [0, 3, 0, 4, 0, 2]
+    sends = [{}, {0: [2]}, {1: [3]}, {0: [4], 3: [2]}, {1: [5]}, {0: [4]}]
+    log = []
+    programs = [Scripted(v, spin[v], sends[v], log) for v in range(6)]
+    CongestNetwork(path_graph(6)).run(programs)
+
+    expected, active, delivered = [], {1, 3, 5}, set()
+    for r in range(20):
+        wake = sorted(active | delivered)
+        expected += [(r, v) for v in wake]
+        delivered = {d for v in wake for d in sends[v].get(r, ())}
+        active = {v for v in wake if r + 1 < spin[v]} | (active - set(wake))
+    assert log == expected
+    # Node 3 in tick 2 is both active and delivered to; 2 and 4 in tick 1
+    # and 2 in tick 4 are woken by a delivery alone.
+    assert {(2, 3), (1, 2), (1, 4), (4, 2)} <= set(log)
 
 
 def test_strict_and_fast_engines_agree_end_to_end():
