@@ -24,11 +24,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.congest.compressed import (
-    CompressedPhase,
-    PhaseSchedule,
-    stacked_trees,
-)
+from repro.congest.compressed import CompressedPhase, stacked_trees
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import _SILENT, Ctx, NodeProgram
@@ -109,8 +105,7 @@ class _CompressedViCountBatch(CompressedPhase):
     :func:`~repro.congest.compressed.stacked_trees` in a few whole-stack
     passes.  The counts themselves need no wave: a live leaf's ``beta``
     is the number of ``V_i`` members on its row of the leaf path table,
-    one gather for all trees.  :meth:`evaluate` returns them as a
-    :class:`PathCounts`.
+    one gather for all trees, returned as a :class:`PathCounts`.
     """
 
     def __init__(self, coll: CSSSPCollection, vi: Set[int],
@@ -119,41 +114,22 @@ class _CompressedViCountBatch(CompressedPhase):
         self.vi = vi
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
+    def run(self, net: CongestNetwork) -> Tuple[PathCounts, RoundStats]:
         stack = self.stack
         n = stack.n
         kids = self.live & stack.nonroot
-        rounds = int(np.where(kids, stack.depth, 0).max(axis=1).sum())
-        if not rounds:
-            return PhaseSchedule()
+        rounds = np.where(kids, stack.depth, 0).max(axis=1).sum()
         rows, cols = np.nonzero(kids)
         senders = stack.parent[rows, cols]
-        per_node_counts = np.bincount(senders, minlength=n)
-        idx = np.flatnonzero(per_node_counts)
-        per_edge = None
-        if net.track_edges:
-            keys, counts = np.unique(senders * n + cols, return_counts=True)
-            per_edge = {
-                (k // n, k % n): c
-                for k, c in zip(keys.tolist(), counts.tolist())
-            }
-        return PhaseSchedule(
-            rounds=rounds,
-            messages=len(senders),
-            per_node_sent=dict(zip(idx.tolist(),
-                                   per_node_counts[idx].tolist())),
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> PathCounts:
-        stack = self.stack
-        n = stack.n
+        edges = (senders, cols, 1) if net.track_edges else None
+        stats = RoundStats.from_sends(
+            rounds, np.bincount(senders, minlength=n), edges)
         in_vi = np.zeros(n, dtype=np.int64)
         in_vi[[v for v in self.vi if 0 <= v < n]] = 1
         live_leaf = self.live.ravel()[stack.leaves]
         leaves = stack.leaves[live_leaf]
         beta = in_vi[stack.leaf_paths[live_leaf]].sum(axis=1)
-        return PathCounts(stack.xs, leaves // n, leaves % n, beta)
+        return PathCounts(stack.xs, leaves // n, leaves % n, beta), stats
 
 
 def compute_vi_counts(
@@ -267,44 +243,33 @@ class _CompressedAncestors(CompressedPhase):
         self.x = x
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
+    def run(self, net: CongestNetwork) -> Tuple[Dict[int, List[int]],
+                                                RoundStats]:
         stack, live_mask = stacked_trees(self.coll)
         i = stack.row_of[self.x]
         parent, depth, live = stack.parent[i], stack.depth[i], live_mask[i]
         kids = np.flatnonzero(live & stack.nonroot[i])
         lc = np.bincount(parent[kids], minlength=stack.n)
         internal = live & (lc > 0)
-        if not internal.any():
-            return PhaseSchedule()
-        idx = np.flatnonzero(internal)
-        records = depth[idx] + 1  # own record plus one per strict ancestor
-        per_node = dict(zip(idx.tolist(), (records * lc[idx]).tolist()))
-        per_edge = None
+        records = depth + 1  # own record plus one per strict ancestor
+        edges = None
         if net.track_edges:
-            per_edge = {
-                (p, c): int(depth[p] + 1)
-                for c, p in zip(kids.tolist(), parent[kids].tolist())
-            }
-        return PhaseSchedule(
-            rounds=int(depth[idx].max()) + 1,
-            messages=int((records * lc[idx]).sum()),
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> Dict[int, List[int]]:
+            edges = (parent[kids], kids, records[parent[kids]])
+        stats = RoundStats.from_sends(
+            depth[internal].max(initial=-1) + 1,
+            np.where(internal, records * lc, 0), edges)
         t = self.tree
         per_node: Dict[int, List[int]] = {}
         if t.live(t.root):
             per_node[t.root] = []
-            stack = [t.root]
-            while stack:
-                v = stack.pop()
+            todo = [t.root]
+            while todo:
+                v = todo.pop()
                 path = per_node[v]
                 for c in t.live_children(v):
                     per_node[c] = path + [v]
-                    stack.append(c)
-        return per_node
+                    todo.append(c)
+        return per_node, stats
 
 
 def collect_ancestors(

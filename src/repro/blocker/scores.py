@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.congest.compressed import (
     CompressedPhase,
-    PhaseSchedule,
+    StackedTrees,
     stacked_trees,
 )
 from repro.congest.metrics import RoundStats
@@ -64,22 +64,51 @@ class _SubtreeSumProgram(NodeProgram):
         self.active = ctx.round < fire
 
 
+def _convergecast_stats(stack: StackedTrees, live: "np.ndarray",
+                        track_edges: bool) -> RoundStats:
+    """Stats of `_SubtreeSumProgram` on every tree with a ``live`` row.
+
+    Every live non-root node sends exactly one message, to its parent in
+    round ``h - depth(v)``, so each tree's run charges ``h`` minus its
+    shallowest sender's depth, plus one; the batch charges their sum.
+    """
+    h = stack.h
+    senders = live & stack.nonroot
+    min_depth = np.where(senders, stack.depth, h + 1).min(axis=1)
+    rounds = (h + 1 - min_depth[min_depth <= h]).sum()
+    edges = None
+    if track_edges:
+        rows, cols = np.nonzero(senders)
+        edges = (cols, stack.parent[rows, cols], 1)
+    return RoundStats.from_sends(rounds, senders.sum(axis=0), edges)
+
+
+def _live_subtree_sums(stack: StackedTrees, live: "np.ndarray",
+                       values: "np.ndarray") -> "np.ndarray":
+    """Every tree's live-subtree sums of ``values``, as `_SubtreeSumProgram`.
+
+    Folds ``values`` bottom-up along the static level order, one
+    ``np.add.at`` per depth.  Each level lists its nodes by tree and then
+    by ascending id, and ``add.at`` applies repeated indices one by one
+    in array order, so every parent adds its live children in the
+    engine's inbox order: the sums match the engine's bit for bit, for
+    any float values.  The fold charges no rounds.
+    """
+    live = live.ravel()
+    acc = np.where(live, np.asarray(values, dtype=np.float64).ravel(), 0.0)
+    for kids, ups in zip(reversed(stack.levels), reversed(stack.level_parent)):
+        keep = live[kids]
+        np.add.at(acc, ups[keep], acc[kids[keep]])
+    return acc.reshape(stack.shape)
+
+
 class _CompressedSubtreeSumBatch(CompressedPhase):
     """Round-compressed `_SubtreeSumProgram` over the collection's stacked trees.
 
-    Every live non-root node sends exactly one message, in round
-    ``h - depth(v)``, so each tree's schedule is immediate, and a batch's
-    is the sum over its trees: ``rows`` picks them out of the one stack
-    (all of them by default).  The schedule is a few whole-stack passes
-    over the live mask of
-    :func:`~repro.congest.compressed.stacked_trees`.
-
-    :meth:`evaluate` folds ``values`` bottom-up along the static level
-    order, one ``np.add.at`` per depth.  Each level lists its nodes by
-    tree and then by ascending id, and ``add.at`` applies repeated
-    indices one by one in array order, so every parent adds its live
-    children in the engine's inbox order: the sums match the engine's bit
-    for bit, for any float values.
+    ``rows`` picks the trees that run out of the one stack (all of them
+    by default); the result is :func:`_live_subtree_sums` and the stats
+    :func:`_convergecast_stats`, both a few whole-stack passes over the
+    live mask of :func:`~repro.congest.compressed.stacked_trees`.
     """
 
     def __init__(self, coll: CSSSPCollection, values: "np.ndarray",
@@ -89,45 +118,9 @@ class _CompressedSubtreeSumBatch(CompressedPhase):
         self.values = values
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        stack = self.stack
-        h, n = stack.h, stack.n
-        senders = self.live & stack.nonroot
-        per_node_counts = senders.sum(axis=0)
-        total = int(per_node_counts.sum())
-        if not total:
-            return PhaseSchedule()
-        # Per-tree rounds: h - (min sender depth) + 1, summed.
-        min_depth = np.where(senders, stack.depth, h + 1).min(axis=1)
-        rounds = int((h + 1 - min_depth[min_depth <= h]).sum())
-        idx = np.flatnonzero(per_node_counts)
-        per_node = dict(zip(idx.tolist(), per_node_counts[idx].tolist()))
-        per_edge = None
-        if net.track_edges:
-            rows, cols = np.nonzero(senders)
-            keys = cols * n + stack.parent[rows, cols]
-            uniq, kcounts = np.unique(keys, return_counts=True)
-            per_edge = {
-                (k // n, k % n): c
-                for k, c in zip(uniq.tolist(), kcounts.tolist())
-            }
-        return PhaseSchedule(
-            rounds=rounds,
-            messages=total,
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> "np.ndarray":
-        stack = self.stack
-        live = self.live.ravel()
-        acc = np.where(live, np.asarray(self.values, dtype=np.float64).ravel(),
-                       0.0)
-        for kids, ups in zip(reversed(stack.levels),
-                             reversed(stack.level_parent)):
-            keep = live[kids]
-            np.add.at(acc, ups[keep], acc[kids[keep]])
-        return acc.reshape(stack.shape)
+    def run(self, net: CongestNetwork) -> Tuple["np.ndarray", RoundStats]:
+        return (_live_subtree_sums(self.stack, self.live, self.values),
+                _convergecast_stats(self.stack, self.live, net.track_edges))
 
 
 class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
@@ -136,11 +129,11 @@ class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
     Scores (the live depth-``h`` leaves) and ``score_ij`` (the leaves of
     ``P_ij`` paths) run this shape.  Node ``v`` then sums, over its trees
     where it sits live at depth >= 1, the number of chosen leaves below
-    it: the number of chosen paths through it.  The schedule is the
-    convergecast's; :meth:`evaluate` reads the totals off the chosen rows
-    of the leaf path table in one ``bincount``.  The counts are integers,
-    so no summation order can change them.  ``chosen`` is a boolean mask
-    over :attr:`StackedTrees.leaves` and must pick live leaves only.
+    it: the number of chosen paths through it.  The stats are the
+    convergecast's; the totals come off the chosen rows of the leaf path
+    table in one ``bincount``.  The counts are integers, so no summation
+    order can change them.  ``chosen`` is a boolean mask over
+    :attr:`StackedTrees.leaves` and must pick live leaves only.
     """
 
     def __init__(self, coll: CSSSPCollection, chosen: "np.ndarray",
@@ -148,10 +141,11 @@ class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
         super().__init__(coll, None, label, rows)
         self.chosen = chosen
 
-    def evaluate(self, net: CongestNetwork) -> "np.ndarray":
-        paths = self.stack.leaf_paths[self.chosen]
-        return np.bincount(paths.ravel(), minlength=self.stack.n).astype(
-            np.float64)
+    def run(self, net: CongestNetwork) -> Tuple["np.ndarray", RoundStats]:
+        stack = self.stack
+        paths = stack.leaf_paths[self.chosen]
+        score = np.bincount(paths.ravel(), minlength=stack.n).astype(np.float64)
+        return score, _convergecast_stats(stack, self.live, net.track_edges)
 
 
 def batched_subtree_sums(
@@ -267,8 +261,7 @@ def compute_scores(
             coll, live.ravel()[stack.leaves], label))
         tree_sums = {}
         if per_tree:
-            acc = _CompressedSubtreeSumBatch(
-                coll, stack.depth == stack.h, label).evaluate(net)
+            acc = _live_subtree_sums(stack, live, stack.depth == stack.h)
             tree_sums = {x: acc[i].tolist() for i, x in enumerate(stack.xs)}
         stats.label = label
         return score.tolist(), tree_sums, stats

@@ -219,7 +219,7 @@ def _good_set(
     pi = [e for e in hg.live_edges() if e & vi]
     need_pij = (delta / 2.0) * len(pij)
 
-    def evaluate(mu: int) -> Optional[List[int]]:
+    def try_point(mu: int) -> Optional[List[int]]:
         chosen = [v for v in vi_sorted if space.selects(mu, v)]
         if not chosen:
             return None
@@ -233,12 +233,12 @@ def _good_set(
 
     if derandomize:
         for mu in range(min(space.size, max_tries)):
-            got = evaluate(mu)
+            got = try_point(mu)
             if got is not None:
                 return got
         return None
     for _ in range(max_tries):
-        got = evaluate(rng.randrange(space.size))
+        got = try_point(rng.randrange(space.size))
         if got is not None:
             return got
     return None

@@ -24,17 +24,18 @@ This subpackage is a from-scratch, deterministic simulator of that model:
   at delivery time with a recorded
   :class:`~repro.congest.faults.FaultTrace`; see :mod:`repro.congest.faults`.
 * :class:`~repro.congest.compressed.CompressedPhase` — the round-compressed
-  execution mode for fixed-schedule phases: declare the communication
-  schedule, evaluate the aggregate directly, and let
-  :meth:`~repro.congest.network.CongestNetwork.run_compressed` advance the
-  accounting analytically (bit-identical to a message-level run).
+  execution mode for fixed-schedule phases: one ``run`` call computes the
+  aggregate directly and counts the traffic into
+  :meth:`RoundStats.from_sends <repro.congest.metrics.RoundStats.from_sends>`,
+  and :meth:`~repro.congest.network.CongestNetwork.run_compressed` advances
+  the accounting by it (bit-identical to a message-level run).
 
 Everything higher up in :mod:`repro` (broadcast primitives, Bellman–Ford,
 CSSSP construction, blocker sets, the pipelined Step-6 algorithms and the
 end-to-end APSP algorithms) runs on this engine.
 """
 
-from repro.congest.compressed import CompressedPhase, PhaseSchedule
+from repro.congest.compressed import CompressedPhase
 from repro.congest.faults import (
     FAULT_MODELS,
     FaultPlan,
@@ -60,7 +61,6 @@ __all__ = [
     "Message",
     "NodeProgram",
     "NotANeighbor",
-    "PhaseSchedule",
     "PhaseLog",
     "RoundStats",
 ]

@@ -9,14 +9,17 @@ every node every round, and validates traffic that is correct by
 construction.  At n = 256 the deterministic APSP spends ~90% of all
 rounds inside Step 2's fixed-schedule floods and convergecasts.
 
-:class:`CompressedPhase` is the alternative execution mode.  A phase
-declares its communication schedule — a :class:`PhaseSchedule` holding
-the rounds charged plus the per-node and per-edge send totals, all
-derived analytically from the tree shape — and evaluates its aggregate
-result directly, with vectorized numpy or plain bottom-up folds that
-replay the engine's delivery order exactly.
-:meth:`~repro.congest.network.CongestNetwork.run_compressed` then
-advances the engine's cumulative accounting by the declared schedule, so
+:class:`CompressedPhase` is the alternative execution mode.  A phase has
+one method, ``run(net)``: it computes its aggregate result directly,
+with vectorized numpy or plain bottom-up folds that replay the engine's
+delivery order exactly, and counts the traffic the engine would have
+sent — the rounds charged plus each node's sends and, when the network
+tracks edges, each directed edge's load, all derived from the tree
+shape — into :meth:`RoundStats.from_sends
+<repro.congest.metrics.RoundStats.from_sends>`, the one place that turns
+send counts into stats.
+:meth:`~repro.congest.network.CongestNetwork.run_compressed` calls it
+once and advances the engine's cumulative accounting by the result, so
 the resulting :class:`~repro.congest.metrics.RoundStats` are
 **bit-identical** to a message-level run: same round count, same message
 totals, same per-node congestion, and (under ``track_edges``) the same
@@ -28,7 +31,7 @@ The message-level implementations stay in place as the strict oracle
 behind each primitive's ``compress`` flag;
 ``tests/test_compressed_equivalence.py`` is the differential harness
 that proves the equivalence phase by phase, and
-``tests/test_compressed_schedule.py`` property-tests the schedule
+``tests/test_compressed_schedule.py`` property-tests the round
 formulas below against engine runs on random trees.
 
 Soundness caveat: compressed evaluation assumes the tree state it reads
@@ -44,7 +47,6 @@ other adaptive phase runs through the engine.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,55 +54,24 @@ import numpy as np
 from repro.congest.metrics import RoundStats
 
 
-@dataclass
-class PhaseSchedule:
-    """The analytically-derived accounting of one fixed-schedule phase.
-
-    Exactly the quantities the engine would have measured: rounds charged
-    (last tick with a send, plus one), total messages, per-node send
-    totals (nodes with zero sends omitted, as the engine omits them) and
-    — when the network tracks edges — per-directed-edge send totals.
-    """
-
-    rounds: int = 0
-    messages: int = 0
-    per_node_sent: Dict[int, int] = field(default_factory=dict)
-    per_edge_sent: Optional[Dict[Tuple[int, int], int]] = None
-
-    def to_stats(self, label: str = "", track_edges: bool = False) -> RoundStats:
-        """Materialize the schedule as the phase's :class:`RoundStats`."""
-        per_edge: Dict[Tuple[int, int], int] = {}
-        if track_edges and self.per_edge_sent:
-            per_edge = {e: c for e, c in self.per_edge_sent.items() if c}
-        return RoundStats(
-            rounds=self.rounds,
-            messages=self.messages,
-            per_node_sent={v: c for v, c in self.per_node_sent.items() if c},
-            per_edge_sent=per_edge,
-            label=label,
-        )
-
-
 class CompressedPhase:
     """Protocol for a phase executable without materializing messages.
 
-    Implementations declare the phase's communication schedule
-    (:meth:`schedule`) and compute its aggregate result directly
-    (:meth:`evaluate`); both receive the network so they can read the
-    adjacency and the ``track_edges`` flag.  The contract — enforced by
-    the differential harness — is that ``run_compressed(phase)`` returns
-    the same result and the same stats as running the phase's
-    message-level oracle through :meth:`CongestNetwork.run`.
+    :meth:`run` returns ``(result, stats)``: the phase's aggregate result
+    (whatever its message-level oracle computes) and its
+    :class:`~repro.congest.metrics.RoundStats`, built with
+    :meth:`~repro.congest.metrics.RoundStats.from_sends`.  It receives
+    the network so it can read the adjacency and the ``track_edges``
+    flag.  The contract — enforced by the differential harness — is that
+    ``run_compressed(phase)`` returns the same result and the same stats
+    as running the phase's message-level oracle through
+    :meth:`CongestNetwork.run`.
     """
 
     label: str = ""
 
-    def schedule(self, net) -> PhaseSchedule:  # pragma: no cover - interface
-        """The phase's analytic :class:`PhaseSchedule` on ``net``."""
-        raise NotImplementedError
-
-    def evaluate(self, net):  # pragma: no cover - interface
-        """The phase's aggregate result (whatever the oracle computes)."""
+    def run(self, net) -> Tuple[object, RoundStats]:  # pragma: no cover
+        """The phase's result and its :class:`RoundStats` on ``net``."""
         raise NotImplementedError
 
 
@@ -189,8 +160,36 @@ def bottom_up_order(
     return order
 
 
-def tree_wave_schedule(tree, track_edges: bool) -> PhaseSchedule:
-    """Schedule of one up-then-down wave over a spanning tree.
+def tree_stats(tree, rounds: int, up: Sequence[int], down: int,
+               track_edges: bool) -> RoundStats:
+    """Stats of a phase that moves along a spanning tree's edges only.
+
+    Every non-root node ``v`` sends ``up[v]`` messages to its parent and
+    every node sends ``down`` messages to each of its children; the phase
+    charges ``rounds``.
+    """
+    root, parent, children = tree.root, tree.parent, tree.children
+    sent = [down * len(cs) for cs in children]
+    for v in range(tree.n):
+        if v != root:
+            sent[v] += up[v]
+    edges = None
+    if track_edges:
+        src, dst, count = [], [], []
+        for v, cs in enumerate(children):
+            if v != root:
+                src.append(v)
+                dst.append(parent[v])
+                count.append(up[v])
+            src.extend([v] * len(cs))
+            dst.extend(cs)
+            count.extend([down] * len(cs))
+        edges = (src, dst, count)
+    return RoundStats.from_sends(rounds, sent, edges)
+
+
+def tree_wave_stats(tree, track_edges: bool) -> RoundStats:
+    """Stats of one up-then-down wave over a spanning tree.
 
     The accounting shared by the height convergecast and the generic
     aggregation (`_AggregateProgram`): every non-root node sends one
@@ -198,30 +197,22 @@ def tree_wave_schedule(tree, track_edges: bool) -> PhaseSchedule:
     the last send is the deepest internal node's forward at tick
     ``height + internal_depth``.
     """
-    n = tree.n
-    if n <= 1:
-        return PhaseSchedule()
-    per_node = {}
-    for v in range(n):
-        sent = len(tree.children[v]) + (1 if v != tree.root else 0)
-        if sent:
-            per_node[v] = sent
-    per_edge = None
-    if track_edges:
-        per_edge = {}
-        for v in range(n):
-            if v != tree.root:
-                per_edge[(v, tree.parent[v])] = 1
-            for c in tree.children[v]:
-                per_edge[(v, c)] = 1
-    return PhaseSchedule(
-        rounds=aggregate_rounds(
-            n, tree.height, max_internal_depth(tree.children, tree.depth)
-        ),
-        messages=2 * (n - 1),
-        per_node_sent=per_node,
-        per_edge_sent=per_edge,
-    )
+    rounds = aggregate_rounds(
+        tree.n, tree.height, max_internal_depth(tree.children, tree.depth))
+    return tree_stats(tree, rounds, [1] * tree.n, 1, track_edges)
+
+
+def flood_stats(net, rounds: int, times) -> RoundStats:
+    """Stats of a phase in which node ``v`` announces ``times[v]`` times.
+
+    Each announcement goes to every communication neighbor of ``v``, one
+    message per incident directed edge.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    src = net._edge_src
+    degree = np.bincount(src, minlength=net.n)
+    edges = (src, net._edge_dst, times[src]) if net.track_edges else None
+    return RoundStats.from_sends(rounds, times * degree, edges)
 
 
 class StackedTrees:
@@ -381,7 +372,7 @@ def simulate_round_robin(
     order: Sequence[int],
     initial: Sequence[Dict[int, int]],
     track_edges: bool = False,
-) -> Tuple[int, int, Dict[int, int], Optional[Dict[Tuple[int, int], int]], List[int]]:
+) -> RoundStats:
     """Count-level replay of the Step-6 round-robin pipeline (Section 4.3).
 
     The pipeline's *contents* are fixed — every record queued at ``x``
@@ -408,11 +399,9 @@ def simulate_round_robin(
         ``initial[v][c]`` — records queued at ``v`` for sink ``c`` at the
         start.
 
-    Returns ``(rounds, messages, per_node_sent, per_edge_sent, sent)``
-    matching the engine's :class:`~repro.congest.metrics.RoundStats`
-    exactly (``per_edge_sent`` is None unless ``track_edges``); ``sent``
-    is each node's total forward count (the pipeline trace's
-    ``max_forwarded`` source).
+    Returns the phase's :class:`~repro.congest.metrics.RoundStats`,
+    matching the engine's exactly (per-edge loads only with
+    ``track_edges``).
     """
     from bisect import bisect_left, insort
 
@@ -430,8 +419,8 @@ def simulate_round_robin(
     active = {v for v in range(n) if act[v]}
 
     sent = [0] * n
-    per_edge: Optional[Dict[Tuple[int, int], int]] = {} if track_edges else None
-    messages = 0
+    edge_src: List[int] = []
+    edge_dst: List[int] = []
     last_send = -1
     inflight: List[Tuple[int, int]] = []  # (dst, sink)
     tick = 0
@@ -465,28 +454,28 @@ def simulate_round_robin(
             p = parents[c][v]
             inflight.append((p, c))
             sent[v] += 1
-            messages += 1
-            if per_edge is not None:
-                ekey = (v, p)
-                per_edge[ekey] = per_edge.get(ekey, 0) + 1
+            if track_edges:
+                edge_src.append(v)
+                edge_dst.append(p)
         if inflight:
             last_send = tick
         tick += 1
-    per_node = {v: s for v, s in enumerate(sent) if s}
-    return last_send + 1, messages, per_node, per_edge, sent
+    edges = (edge_src, edge_dst, 1) if track_edges else None
+    return RoundStats.from_sends(last_send + 1, sent, edges)
 
 
 __all__ = [
     "CompressedPhase",
-    "PhaseSchedule",
     "StackedTrees",
     "aggregate_rounds",
     "bottom_up_order",
+    "flood_stats",
     "max_internal_depth",
     "pipelined_sum_rounds",
     "simulate_round_robin",
     "simulate_upcast",
     "stacked_trees",
     "subtree_heights",
-    "tree_wave_schedule",
+    "tree_stats",
+    "tree_wave_stats",
 ]

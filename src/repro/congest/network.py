@@ -292,11 +292,11 @@ class CongestNetwork:
         """Execute a fixed-schedule phase analytically (no messages).
 
         ``phase`` follows the :class:`repro.congest.compressed.CompressedPhase`
-        protocol: its declared :class:`~repro.congest.compressed.PhaseSchedule`
-        advances the round counter and :class:`RoundStats` exactly as the
-        message-level run would have, and its evaluation produces the same
-        aggregate result.  Returns ``(result, stats)`` and merges the stats
-        into :attr:`total`, mirroring :meth:`run`.
+        protocol: one call to its ``run`` returns the aggregate result and
+        the :class:`RoundStats` the message-level run would have measured.
+        Returns ``(result, stats)``, labelled ``label`` (default: the
+        phase's own label), and merges the stats into :attr:`total`,
+        mirroring :meth:`run`.
         """
         if self._fault_runtime is not None:
             raise FaultsUnsupported(
@@ -306,11 +306,8 @@ class CongestNetwork:
                 "compress=False (or replay the recorded FaultTrace on the "
                 "message-level engine)"
             )
-        sched = phase.schedule(self)
-        result = phase.evaluate(self)
-        stats = sched.to_stats(
-            label=label or phase.label, track_edges=self.track_edges
-        )
+        result, stats = phase.run(self)
+        stats.label = label or phase.label
         self.total.merge(stats)
         return result, stats
 

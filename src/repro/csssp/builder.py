@@ -31,11 +31,11 @@ Lemma A.4.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.congest.compressed import CompressedPhase, PhaseSchedule
+from repro.congest.compressed import CompressedPhase, flood_stats
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
@@ -107,12 +107,9 @@ class _KeptWave(CompressedPhase):
         self.batch = batch
         self.h = h
         self.label = label
-        self._kept: Optional[np.ndarray] = None
 
-    def evaluate(self, net: CongestNetwork) -> np.ndarray:
-        """The ``(B, n)`` kept flags."""
-        if self._kept is not None:
-            return self._kept
+    def run(self, net: CongestNetwork) -> Tuple[np.ndarray, RoundStats]:
+        """The ``(B, n)`` kept flags and the flood's stats."""
         batch, h = self.batch, self.h
         b, n = batch.dist.shape
         dist, hops = batch.dist.ravel(), batch.hops.ravel()
@@ -132,28 +129,13 @@ class _KeptWave(CompressedPhase):
         for a, z in zip(cuts, cuts[1:]):
             level = by_hop[a:z]
             kept[v[level]] = kept[p[level]]
-        self._kept = kept.reshape(b, n)
-        return self._kept
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        kept = self.evaluate(net)
-        hops = self.batch.hops
-        deg = np.fromiter((len(net.neighbors(v)) for v in range(net.n)),
-                          dtype=np.int64, count=net.n)
-        senders = kept & (hops < self.h) & (deg > 0)
-        trees = senders.sum(axis=0)  # trees in which each node announces
-        nz = np.flatnonzero(trees)
-        per_edge = None
-        if net.track_edges:
-            per_edge = {(v, u): c for v, c in zip(nz.tolist(), trees[nz].tolist())
-                        for u in net.neighbors(v)}
-        last = np.where(senders, hops, -1).max(axis=1, initial=-1)
-        return PhaseSchedule(
-            rounds=int((last + 1).sum()),
-            messages=int((trees * deg).sum()),
-            per_node_sent=dict(zip(nz.tolist(), (trees * deg)[nz].tolist())),
-            per_edge_sent=per_edge,
-        )
+        kept = kept.reshape(b, n)
+        deg = np.fromiter((len(net.neighbors(v)) for v in range(n)),
+                          dtype=np.int64, count=n)
+        senders = kept & (batch.hops < h) & (deg > 0)
+        last = np.where(senders, batch.hops, -1).max(axis=1, initial=-1)
+        # a node announces once per tree it sends in
+        return kept, flood_stats(net, (last + 1).sum(), senders.sum(axis=0))
 
 
 def build_csssp(

@@ -23,15 +23,11 @@ Two protocols, matching the two cost regimes in the papers:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.congest.compressed import (
-    CompressedPhase,
-    PhaseSchedule,
-    stacked_trees,
-)
+from repro.congest.compressed import CompressedPhase, stacked_trees
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import _SILENT, Ctx, NodeProgram
@@ -79,9 +75,9 @@ class _CompressedSubtreeRemove(CompressedPhase):
     processed first); otherwise the start has detached itself already.
 
     Per tree, the flood's rounds are its last sending tick plus one, and
-    the phase charges their sum, as the per-tree runs would.
-    :meth:`evaluate` flips the detached nodes' flags with one flat write
-    into the collection's ``(T, n)`` ``removed`` array, the one store the
+    the phase charges their sum, as the per-tree runs would.  The wave
+    then flips the detached nodes' flags with one flat write into the
+    collection's ``(T, n)`` ``removed`` array, the one store the
     trees' ``removed`` rows view and the next phase's live mask reads.
     So the selectors, the centralized checks and the message-level oracle
     see the same state.
@@ -98,9 +94,8 @@ class _CompressedSubtreeRemove(CompressedPhase):
                 + np.asarray(rootset, dtype=np.int64)[None, :]).ravel()
         keep = self.live.ravel()[cand] & self.stack.nonroot.ravel()[cand]
         self.starts = np.sort(cand[keep])
-        self._fired: List[np.ndarray] = []
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
+    def run(self, net: CongestNetwork) -> Tuple[None, RoundStats]:
         stack, starts = self.stack, self.starts
         n = stack.n
         live = self.live.ravel()
@@ -109,8 +104,9 @@ class _CompressedSubtreeRemove(CompressedPhase):
         is_start[starts] = True
         last_tick = np.full(stack.shape[0], -1, dtype=np.int64)
         per_node = np.zeros(n, dtype=np.int64)
-        edges: List[np.ndarray] = []
-        self._fired = [starts]
+        edge_src: List[np.ndarray] = []
+        edge_dst: List[np.ndarray] = []
+        fired = [starts]
         frontier = starts
         tick = 0
         while frontier.size:
@@ -127,28 +123,17 @@ class _CompressedSubtreeRemove(CompressedPhase):
             per_node += np.bincount(senders % n, minlength=n)
             last_tick[senders // n] = tick
             if net.track_edges:
-                edges.append(senders % n * n + kids[send] % n)
+                edge_src.append(senders % n)
+                edge_dst.append(kids[send] % n)
             frontier = kids[inner]
-            self._fired.append(frontier)
+            fired.append(frontier)
             tick += 1
-        idx = np.flatnonzero(per_node)
-        per_edge = None
+        self.coll.removed.flat[np.concatenate(fired)] = True
+        edges = None
         if net.track_edges:
-            keys, counts = np.unique(np.concatenate(edges), return_counts=True)
-            per_edge = {
-                (k // n, k % n): c
-                for k, c in zip(keys.tolist(), counts.tolist())
-            }
-        return PhaseSchedule(
-            rounds=int((last_tick + 1).sum()),
-            messages=int(per_node.sum()),
-            per_node_sent=dict(zip(idx.tolist(), per_node[idx].tolist())),
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> None:
-        self.coll.removed.flat[np.concatenate(self._fired)] = True
-        return None
+            edges = (np.concatenate(edge_src), np.concatenate(edge_dst), 1)
+        return None, RoundStats.from_sends((last_tick + 1).sum(), per_node,
+                                           edges)
 
 
 def remove_subtrees_sequential(
@@ -262,11 +247,9 @@ class _CompressedParallelPrune(CompressedPhase):
     exactly as the programs key theirs (per-destination, in creation
     order, empties retained) and in the engine's node order (ascending id
     within a round).  Float subtractions land in the engine's order, so
-    ``agg`` / ``totals`` come out bit-identical; the schedule records the
-    sends the replay performed.
-
-    The replay mutates the pruner's collection and aggregates when first
-    solved (from :meth:`schedule`); :meth:`evaluate` just returns.
+    ``agg`` / ``totals`` come out bit-identical; the stats count the
+    sends the replay performed.  The replay mutates the pruner's
+    collection and aggregates.
     """
 
     def __init__(self, pruner: "ParallelPruner", rootset: Tuple[int, ...],
@@ -274,11 +257,8 @@ class _CompressedParallelPrune(CompressedPhase):
         self.pruner = pruner
         self.rootset = rootset
         self.label = label
-        self._sched: Optional[PhaseSchedule] = None
 
-    def _solve(self, net: CongestNetwork) -> None:
-        if self._sched is not None:
-            return
+    def run(self, net: CongestNetwork) -> Tuple[None, RoundStats]:
         coll = self.pruner.coll
         agg = self.pruner.agg
         totals = self.pruner.totals
@@ -305,11 +285,9 @@ class _CompressedParallelPrune(CompressedPhase):
             for c in t.live_children(v):
                 enqueue(v, c, "rm", (x,))
 
-        per_node: Dict[int, int] = {}
-        per_edge: Optional[Dict[Tuple[int, int], int]] = (
-            {} if track_edges else None
-        )
-        messages = 0
+        sent = [0] * n
+        edge_src: List[int] = []
+        edge_dst: List[int] = []
         last_send = -1
         has_work: set = set()  # nodes with a nonempty queue
         inboxes: Dict[int, List[Tuple[str, tuple]]] = {}
@@ -345,12 +323,11 @@ class _CompressedParallelPrune(CompressedPhase):
                     if q:
                         kind, payload = q.popleft()
                         next_inboxes.setdefault(dst, []).append((kind, payload))
-                        per_node[v] = per_node.get(v, 0) + 1
-                        messages += 1
+                        sent[v] += 1
                         last_send = tick
-                        if per_edge is not None:
-                            ekey = (v, dst)
-                            per_edge[ekey] = per_edge.get(ekey, 0) + 1
+                        if track_edges:
+                            edge_src.append(v)
+                            edge_dst.append(dst)
                         if q:
                             busy = True
                 if busy:
@@ -363,20 +340,8 @@ class _CompressedParallelPrune(CompressedPhase):
             if not wake:
                 break
             woken = sorted(wake)
-        self._sched = PhaseSchedule(
-            rounds=last_send + 1,
-            messages=messages,
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self._solve(net)
-        return self._sched
-
-    def evaluate(self, net: CongestNetwork) -> None:
-        self._solve(net)
-        return None
+        edges = (edge_src, edge_dst, 1) if track_edges else None
+        return None, RoundStats.from_sends(last_send + 1, sent, edges)
 
 
 class ParallelPruner:

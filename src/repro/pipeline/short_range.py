@@ -24,11 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.congest.compressed import (
-    CompressedPhase,
-    PhaseSchedule,
-    simulate_round_robin,
-)
+from repro.congest.compressed import CompressedPhase, simulate_round_robin
 from repro.congest.metrics import PhaseLog, RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
@@ -140,10 +136,10 @@ class _CompressedRoundRobin(CompressedPhase):
     Delivery content is fixed by the frame structure — each record queued
     at ``x`` for sink ``c`` climbs the unique tree path in ``T_c``, so
     ``delivered[c][x]`` is just ``values[x][c]`` for live members, and
-    the message / per-node / per-edge totals are path sums.  The round
-    count (and the exact per-node tallies) come from
-    :func:`~repro.congest.compressed.simulate_round_robin`, the
-    count-level replay of the cyclic service-order dynamics.
+    the message / per-node / per-edge totals are path sums.  The stats
+    come from :func:`~repro.congest.compressed.simulate_round_robin`, the
+    count-level replay of the cyclic service-order dynamics from the
+    initial queue ``rows`` (:func:`_pipeline_queue_rows`).
     """
 
     def __init__(
@@ -151,48 +147,28 @@ class _CompressedRoundRobin(CompressedPhase):
         coll: CSSSPCollection,
         values: Sequence[Dict[int, Cost]],
         order: Sequence[int],
+        rows: List[Dict[int, int]],
         label: str,
     ) -> None:
         self.coll = coll
         self.values = values
         self.order = order
+        self.rows = rows
         self.label = label
-        self.initial_rows: Optional[List[Dict[int, int]]] = None
-        self.sent: List[int] = []
-        self._sched: Optional[PhaseSchedule] = None
 
-    def _solve(self, net: CongestNetwork) -> None:
-        if self._sched is not None:
-            return
+    def run(self, net: CongestNetwork):
         coll = self.coll
-        self.initial_rows = _pipeline_queue_rows(coll, self.values, net.n)
         parents = {c: coll.trees[c].parent for c in coll.trees}
-        rounds, messages, per_node, per_edge, sent = simulate_round_robin(
-            net.n, parents, self.order, self.initial_rows,
-            track_edges=net.track_edges,
-        )
-        self.sent = sent
-        self._sched = PhaseSchedule(
-            rounds=rounds,
-            messages=messages,
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self._solve(net)
-        return self._sched
-
-    def evaluate(self, net: CongestNetwork) -> Dict[int, Dict[int, Cost]]:
-        self._solve(net)
+        stats = simulate_round_robin(net.n, parents, self.order, self.rows,
+                                     track_edges=net.track_edges)
         delivered: Dict[int, Dict[int, Cost]] = {}
-        for c, t in self.coll.trees.items():
+        for c, t in coll.trees.items():
             sink: Dict[int, Cost] = {}
             for x in range(net.n):
                 if x != c and t.live(x) and c in self.values[x]:
                     sink[x] = tuple(self.values[x][c])
             delivered[c] = sink
-        return delivered
+        return delivered, stats
 
 
 def round_robin_pipeline(
@@ -213,13 +189,15 @@ def round_robin_pipeline(
     """
     order = sorted(coll.trees.keys())
     if net.compress:
-        phase = _CompressedRoundRobin(coll, values, order, label)
-        delivered, stats = net.run_compressed(phase, label=label)
+        rows = _pipeline_queue_rows(coll, values, net.n)
+        delivered, stats = net.run_compressed(
+            _CompressedRoundRobin(coll, values, order, rows, label))
         trace = PipelineTrace(
-            initial_load=[sum(r.values()) for r in phase.initial_rows],
-            active_sinks_per_node=[len(r) for r in phase.initial_rows],
+            initial_load=[sum(r.values()) for r in rows],
+            active_sinks_per_node=[len(r) for r in rows],
         )
-        max_forwarded = max(phase.sent, default=0)
+        # each node's forwards are all its sends
+        max_forwarded = stats.max_node_congestion
     else:
         programs = [_RoundRobinProgram(v, coll, order, values[v]) for v in range(net.n)]
         trace = PipelineTrace(

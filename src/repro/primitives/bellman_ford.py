@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.congest.compressed import CompressedPhase, PhaseSchedule
+from repro.congest.compressed import CompressedPhase
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Ctx, NodeProgram
@@ -71,9 +71,9 @@ class SSSPBatch:
     ``hops`` (int64, -1 where unreachable), ``tb`` (the tie-break word)
     and ``parent`` (-1 at the source and where unreachable) hold every
     node's final label and tree pointer — the :class:`SSSPResult` fields.
-    The accounting is per phase too: ``rounds`` and ``messages`` are
-    ``(B,)``, and ``sent`` is ``(B, n)``, each node's send total (the
-    times it announced times its out-degree).
+    The accounting is per phase too: ``rounds`` is ``(B,)``, and
+    ``sent`` is ``(B, n)``, each node's send total (the times it
+    announced times its out-degree).
 
     Indexing or iterating yields :class:`SSSPResult` views, built on
     demand; :meth:`stats` and :meth:`total` give :class:`RoundStats`.  A
@@ -89,7 +89,7 @@ class SSSPBatch:
         h: int,
         reverse: bool,
         planes: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        accounting: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        accounting: Tuple[np.ndarray, np.ndarray],
         labels: Sequence[str],
         *,
         runs: Optional[List[SSSPResult]] = None,
@@ -101,7 +101,7 @@ class SSSPBatch:
         self.h = h
         self.reverse = reverse
         self.dist, self.hops, self.tb, self.parent = planes
-        self.rounds, self.messages, self.sent = accounting
+        self.rounds, self.sent = accounting
         self.labels = list(labels)
         self.edge = edge
         self._runs = runs
@@ -128,49 +128,33 @@ class SSSPBatch:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def schedule(self, i: Optional[int] = None) -> PhaseSchedule:
-        """Phase ``i``'s schedule, or (``None``) all phases' sum.
+    def _stats(self, rounds, sent: np.ndarray, label: str) -> RoundStats:
+        """The stats of send totals ``sent`` read off the accounting planes.
 
-        Read off the accounting planes: a node that announced ``t`` times
-        loaded each of its announcement edges ``t`` times (per-edge loads
-        only on a compressed batch of a network that tracks edges).
+        A node that announced ``t`` times loaded each of its announcement
+        edges ``t`` times (per-edge loads only on a compressed batch of a
+        network that tracks edges).
         """
-        if i is None:
-            sent = self.sent.sum(axis=0)
-            rounds, messages = self.rounds.sum(), self.messages.sum()
-        else:
-            sent, rounds, messages = self.sent[i], self.rounds[i], self.messages[i]
-        nz = np.flatnonzero(sent)
-        per_edge = None
+        edges = None
         if self._track_edges:
             off, dst = self._announce[0], self._announce[1]
-            degs = off[nz + 1] - off[nz]
-            times = np.repeat(sent[nz] // degs, degs)
-            idx = np.repeat(off[nz] - (np.cumsum(degs) - degs), degs)
-            idx += np.arange(len(idx))
-            per_edge = dict(zip(
-                zip(np.repeat(nz, degs).tolist(), dst[idx].tolist()),
-                times.tolist(),
-            ))
-        return PhaseSchedule(
-            rounds=int(rounds),
-            messages=int(messages),
-            per_node_sent=dict(zip(nz.tolist(), sent[nz].tolist())),
-            per_edge_sent=per_edge,
-        )
+            src = np.repeat(np.arange(len(off) - 1), np.diff(off))
+            degree = np.maximum(np.diff(off), 1)
+            edges = (src, dst, (sent // degree)[src])
+        return RoundStats.from_sends(rounds, sent, edges, label)
 
     def stats(self, i: int) -> RoundStats:
         """Phase ``i``'s :class:`RoundStats`, labelled ``labels[i]``."""
         if self._runs is not None:
             return self._runs[i].rounds
-        return self.schedule(i).to_stats(self.labels[i], track_edges=True)
+        return self._stats(self.rounds[i], self.sent[i], self.labels[i])
 
     def total(self, label: str = "") -> RoundStats:
         """Every phase's stats composed in sequence."""
         if self._runs is not None:
             return RoundStats.sequential((r.rounds for r in self._runs),
                                          label=label)
-        return self.schedule().to_stats(label, track_edges=True)
+        return self._stats(self.rounds.sum(), self.sent.sum(axis=0), label)
 
     def parent_edge(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(w, tb)`` planes of the edge from each node's parent.
@@ -493,34 +477,26 @@ class _BatchedBellmanFordSolver(CompressedPhase):
         self.fill_equal = fill_equal_parent
         self.labels = labels
         self.label = f"bf-batch(h={h},{'in' if reverse else 'out'})"
-        self._batch: Optional[SSSPBatch] = None
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        return self.evaluate(net).schedule()
-
-    def evaluate(self, net: CongestNetwork) -> SSSPBatch:
-        if self._batch is None:
-            self._batch = self._solve(net)
-        return self._batch
-
-    def _solve(self, net: CongestNetwork) -> SSSPBatch:
+    def run(self, net: CongestNetwork) -> Tuple[SSSPBatch, RoundStats]:
         shape = (len(self.sources), self.graph.n)
         announce = _announce_arrays(net, self.graph, self.reverse)
         off = announce[0]
         (label0, lab_hops, lab_tb, parent_flat, edge_flat, times_sent,
-         messages, last_send) = self._replay(announce)
+         last_send) = self._replay(announce)
         dist = label0.reshape(shape)
         hops = np.where(dist == np.inf, -1, lab_hops.reshape(shape))
         sent = times_sent.reshape(shape) * (off[1:] - off[:-1])
-        return SSSPBatch(
+        batch = SSSPBatch(
             self.sources, self.h, self.reverse,
             (dist, hops, lab_tb.reshape(shape), parent_flat.reshape(shape)),
-            (last_send + 1, messages, sent),
+            (last_send + 1, sent),
             self.labels,
             edge=edge_flat.reshape(shape),
             announce=announce,
             track_edges=net.track_edges,
         )
+        return batch, batch.total()
 
     def _replay(self, announce):
         """The lockstep round loop: final per-(source, node) state arrays."""
@@ -562,7 +538,6 @@ class _BatchedBellmanFordSolver(CompressedPhase):
                     if inits[v] is not None and inits[v] != INF_COST
                 )
             )
-        messages = np.zeros(nb, dtype=np.int64)
         last_send = np.full(nb, -1, dtype=np.int64)
         ticks = np.zeros(nb, dtype=np.int64)
         gs = np.asarray(init_senders, dtype=np.int64)
@@ -580,13 +555,9 @@ class _BatchedBellmanFordSolver(CompressedPhase):
             # round iff it has a sender; rounds with at least one actual
             # message advance its last-send tick.
             present = np.bincount(bs, minlength=nb).astype(bool)
-            msgs_b = np.bincount(bs, weights=degs, minlength=nb).astype(
-                np.int64
-            )
             ticks[present] += 1
-            sent_b = msgs_b > 0
+            sent_b = np.bincount(bs[degs > 0], minlength=nb).astype(bool)
             last_send[sent_b] = ticks[sent_b] - 1
-            messages += msgs_b
             # Only the candidates that can pass some gate of their source
             # need screening: no receiver's gate exceeds the source's
             # largest, so a sender's room is that gate minus its label,
@@ -682,7 +653,7 @@ class _BatchedBellmanFordSolver(CompressedPhase):
                   else np.zeros(0, dtype=np.int64))
 
         return (label0, lab_hops, lab_tb, parent_flat, edge_flat, times_sent,
-                messages, last_send)
+                last_send)
 
 
 def bellman_ford_many(
@@ -760,7 +731,6 @@ def _stack_runs(runs: Sequence[SSSPResult], n: int, h: int, reverse: bool,
                   dtype=np.int64).reshape(shape),
          np.array([res.parent for res in runs], dtype=np.int64).reshape(shape)),
         (np.array([res.rounds.rounds for res in runs], dtype=np.int64),
-         np.array([res.rounds.messages for res in runs], dtype=np.int64),
          sent),
         labels,
         runs=list(runs),
@@ -859,28 +829,15 @@ class _CompressedNotifyChildren(CompressedPhase):
         self.parents = parents
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
+    def run(self, net: CongestNetwork) -> Tuple[None, RoundStats]:
         has = self.parents >= 0
-        per_node = has.sum(axis=0)
-        nz = np.flatnonzero(per_node)
-        per_edge = None
+        edges = None
         if net.track_edges:
             rows, vs = np.nonzero(has)
-            n = self.parents.shape[1]
-            keys, counts = np.unique(vs * n + self.parents[rows, vs],
-                                     return_counts=True)
-            per_edge = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()),
-                                counts.tolist()))
-        return PhaseSchedule(
-            rounds=int(has.any(axis=1).sum()),
-            messages=int(per_node.sum()),
-            per_node_sent=dict(zip(nz.tolist(), per_node[nz].tolist())),
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> None:
-        """Nothing: the children follow from ``parents``, read where needed."""
-        return None
+            edges = (vs, self.parents[rows, vs], 1)
+        stats = RoundStats.from_sends(int(has.any(axis=1).sum()),
+                                      has.sum(axis=0), edges)
+        return None, stats
 
 
 def notify_children(

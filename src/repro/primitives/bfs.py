@@ -22,8 +22,8 @@ from typing import List, Optional, Tuple
 
 from repro.congest.compressed import (
     CompressedPhase,
-    PhaseSchedule,
-    tree_wave_schedule,
+    flood_stats,
+    tree_wave_stats,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -138,21 +138,16 @@ class _CompressedBFSFlood(CompressedPhase):
     """Round-compressed BFS flood: distances and min-id parents, directly.
 
     Every reachable node announces once — in round ``depth(v)``, to every
-    neighbor — so the schedule is one send per incident directed edge and
-    the flood ends one round after the most eccentric announcement.
+    neighbor — so the phase sends one message per incident directed edge
+    and ends one round after the most eccentric announcement.
     """
 
     label = "bfs-tree"
 
     def __init__(self, root: int) -> None:
         self.root = root
-        self.depth: Optional[List[int]] = None
-        self.parent: Optional[List[int]] = None
-        self.children: Optional[List[List[int]]] = None
 
-    def _solve(self, net: CongestNetwork) -> None:
-        if self.depth is not None:
-            return
+    def run(self, net: CongestNetwork):
         n = net.n
         depth = [-1] * n
         depth[self.root] = 0
@@ -175,54 +170,27 @@ class _CompressedBFSFlood(CompressedPhase):
                 u for u in net.neighbors(v) if depth[u] == depth[v] - 1
             )
             children[parent[v]].append(v)
-        self.depth = depth
-        self.parent = parent
-        self.children = [sorted(cs) for cs in children]
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self._solve(net)
-        per_node = {
-            v: len(net.neighbors(v))
-            for v in range(net.n)
-            if self.depth[v] >= 0 and net.neighbors(v)
-        }
-        per_edge = None
-        if net.track_edges:
-            per_edge = {
-                (v, u): 1
-                for v in per_node
-                for u in net.neighbors(v)
-            }
-        reached_depths = [d for d in self.depth if d >= 0]
-        return PhaseSchedule(
-            rounds=max(reached_depths) + 1 if per_node else 0,
-            messages=sum(per_node.values()),
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork):
-        self._solve(net)
-        return self.parent, self.depth, self.children
+        announced = [d >= 0 and bool(net.neighbors(v))
+                     for v, d in enumerate(depth)]
+        rounds = max(depth) + 1 if any(announced) else 0
+        stats = flood_stats(net, rounds, announced)
+        return (parent, depth, [sorted(cs) for cs in children]), stats
 
 
 class _CompressedTreeWave(CompressedPhase):
     """Round-compressed `_HeightProgram`: one up-then-down tree wave.
 
-    The schedule is the shared
-    :func:`~repro.congest.compressed.tree_wave_schedule`; the evaluation
-    is the tree height the builder already knows.
+    The stats are the shared
+    :func:`~repro.congest.compressed.tree_wave_stats`; the result is the
+    tree height the builder already knows.
     """
 
     def __init__(self, tree: BFSTree, label: str) -> None:
         self.tree = tree
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        return tree_wave_schedule(self.tree, net.track_edges)
-
-    def evaluate(self, net: CongestNetwork):
-        return self.tree.height
+    def run(self, net: CongestNetwork):
+        return self.tree.height, tree_wave_stats(self.tree, net.track_edges)
 
 
 def build_bfs_tree(

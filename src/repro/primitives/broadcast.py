@@ -15,13 +15,13 @@ Items must be constant-size tuples of ids / weights (CONGEST words).
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.congest.compressed import (
     CompressedPhase,
-    PhaseSchedule,
     max_internal_depth,
     simulate_upcast,
+    tree_stats,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -137,6 +137,8 @@ class _CompressedGatherBroadcast(CompressedPhase):
     downcast half is fully fixed-schedule: the root streams the ``K``
     collected items plus the end marker from the switch tick onward, and
     every internal node forwards each record one round after receipt.
+    Every node ends with the same list, so all ``n`` slots of the result
+    share the root's one list; callers must not mutate it.
     """
 
     def __init__(
@@ -148,48 +150,17 @@ class _CompressedGatherBroadcast(CompressedPhase):
         self.tree = tree
         self.items = items_per_node
         self.label = label
-        self._collected: Optional[List[tuple]] = None
-        self._switch_tick = 0
-        self._up_sends: Optional[List[int]] = None
 
-    def _solve(self) -> None:
-        if self._collected is None:
-            self._collected, self._switch_tick, self._up_sends = simulate_upcast(
-                self.tree, self.items
-            )
-
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        self._solve()
+    def run(self, net: CongestNetwork):
         tree = self.tree
-        n = tree.n
-        if n <= 1:
-            return PhaseSchedule()
-        down = len(self._collected) + 1  # every item plus the end marker
-        per_node = {}
-        for v in range(n):
-            sent = self._up_sends[v] + down * len(tree.children[v])
-            if sent:
-                per_node[v] = sent
-        per_edge = None
-        if net.track_edges:
-            per_edge = {}
-            for v in range(n):
-                if v != tree.root and self._up_sends[v]:
-                    per_edge[(v, tree.parent[v])] = self._up_sends[v]
-                for c in tree.children[v]:
-                    per_edge[(v, c)] = down
-        return PhaseSchedule(
-            rounds=self._switch_tick
-            + down
-            + max_internal_depth(tree.children, tree.depth),
-            messages=sum(self._up_sends) + down * (n - 1),
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> List[List[tuple]]:
-        self._solve()
-        return [list(self._collected) for _ in range(self.tree.n)]
+        collected, switch_tick, up_sends = simulate_upcast(tree, self.items)
+        down = len(collected) + 1  # every item plus the end marker
+        rounds = 0
+        if tree.n > 1:
+            rounds = (switch_tick + down
+                      + max_internal_depth(tree.children, tree.depth))
+        stats = tree_stats(tree, rounds, up_sends, down, net.track_edges)
+        return [collected] * tree.n, stats
 
 
 def gather_and_broadcast(
@@ -202,7 +173,9 @@ def gather_and_broadcast(
 
     The engine-level realization of Lemma A.2 (and of Lemma A.1 when only
     one node contributes).  Returns per-node received lists (identical
-    content, root-determined order) and the phase stats.
+    content, root-determined order) and the phase stats.  On a
+    compressing network every slot holds the same list object, so
+    callers read it and never mutate it.
     """
     if net.compress:
         return net.run_compressed(

@@ -23,12 +23,12 @@ import numpy as np
 
 from repro.congest.compressed import (
     CompressedPhase,
-    PhaseSchedule,
     bottom_up_order,
     max_internal_depth,
     pipelined_sum_rounds,
     subtree_heights,
-    tree_wave_schedule,
+    tree_stats,
+    tree_wave_stats,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -100,12 +100,7 @@ class _CompressedAggregate(CompressedPhase):
         self.combine = combine
         self.label = label
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        # Identical traffic shape to the height wave: one message up per
-        # non-root node, the answer forwarded down every child edge.
-        return tree_wave_schedule(self.tree, net.track_edges)
-
-    def evaluate(self, net: CongestNetwork) -> Value:
+    def run(self, net: CongestNetwork) -> Tuple[Value, RoundStats]:
         tree = self.tree
         fire = subtree_heights(tree.children, tree.root)
         acc: List[Optional[Value]] = [None] * tree.n
@@ -114,7 +109,9 @@ class _CompressedAggregate(CompressedPhase):
             for c in sorted(tree.children[v], key=lambda c: (fire[c], c)):
                 value = self.combine(value, acc[c])
             acc[v] = value
-        return acc[tree.root]
+        # Identical traffic shape to the height wave: one message up per
+        # non-root node, the answer forwarded down every child edge.
+        return acc[tree.root], tree_wave_stats(tree, net.track_edges)
 
 
 def aggregate_and_broadcast(
@@ -239,49 +236,20 @@ class _CompressedPipelinedSum(CompressedPhase):
         self.label = label
         self.n_comp = len(vectors[0]) if len(vectors) else 0
 
-    def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        tree = self.tree
-        n = tree.n
-        n_comp = self.n_comp
-        if n <= 1 or n_comp == 0:
-            return PhaseSchedule()
-        per_node = {}
-        for v in range(n):
-            sent = n_comp if v != tree.root else 0
-            if self.bcast:
-                sent += n_comp * len(tree.children[v])
-            if sent:
-                per_node[v] = sent
-        per_edge = None
-        if net.track_edges:
-            per_edge = {}
-            for v in range(n):
-                if v != tree.root:
-                    per_edge[(v, tree.parent[v])] = n_comp
-                if self.bcast:
-                    for c in tree.children[v]:
-                        per_edge[(v, c)] = n_comp
-        messages = (n - 1) * n_comp * (2 if self.bcast else 1)
-        return PhaseSchedule(
-            rounds=pipelined_sum_rounds(
-                n,
-                tree.height,
-                n_comp,
-                max_internal_depth(tree.children, tree.depth),
-                self.bcast,
-            ),
-            messages=messages,
-            per_node_sent=per_node,
-            per_edge_sent=per_edge,
-        )
-
-    def evaluate(self, net: CongestNetwork) -> List[float]:
+    def run(self, net: CongestNetwork) -> Tuple[List[float], RoundStats]:
         tree = self.tree
         acc = np.array(self.vectors, dtype=np.float64)
         for v in bottom_up_order(tree.children, tree.root):
             for c in sorted(tree.children[v]):
                 acc[v] += acc[c]
-        return acc[tree.root].tolist()
+        n_comp = self.n_comp
+        rounds = pipelined_sum_rounds(
+            tree.n, tree.height, n_comp,
+            max_internal_depth(tree.children, tree.depth), self.bcast,
+        )
+        stats = tree_stats(tree, rounds, [n_comp] * tree.n,
+                           n_comp if self.bcast else 0, net.track_edges)
+        return acc[tree.root].tolist(), stats
 
 
 def pipelined_vector_sum(

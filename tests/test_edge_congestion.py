@@ -8,6 +8,8 @@ that comparison is measurable.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.congest import CongestNetwork, RoundStats
 from repro.csssp import build_csssp
 from repro.graphs import broom, path_graph
@@ -42,6 +44,34 @@ def test_edge_congestion_merges_across_phases():
     assert c.per_edge_sent == {(0, 1): 5, (1, 2): 5}
     assert c.max_edge_congestion == 5
     assert a.per_edge_sent == {(0, 1): 3}  # add does not mutate
+
+
+def test_from_sends_builds_the_stats_of_send_counts():
+    sent = [0, 3, 1, 0]
+    edges = ([1, 1, 2, 1, 3], [0, 2, 1, 0, 2], [1, 1, 1, 1, 0])
+    stats = RoundStats.from_sends(5, sent, edges, label="phase")
+    # zero sends are left out, of nodes and of edges alike
+    assert stats.per_node_sent == {1: 3, 2: 1}
+    assert (3, 2) not in stats.per_edge_sent
+    # repeated (src, dst) pairs are summed
+    assert stats.per_edge_sent == {(1, 0): 2, (1, 2): 1, (2, 1): 1}
+    assert stats.messages == sum(sent) == 4
+    assert (stats.rounds, stats.label) == (5, "phase")
+    # a scalar count applies to every listed edge
+    assert RoundStats.from_sends(1, [0, 2, 1], ([1, 1, 2], [0, 2, 1], 1)
+                                 ).per_edge_sent == {(1, 0): 1, (1, 2): 1,
+                                                     (2, 1): 1}
+    # no edges, no per-edge loads
+    assert RoundStats.from_sends(2, sent).per_edge_sent == {}
+
+
+@pytest.mark.parametrize("edges", [
+    ([1, 2], [0, 1], [2, 1]),  # node 1 sent 3, its edges carry 2
+    ([1, 1, 2, 0], [0, 2, 1, 1], 1),  # node 0 sent nothing, loads say 1
+])
+def test_from_sends_rejects_edge_loads_that_miss_the_sends(edges):
+    with pytest.raises(ValueError, match="edge loads add up to"):
+        RoundStats.from_sends(1, [0, 3, 1], edges)
 
 
 def test_pipeline_edge_congestion_equals_handle_load():

@@ -99,6 +99,19 @@ def test_broadcast_from_root_k_values():
     assert stats.rounds <= 2 * tree.height + 2 * k + 6
 
 
+def test_compressed_broadcast_shares_one_list():
+    """Round-compressed, every node's received list is the root's one
+    list: no per-node copies (callers only read it)."""
+    g = graph_of("er-sparse")
+    net = CongestNetwork(g, compress=True)
+    tree, _ = build_bfs_tree(net)
+    items = [[(v, v * 10)] for v in range(g.n)]
+    received, _ = gather_and_broadcast(net, tree, items)
+    assert received[0] is received[-1]
+    assert sorted(received[tree.root]) == sorted(
+        (v, v * 10) for v in range(g.n))
+
+
 def test_broadcast_empty_items():
     g = path_graph(5, seed=0)
     net = CongestNetwork(g)

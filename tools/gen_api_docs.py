@@ -36,7 +36,8 @@ API = [
                               "FaultPlan.from_table",
                               "FaultPlan.from_trace",
                               "FaultTrace", "FaultsUnsupported"]),
-    ("repro.congest.compressed", ["CompressedPhase", "PhaseSchedule",
+    ("repro.congest.metrics", ["RoundStats", "RoundStats.from_sends"]),
+    ("repro.congest.compressed", ["CompressedPhase", "CompressedPhase.run",
                                   "simulate_upcast"]),
     ("repro.primitives.bellman_ford", ["bellman_ford", "SSSPResult"]),
     ("repro.apsp.driver", ["three_phase_apsp", "default_h"]),
