@@ -9,17 +9,19 @@ computation*, but in the simulator it was the wall-clock bottleneck for
 ``n`` beyond ~64: the Python triple loop costs ``O(q^3 + n q^2)`` tuple
 comparisons.
 
-:func:`local_closure` is the single entry point.  It runs a blocked
-min-plus matrix product over three parallel ``int64`` planes (weight,
-hops, tie-break), closed by repeated squaring.  Lexicographic order is
-preserved exactly: quantized weights (see
+:func:`local_closure` is the single entry point.  It runs Floyd-Warshall
+over three stacked ``int64`` planes (weight, hops, tie-break): ``q``
+rank-1 relaxations close ``M``, and ``q`` more fold the Step-3 labels
+through ``M*``.  Labels add component-wise and their lexicographic order
+is translation-invariant, so every relaxation is a plane-wise sum and one
+lexicographic comparison (weight, then hops, then tie-break).  The
+arithmetic is exact: quantized weights (see
 :func:`repro.graphs.spec.quantize_weight`) are scaled to integers, so
-integer sums match float sums bit for bit, and the reduction picks the
-minimum plane-by-plane (weight, then hops, then tie-break).
+integer sums match float sums bit for bit.
 
 The original triple-loop Floyd-Warshall over label triples
 (:func:`_python_closure`) is kept as the oracle: the tests check the
-product against it, and :func:`local_closure` falls back to it whenever
+numpy closure against it, and :func:`local_closure` falls back to it whenever
 the integer encoding could stop being exact — at or above the int64
 overflow margin on any plane, or the float64 2^53-tick margin on the
 weight plane, since the oracle sums weights in floats (see
@@ -32,7 +34,7 @@ unit, and partial sums grow by a factor up to ``2 (q + 1)``).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def _safe_limit(q: int, float_exact: bool = False) -> int:
 
 
 class ClosureOverflow(ValueError):
-    """Inputs too large for the exact int64 encoding of the numpy product."""
+    """Inputs too large for the exact int64 encoding of the numpy closure."""
 
 
 #: The (ci, cj, weight, hops, tiebreak) records broadcast in Step 4.
@@ -93,7 +95,7 @@ def local_closure(
     ``values`` with ``values[x][c]`` the lexicographic label of the
     tie-broken shortest ``x -> c`` path through blockers (plus the direct
     ``delta_h`` term via the closure's zero diagonal); unreachable pairs
-    are absent.  The numpy product and the oracle fallback return
+    are absent.  The numpy closure and the oracle fallback return
     bit-identical structures.
     """
     if len(q_nodes) == 0:
@@ -158,16 +160,10 @@ def _python_closure(
 
 
 # ----------------------------------------------------------------------
-# The numpy product: blocked lexicographic min-plus over int64 planes.
+# The numpy closure: lexicographic Floyd-Warshall over int64 planes.
 
 #: int64 ticks per weight unit (the dyadic grid of quantize_weight).
 _SCALE = round(1.0 / WEIGHT_QUANTUM)
-
-#: Target elements per candidate slab of the blocked product (~8 MB).
-_BLOCK_BUDGET = 1 << 20
-
-#: Sentinel for masked-out candidates in the hops / tie-break planes.
-_BIG = np.iinfo(np.int64).max
 
 
 def _encode_weights(w: np.ndarray) -> np.ndarray:
@@ -201,52 +197,21 @@ def _check_safe(q: int, weight_planes, int_planes) -> None:
                 )
 
 
-def _lex_minplus(
-    a: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    b: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    block: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocked min-plus product under lexicographic (w, hops, tb) order.
+def _relax(best: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+    """Fold ``col[:, :, None] + row[:, None, :]`` into ``best`` where lex-smaller.
 
-    ``C[i, j] = lexmin_k (A[i, k] + B[k, j])`` computed in slabs of the
-    middle dimension so the ``(I, block, J)`` candidate tensors stay
-    within a fixed memory budget.  Within a slab the lexicographic
-    reduction is three masked plane-wise minima; slabs fold into the
-    running best with a plane-wise lexicographic comparison.
+    ``best`` stacks the (weight, hops, tie-break) planes as ``(3, I, J)``;
+    ``col`` is ``(3, I)`` and ``row`` is ``(3, J)``.  One rank-1
+    lexicographic relaxation, in place.  The candidate is summed before
+    ``best`` is written, so ``col`` and ``row`` may be views of ``best``.
+    A sum that touches an infinite weight stays at or above ``_INF_I``
+    with non-negative hops and tie-breaks, so it never beats a finite
+    entry or the canonical INF triple ``(_INF_I, 0, 0)``.
     """
-    aw, ah, at = a
-    bw, bh, bt = b
-    rows, mid = aw.shape
-    cols = bw.shape[1]
-    best_w = np.full((rows, cols), _INF_I, dtype=np.int64)
-    best_h = np.zeros((rows, cols), dtype=np.int64)
-    best_t = np.zeros((rows, cols), dtype=np.int64)
-    for k0 in range(0, mid, block):
-        k1 = min(mid, k0 + block)
-        cw = aw[:, k0:k1, None] + bw[None, k0:k1, :]
-        ch = ah[:, k0:k1, None] + bh[None, k0:k1, :]
-        ct = at[:, k0:k1, None] + bt[None, k0:k1, :]
-        # Lexicographic argmin over the slab axis, plane by plane.
-        w = cw.min(axis=1)
-        tie = cw == w[:, None, :]
-        ch_m = np.where(tie, ch, _BIG)
-        h = ch_m.min(axis=1)
-        tie &= ch_m == h[:, None, :]
-        t = np.where(tie, ct, _BIG).min(axis=1)
-        # Fold the slab result into the running best, lexicographically.
-        better = (w < best_w) | (
-            (w == best_w) & ((h < best_h) | ((h == best_h) & (t < best_t)))
-        )
-        np.copyto(best_w, w, where=better)
-        np.copyto(best_h, h, where=better)
-        np.copyto(best_t, t, where=better)
-    # Normalize unreachable entries to the canonical INF triple so that
-    # equality with the oracle is exact.
-    inf = best_w >= _INF_I
-    best_w[inf] = _INF_I
-    best_h[inf] = 0
-    best_t[inf] = 0
-    return best_w, best_h, best_t
+    cw, ch, ct = cand = col[:, :, None] + row[:, None, :]
+    bw, bh, bt = best
+    better = (cw < bw) | ((cw == bw) & ((ch < bh) | ((ch == bh) & (ct < bt))))
+    np.copyto(best, cand, where=better)
 
 
 def _numpy_closure(
@@ -254,21 +219,14 @@ def _numpy_closure(
     entries: Iterable[QQEntry],
     lab_to: Mapping[int, Sequence[Cost]],
     n: int,
-    block: Optional[int] = None,
 ) -> List[Dict[int, Cost]]:
-    """Exact closure over int64 planes; raises :class:`ClosureOverflow`.
-
-    ``block`` is the middle-dimension block size of the product (default:
-    sized so one candidate slab stays around 8 MB); tests use tiny blocks
-    to exercise the blocking logic.
-    """
+    """Exact closure over int64 planes; raises :class:`ClosureOverflow`."""
     q = len(q_nodes)
 
-    # --- blocker matrix M (q x q planes) ------------------------------
-    mw = np.full((q, q), _INF_I, dtype=np.int64)
-    mh = np.zeros((q, q), dtype=np.int64)
-    mt = np.zeros((q, q), dtype=np.int64)
-    np.fill_diagonal(mw, 0)
+    # --- blocker matrix M ((3, q, q) planes) --------------------------
+    m = np.zeros((3, q, q), dtype=np.int64)
+    m[0] = _INF_I
+    np.fill_diagonal(m[0], 0)
     for ci, cj, d, k, tb in entries:
         if d == math.inf:  # pragma: no cover - drivers never broadcast inf
             continue
@@ -278,36 +236,31 @@ def _numpy_closure(
                 f"entry weight {d} reaches the int64 infinity sentinel"
             )
         cand = (wi, k, tb)
-        if cand < (mw[ci, cj], mh[ci, cj], mt[ci, cj]):
-            mw[ci, cj], mh[ci, cj], mt[ci, cj] = cand
+        if cand < tuple(m[:, ci, cj]):
+            m[:, ci, cj] = cand
 
-    # --- Step-3 label matrix L (n x q planes) --------------------------
+    # --- Step-3 label matrix L ((3, n, q) planes) ----------------------
     lw = np.empty((n, q), dtype=np.float64)
-    lh = np.empty((n, q), dtype=np.int64)
-    lt = np.empty((n, q), dtype=np.int64)
+    labels = np.empty((3, n, q), dtype=np.int64)
     for j, c in enumerate(q_nodes):
         labs = lab_to[c]
-        lw[:, j] = [lab[0] for lab in labs]
-        lh[:, j] = [lab[1] for lab in labs]
-        lt[:, j] = [lab[2] for lab in labs]
-    lw_i = _encode_weights(lw)
+        lw[:, j] = [t[0] for t in labs]
+        labels[1, :, j] = [t[1] for t in labs]
+        labels[2, :, j] = [t[2] for t in labs]
+    labels[0] = _encode_weights(lw)
 
-    _check_safe(q, (mw, lw_i), (mh, mt, lh, lt))
+    _check_safe(q, (m[0], labels[0]), (m[1], m[2], labels[1], labels[2]))
 
-    if block is None:
-        block = max(1, _BLOCK_BUDGET // max(1, max(q * q, n * q)))
+    # --- closure M*: Floyd-Warshall, one relaxation per blocker -------
+    for k in range(q):
+        _relax(m, m[:, :, k], m[:, k])
 
-    # --- closure by repeated squaring ---------------------------------
-    # With a zero diagonal, (I (+) M)^(2^s) covers all walks of at most
-    # 2^s legs; shortest walks are simple (non-negative weights, hops
-    # tie-break), so 2^s >= q - 1 legs suffice for the full closure.
-    squarings = (q - 2).bit_length() if q >= 2 else 0
-    closure = (mw, mh, mt)
-    for _ in range(squarings):
-        closure = _lex_minplus(closure, closure, block)
-
-    # --- delta(x, c) = L (x) M* ---------------------------------------
-    vw, vh, vt = _lex_minplus((lw_i, lh, lt), closure, block)
+    # --- delta(x, c) = lexmin_k L(x, k) + M*(k, c) ---------------------
+    v = np.zeros((3, n, q), dtype=np.int64)
+    v[0] = _INF_I
+    for k in range(q):
+        _relax(v, labels[:, :, k], m[:, k])
+    vw, vh, vt = v
 
     # --- decode into the driver's dict-per-node form -------------------
     values: List[Dict[int, Cost]] = []

@@ -116,7 +116,7 @@ def three_phase_apsp(
 
     # Step 5: local lexicographic min-plus closure at every node — free in
     # CONGEST, and the simulator's former Python-triple bottleneck; now a
-    # blocked numpy min-plus product behind local_closure().
+    # numpy Floyd-Warshall over label planes behind local_closure().
     q = len(q_nodes)
     values = local_closure(q_nodes, received[bfs.root], lab_to, n)
 

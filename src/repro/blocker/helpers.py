@@ -148,7 +148,6 @@ def compute_vi_counts(
     if net.compress and coll.trees:
         counts, stats = net.run_compressed(
             _CompressedViCountBatch(coll, vi, label))
-        stats.label = label
         return counts, stats
     total = RoundStats(label=label)
     rows: List[int] = []

@@ -263,7 +263,6 @@ def compute_scores(
         if per_tree:
             acc = _live_subtree_sums(stack, live, stack.depth == stack.h)
             tree_sums = {x: acc[i].tolist() for i, x in enumerate(stack.xs)}
-        stats.label = label
         return score.tolist(), tree_sums, stats
     total = RoundStats(label=label)
     score = [0.0] * coll.n
@@ -311,7 +310,6 @@ def compute_score_ij(
         chosen[at] = live.ravel()[flat]
         score, stats = net.run_compressed(
             _CompressedPathCountBatch(coll, chosen, label, rows))
-        stats.label = label
         return score.tolist(), stats
     total = RoundStats(label=label)
     score = [0.0] * coll.n

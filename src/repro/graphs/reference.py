@@ -141,9 +141,9 @@ def h_hop_labels(
 def min_plus_closure(mat: np.ndarray) -> np.ndarray:
     """Floyd-Warshall closure of a (possibly asymmetric) cost matrix.
 
-    Used for the local Step 5 computation: every node closes the
-    ``|Q| x |Q|`` blocker-to-blocker ``δ_h`` matrix locally (free local
-    computation in CONGEST).
+    A weight-only reference for tests.  Step 5 itself closes the
+    blocker matrix over full label triples in
+    :func:`repro.apsp.closure.local_closure`.
     """
     out = mat.copy()
     n = out.shape[0]

@@ -68,7 +68,6 @@ def message_counts(
     if net.compress and coll.trees:
         stack, live = stacked_trees(coll)
         acc, stats = batched_subtree_sums(net, coll, live, label)
-        stats.label = label
         return {x: acc[i].tolist() for i, x in enumerate(stack.xs)}, stats
     total = RoundStats(label=label)
     counts: Dict[int, List[float]] = {}

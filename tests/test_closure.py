@@ -1,6 +1,6 @@
-"""Step-5 ``local_closure``: numpy blocked min-plus vs the Python oracle.
+"""Step-5 ``local_closure``: numpy Floyd-Warshall vs the Python oracle.
 
-The numpy product must be *bit-identical* to the retained triple-loop
+The numpy closure must be *bit-identical* to the retained triple-loop
 oracle on every input the driver can produce — including unreachable
 pairs (inf labels), zero-weight ties decided by hops/tie-break planes,
 and adversarially large weights (where the int64 encoding must either
@@ -24,7 +24,7 @@ from repro.apsp.closure import (
 )
 from repro.apsp.driver import default_h
 from repro.congest.network import CongestNetwork
-from repro.graphs import erdos_renyi
+from repro.graphs import erdos_renyi, layered_digraph
 from repro.graphs.reference import h_hop_labels
 from repro.graphs.spec import INF_COST, quantize_weight
 
@@ -65,9 +65,9 @@ def random_instance(seed, n=None, q=None, zero_frac=0.0, wmax=9.0):
     return graph, q_nodes, entries, lab_to
 
 
-def assert_backends_agree(q_nodes, entries, lab_to, n, block=None):
+def assert_backends_agree(q_nodes, entries, lab_to, n):
     ref = _python_closure(q_nodes, entries, lab_to, n)
-    out = _numpy_closure(q_nodes, entries, lab_to, n, block)
+    out = _numpy_closure(q_nodes, entries, lab_to, n)
     assert out == ref  # bit-identical: same floats, hops, tie-breaks
     return ref
 
@@ -76,18 +76,33 @@ def assert_backends_agree(q_nodes, entries, lab_to, n, block=None):
 # equivalence on random weighted digraphs
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_numpy_matches_oracle_on_random_digraphs(seed):
-    graph, q_nodes, entries, lab_to = random_instance(seed)
+#: Blocker counts the driver reaches at moderate n, where each
+#: Floyd-Warshall row and column is reused across many relaxations.
+DRIVER_SIZED = {"n": 96, "q": 48}
+
+
+@pytest.mark.parametrize(
+    "seed, size",
+    [pytest.param(seed, {}, id=str(seed)) for seed in range(12)]
+    + [pytest.param(12, DRIVER_SIZED, id="n96-q48")],
+)
+def test_numpy_matches_oracle_on_random_digraphs(seed, size):
+    graph, q_nodes, entries, lab_to = random_instance(seed, **size)
     assert_backends_agree(q_nodes, entries, lab_to, graph.n)
 
 
-@pytest.mark.parametrize("seed", [3, 5])
-def test_numpy_matches_oracle_with_zero_weight_ties(seed):
+@pytest.mark.parametrize(
+    "seed, size",
+    [pytest.param(seed, {}, id=str(seed)) for seed in (3, 5)]
+    + [pytest.param(14, DRIVER_SIZED, id="n96-q48")],
+)
+def test_numpy_matches_oracle_with_zero_weight_ties(seed, size):
     # 40% zero-weight edges: equal-weight paths force the hops and
     # tie-break planes to decide, the hardest case for lexicographic
     # vectorization.
-    graph, q_nodes, entries, lab_to = random_instance(seed, zero_frac=0.4)
+    graph, q_nodes, entries, lab_to = random_instance(
+        seed, zero_frac=0.4, **size
+    )
     assert_backends_agree(q_nodes, entries, lab_to, graph.n)
 
 
@@ -111,10 +126,17 @@ def test_numpy_matches_oracle_with_unreachable_pairs():
                 assert c not in values[x]
 
 
-def test_blocked_product_agrees_with_unblocked():
-    graph, q_nodes, entries, lab_to = random_instance(21, n=14, q=7)
-    for block in (1, 2, 3, 1000):
-        assert_backends_agree(q_nodes, entries, lab_to, graph.n, block)
+def test_numpy_matches_oracle_on_sparse_dag_with_unreachable_pairs():
+    # Driver-sized and directed: edges only run from one layer of 8 nodes
+    # to the next, so no node reaches a blocker in an earlier layer.
+    graph = layered_digraph(12, 8, seed=13, p=0.3)
+    q_nodes = sorted(random.Random(13).sample(range(graph.n), 48))
+    entries, lab_to = driver_inputs(graph, q_nodes, 4)
+    values = assert_backends_agree(q_nodes, entries, lab_to, graph.n)
+    for x in range(graph.n):
+        for c in q_nodes:
+            if c // 8 < x // 8:
+                assert c not in values[x]
 
 
 def test_empty_and_singleton_blocker_sets():
