@@ -197,6 +197,14 @@ def _check_safe(q: int, weight_planes, int_planes) -> None:
                 )
 
 
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the stacked (weight, hops, tie-break) triple ``a`` is
+    lexicographically smaller than ``b`` (both ``(3, ...)``)."""
+    aw, ah, at = a
+    bw, bh, bt = b
+    return (aw < bw) | ((aw == bw) & ((ah < bh) | ((ah == bh) & (at < bt))))
+
+
 def _relax(best: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
     """Fold ``col[:, :, None] + row[:, None, :]`` into ``best`` where lex-smaller.
 
@@ -208,15 +216,45 @@ def _relax(best: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
     with non-negative hops and tie-breaks, so it never beats a finite
     entry or the canonical INF triple ``(_INF_I, 0, 0)``.
     """
-    cw, ch, ct = cand = col[:, :, None] + row[:, None, :]
-    bw, bh, bt = best
-    better = (cw < bw) | ((cw == bw) & ((ch < bh) | ((ch == bh) & (ct < bt))))
-    np.copyto(best, cand, where=better)
+    cand = col[:, :, None] + row[:, None, :]
+    np.copyto(best, cand, where=_lex_less(cand, best))
+
+
+def _scatter_entries(m: np.ndarray, entries: Sequence[QQEntry]) -> None:
+    """Write each cell's lexmin Step-4 entry into ``m`` where it beats the
+    cell.
+
+    One ``lexsort`` by (cell, weight, hops, tie-break) puts every cell's
+    lexmin entry first among its duplicates.
+    """
+    ci, cj, d, k, tb = zip(*entries)
+    d = np.array(d, dtype=np.float64)
+    keep = d != math.inf  # drivers never broadcast inf
+    if not keep.any():
+        return
+    ticks = np.rint(d[keep] * _SCALE)
+    if ticks.max() >= float(_INF_I):
+        raise ClosureOverflow(
+            f"entry weight {d[keep].max()} reaches the int64 infinity "
+            f"sentinel"
+        )
+    rows = np.array(ci, dtype=np.int64)[keep]
+    cols = np.array(cj, dtype=np.int64)[keep]
+    cand = np.stack((ticks.astype(np.int64),
+                     np.array(k, dtype=np.int64)[keep],
+                     np.array(tb, dtype=np.int64)[keep]))
+    cell = rows * m.shape[2] + cols
+    order = np.lexsort((cand[2], cand[1], cand[0], cell))
+    cell = cell[order]
+    first = order[np.r_[True, cell[1:] != cell[:-1]]]
+    rows, cols, cand = rows[first], cols[first], cand[:, first]
+    better = _lex_less(cand, m[:, rows, cols])
+    m[:, rows[better], cols[better]] = cand[:, better]
 
 
 def _numpy_closure(
     q_nodes: Sequence[int],
-    entries: Iterable[QQEntry],
+    entries: Sequence[QQEntry],
     lab_to: Mapping[int, Sequence[Cost]],
     n: int,
 ) -> List[Dict[int, Cost]]:
@@ -227,17 +265,8 @@ def _numpy_closure(
     m = np.zeros((3, q, q), dtype=np.int64)
     m[0] = _INF_I
     np.fill_diagonal(m[0], 0)
-    for ci, cj, d, k, tb in entries:
-        if d == math.inf:  # pragma: no cover - drivers never broadcast inf
-            continue
-        wi = round(d * _SCALE)
-        if wi >= _INF_I:
-            raise ClosureOverflow(
-                f"entry weight {d} reaches the int64 infinity sentinel"
-            )
-        cand = (wi, k, tb)
-        if cand < tuple(m[:, ci, cj]):
-            m[:, ci, cj] = cand
+    if entries:
+        _scatter_entries(m, entries)
 
     # --- Step-3 label matrix L ((3, n, q) planes) ----------------------
     lw = np.empty((n, q), dtype=np.float64)
@@ -263,18 +292,18 @@ def _numpy_closure(
     vw, vh, vt = v
 
     # --- decode into the driver's dict-per-node form -------------------
-    values: List[Dict[int, Cost]] = []
+    values: List[Dict[int, Cost]] = [{} for _ in range(n)]
     reach = vw < _INF_I
-    q_arr = list(q_nodes)
+    xs, js = np.nonzero(reach)
     # int64 ticks scale back to exact doubles: the tick count is far
     # below 2^53 (enforced by _check_safe) and the quantum is a power
     # of two, so the product is exactly representable.
-    wf = vw * WEIGHT_QUANTUM
-    for x in range(n):
-        row: Dict[int, Cost] = {}
-        for j in np.flatnonzero(reach[x]):
-            row[q_arr[j]] = (wf[x, j], int(vh[x, j]), int(vt[x, j]))
-        values.append(row)
+    for x, c, w, h, t in zip(
+        xs.tolist(), np.asarray(q_nodes)[js].tolist(),
+        (vw[reach] * WEIGHT_QUANTUM).tolist(), vh[reach].tolist(),
+        vt[reach].tolist(),
+    ):
+        values[x][c] = (w, h, t)
     return values
 
 

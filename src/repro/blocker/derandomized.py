@@ -90,7 +90,7 @@ class DerandomizedSelector:
         ``members`` is None when no good point surfaced within the batch
         budget (the driver then falls back to the heavy node).
         """
-        net, params = ctx.net, ctx.params
+        net = ctx.net
         total = RoundStats(label="selection-derandomized")
         anc, stats = collect_ancestors(net, ctx.coll)  # Alg. 7 Step 1
         total.merge(stats)
@@ -117,9 +117,7 @@ class DerandomizedSelector:
             nu = np.asarray(totals)
             nu_pi, nu_pij = nu[: len(mus)], nu[len(mus):]
             a_sizes = member.sum(axis=1)  # leader-local: V_i and space are shared
-            eps, delta = params.eps, params.delta
-            need_pi = a_sizes * (1 + eps) ** ctx.stage_i * (1 - 3 * delta - eps)
-            need_pij = (delta / 2.0) * ctx.pij_size
+            need_pi, need_pij = ctx.good_set_thresholds(a_sizes)
             good = (a_sizes >= 1) & (nu_pi >= need_pi) & (nu_pij >= need_pij)
             good_points += int(good.sum())
             scanned += len(mus)

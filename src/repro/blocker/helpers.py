@@ -119,11 +119,8 @@ class _CompressedViCountBatch(CompressedPhase):
         n = stack.n
         kids = self.live & stack.nonroot
         rounds = np.where(kids, stack.depth, 0).max(axis=1).sum()
-        rows, cols = np.nonzero(kids)
-        senders = stack.parent[rows, cols]
-        edges = (senders, cols, 1) if net.track_edges else None
         stats = RoundStats.from_sends(
-            rounds, np.bincount(senders, minlength=n), edges)
+            rounds, np.bincount(stack.parent[kids], minlength=n))
         in_vi = np.zeros(n, dtype=np.int64)
         in_vi[[v for v in self.vi if 0 <= v < n]] = 1
         live_leaf = self.live.ravel()[stack.leaves]
@@ -251,12 +248,9 @@ class _CompressedAncestors(CompressedPhase):
         lc = np.bincount(parent[kids], minlength=stack.n)
         internal = live & (lc > 0)
         records = depth + 1  # own record plus one per strict ancestor
-        edges = None
-        if net.track_edges:
-            edges = (parent[kids], kids, records[parent[kids]])
         stats = RoundStats.from_sends(
             depth[internal].max(initial=-1) + 1,
-            np.where(internal, records * lc, 0), edges)
+            np.where(internal, records * lc, 0))
         t = self.tree
         per_node: Dict[int, List[int]] = {}
         if t.live(t.root):

@@ -24,7 +24,6 @@ under "Departures from the paper" in docs/REPRODUCTION.md:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -42,6 +41,7 @@ from repro.blocker.helpers import (
 )
 from repro.blocker.sample_space import AffineSampleSpace
 from repro.blocker.scores import compute_score_ij, compute_scores
+from repro.blocker.setcover import _stage_of
 from repro.blocker.verify import is_blocker_set
 from repro.primitives.bfs import BFSTree, build_bfs_tree
 from repro.primitives.broadcast import broadcast_from_root, gather_and_broadcast
@@ -122,8 +122,12 @@ class SelectionContext:
         """Step 12's ``p = delta / (1+eps)^j``."""
         return self.params.delta / (1.0 + self.params.eps) ** self.phase_j
 
-    def good_set_thresholds(self, a_size: int) -> Tuple[float, float]:
-        """Definition 3.1's two coverage requirements for ``|A| = a_size``."""
+    def good_set_thresholds(self, a_size):
+        """Definition 3.1's two coverage requirements for ``|A| = a_size``.
+
+        ``a_size`` may be an int or a numpy array of sizes (one per
+        sample point); the first requirement then has its shape.
+        """
         p = self.params
         need_pi = a_size * (1 + p.eps) ** self.stage_i * (1 - 3 * p.delta - p.eps)
         need_pij = (p.delta / 2.0) * self.pij_size
@@ -222,16 +226,6 @@ class RandomizedSelector:
             if ctx.is_good(len(selected), cov_pi, cov_pij):
                 return sorted(selected), total, attempt, float("nan")
         return None, total, _MAX_ATTEMPTS, float("nan")
-
-
-def _stage_of(value: float, eps: float) -> int:
-    """Smallest ``i`` with ``value < (1+eps)^i`` (``value >= 1``)."""
-    i = int(math.floor(math.log(value) / math.log(1.0 + eps))) + 1
-    while (1.0 + eps) ** i <= value:  # guard float rounding at band edges
-        i += 1
-    while i > 1 and (1.0 + eps) ** (i - 1) > value:
-        i -= 1
-    return i
 
 
 def _aggregate_max(

@@ -64,8 +64,7 @@ class _SubtreeSumProgram(NodeProgram):
         self.active = ctx.round < fire
 
 
-def _convergecast_stats(stack: StackedTrees, live: "np.ndarray",
-                        track_edges: bool) -> RoundStats:
+def _convergecast_stats(stack: StackedTrees, live: "np.ndarray") -> RoundStats:
     """Stats of `_SubtreeSumProgram` on every tree with a ``live`` row.
 
     Every live non-root node sends exactly one message, to its parent in
@@ -76,11 +75,7 @@ def _convergecast_stats(stack: StackedTrees, live: "np.ndarray",
     senders = live & stack.nonroot
     min_depth = np.where(senders, stack.depth, h + 1).min(axis=1)
     rounds = (h + 1 - min_depth[min_depth <= h]).sum()
-    edges = None
-    if track_edges:
-        rows, cols = np.nonzero(senders)
-        edges = (cols, stack.parent[rows, cols], 1)
-    return RoundStats.from_sends(rounds, senders.sum(axis=0), edges)
+    return RoundStats.from_sends(rounds, senders.sum(axis=0))
 
 
 def _live_subtree_sums(stack: StackedTrees, live: "np.ndarray",
@@ -120,7 +115,7 @@ class _CompressedSubtreeSumBatch(CompressedPhase):
 
     def run(self, net: CongestNetwork) -> Tuple["np.ndarray", RoundStats]:
         return (_live_subtree_sums(self.stack, self.live, self.values),
-                _convergecast_stats(self.stack, self.live, net.track_edges))
+                _convergecast_stats(self.stack, self.live))
 
 
 class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
@@ -145,7 +140,7 @@ class _CompressedPathCountBatch(_CompressedSubtreeSumBatch):
         stack = self.stack
         paths = stack.leaf_paths[self.chosen]
         score = np.bincount(paths.ravel(), minlength=stack.n).astype(np.float64)
-        return score, _convergecast_stats(stack, self.live, net.track_edges)
+        return score, _convergecast_stats(stack, self.live)
 
 
 def batched_subtree_sums(

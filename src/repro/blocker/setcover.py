@@ -114,8 +114,9 @@ def greedy_cover(hg: Hypergraph) -> CoverResult:
 
 
 def _stage_of(value: float, eps: float) -> int:
+    """Smallest ``i`` with ``value < (1+eps)^i`` (``value >= 1``)."""
     i = int(math.floor(math.log(value) / math.log(1.0 + eps))) + 1
-    while (1.0 + eps) ** i <= value:
+    while (1.0 + eps) ** i <= value:  # guard float rounding at band edges
         i += 1
     while i > 1 and (1.0 + eps) ** (i - 1) > value:
         i -= 1

@@ -231,6 +231,27 @@ def parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that parses an integer ``>= low``.
+
+    Anything else raises :class:`argparse.ArgumentTypeError`, so the
+    parser exits with a usage error naming the flag instead of the
+    command failing later.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def cmd_report(args) -> int:
     from repro.analysis import sweep_report
 
@@ -591,7 +612,7 @@ def cmd_blocker(args) -> int:
 
     graph = make_graph(args.family, args.n, args.seed)
     net = CongestNetwork(graph)
-    h = args.h or max(1, round(graph.n ** (1 / 3)))
+    h = args.h if args.h is not None else max(1, round(graph.n ** (1 / 3)))
     coll, stats = build_csssp(net, graph, range(graph.n), h)
     print(f"{graph}: h={h}, {coll.path_count()} paths "
           f"(CSSSP in {stats.rounds} rounds)")
@@ -642,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apsp", help="run one APSP algorithm")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="det-n43")
     p.add_argument("--family", choices=GRAPH_FAMILIES, default="er")
-    p.add_argument("--n", type=int, default=27)
+    p.add_argument("--n", type=_int_at_least(2), default=27)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_apsp)
@@ -850,14 +871,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blocker", help="compare blocker constructions")
     p.add_argument("--family", choices=GRAPH_FAMILIES, default="er")
-    p.add_argument("--n", type=int, default=24)
-    p.add_argument("--h", type=int)
+    p.add_argument("--n", type=_int_at_least(2), default=24)
+    p.add_argument("--h", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_blocker)
 
     p = sub.add_parser("step6", help="pipelined vs broadcast delivery")
     p.add_argument("--family", choices=GRAPH_FAMILIES, default="er")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_int_at_least(2), default=32)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_step6)
     return parser

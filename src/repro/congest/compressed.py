@@ -13,19 +13,18 @@ rounds inside Step 2's fixed-schedule floods and convergecasts.
 one method, ``run(net)``: it computes its aggregate result directly,
 with vectorized numpy or plain bottom-up folds that replay the engine's
 delivery order exactly, and counts the traffic the engine would have
-sent — the rounds charged plus each node's sends and, when the network
-tracks edges, each directed edge's load, all derived from the tree
-shape — into :meth:`RoundStats.from_sends
+sent — the rounds charged plus each node's sends, both derived from
+the tree shape — into :meth:`RoundStats.from_sends
 <repro.congest.metrics.RoundStats.from_sends>`, the one place that turns
 send counts into stats.
 :meth:`~repro.congest.network.CongestNetwork.run_compressed` calls it
 once and advances the engine's cumulative accounting by the result, so
 the resulting :class:`~repro.congest.metrics.RoundStats` are
 **bit-identical** to a message-level run: same round count, same message
-totals, same per-node congestion, and (under ``track_edges``) the same
-per-edge loads.  Floating-point aggregates replay the engine's exact
-combine order — children in ascending node id within a round, rounds in
-tick order — so even non-associative float sums match bit-for-bit.
+totals, same per-node congestion.  Floating-point aggregates replay the
+engine's exact combine order — children in ascending node id within a
+round, rounds in tick order — so even non-associative float sums match
+bit-for-bit.
 
 The message-level implementations stay in place as the strict oracle
 behind each primitive's ``compress`` flag;
@@ -61,11 +60,10 @@ class CompressedPhase:
     (whatever its message-level oracle computes) and its
     :class:`~repro.congest.metrics.RoundStats`, built with
     :meth:`~repro.congest.metrics.RoundStats.from_sends`.  It receives
-    the network so it can read the adjacency and the ``track_edges``
-    flag.  The contract — enforced by the differential harness — is that
-    ``run_compressed(phase)`` returns the same result and the same stats
-    as running the phase's message-level oracle through
-    :meth:`CongestNetwork.run`.
+    the network so it can read the adjacency.  The contract — enforced
+    by the differential harness — is that ``run_compressed(phase)``
+    returns the same result and the same stats as running the phase's
+    message-level oracle through :meth:`CongestNetwork.run`.
     """
 
     label: str = ""
@@ -160,35 +158,22 @@ def bottom_up_order(
     return order
 
 
-def tree_stats(tree, rounds: int, up: Sequence[int], down: int,
-               track_edges: bool) -> RoundStats:
+def tree_stats(tree, rounds: int, up: Sequence[int], down: int) -> RoundStats:
     """Stats of a phase that moves along a spanning tree's edges only.
 
     Every non-root node ``v`` sends ``up[v]`` messages to its parent and
     every node sends ``down`` messages to each of its children; the phase
     charges ``rounds``.
     """
-    root, parent, children = tree.root, tree.parent, tree.children
-    sent = [down * len(cs) for cs in children]
+    root = tree.root
+    sent = [down * len(cs) for cs in tree.children]
     for v in range(tree.n):
         if v != root:
             sent[v] += up[v]
-    edges = None
-    if track_edges:
-        src, dst, count = [], [], []
-        for v, cs in enumerate(children):
-            if v != root:
-                src.append(v)
-                dst.append(parent[v])
-                count.append(up[v])
-            src.extend([v] * len(cs))
-            dst.extend(cs)
-            count.extend([down] * len(cs))
-        edges = (src, dst, count)
-    return RoundStats.from_sends(rounds, sent, edges)
+    return RoundStats.from_sends(rounds, sent)
 
 
-def tree_wave_stats(tree, track_edges: bool) -> RoundStats:
+def tree_wave_stats(tree) -> RoundStats:
     """Stats of one up-then-down wave over a spanning tree.
 
     The accounting shared by the height convergecast and the generic
@@ -199,7 +184,7 @@ def tree_wave_stats(tree, track_edges: bool) -> RoundStats:
     """
     rounds = aggregate_rounds(
         tree.n, tree.height, max_internal_depth(tree.children, tree.depth))
-    return tree_stats(tree, rounds, [1] * tree.n, 1, track_edges)
+    return tree_stats(tree, rounds, [1] * tree.n, 1)
 
 
 def flood_stats(net, rounds: int, times) -> RoundStats:
@@ -208,11 +193,10 @@ def flood_stats(net, rounds: int, times) -> RoundStats:
     Each announcement goes to every communication neighbor of ``v``, one
     message per incident directed edge.
     """
-    times = np.asarray(times, dtype=np.int64)
-    src = net._edge_src
-    degree = np.bincount(src, minlength=net.n)
-    edges = (src, net._edge_dst, times[src]) if net.track_edges else None
-    return RoundStats.from_sends(rounds, times * degree, edges)
+    degree = np.fromiter(map(len, map(net.neighbors, range(net.n))),
+                         dtype=np.int64, count=net.n)
+    return RoundStats.from_sends(
+        rounds, np.asarray(times, dtype=np.int64) * degree)
 
 
 class StackedTrees:
@@ -371,13 +355,12 @@ def simulate_round_robin(
     parents: Dict[int, Sequence[int]],
     order: Sequence[int],
     initial: Sequence[Dict[int, int]],
-    track_edges: bool = False,
 ) -> RoundStats:
     """Count-level replay of the Step-6 round-robin pipeline (Section 4.3).
 
     The pipeline's *contents* are fixed — every record queued at ``x``
     for sink ``c`` travels the unique tree path ``x -> c`` in ``T_c``, so
-    the messages, per-node and per-edge send totals are plain path sums
+    the messages and per-node send totals are plain path sums
     over the frame structure.  Only the *round* at which each send fires
     depends on the dynamics (how queues interleave under the cyclic
     service order), and those dynamics are a function of queue **counts**
@@ -400,8 +383,7 @@ def simulate_round_robin(
         start.
 
     Returns the phase's :class:`~repro.congest.metrics.RoundStats`,
-    matching the engine's exactly (per-edge loads only with
-    ``track_edges``).
+    matching the engine's exactly.
     """
     from bisect import bisect_left, insort
 
@@ -419,8 +401,6 @@ def simulate_round_robin(
     active = {v for v in range(n) if act[v]}
 
     sent = [0] * n
-    edge_src: List[int] = []
-    edge_dst: List[int] = []
     last_send = -1
     inflight: List[Tuple[int, int]] = []  # (dst, sink)
     tick = 0
@@ -451,17 +431,12 @@ def simulate_round_robin(
                 if not a:
                     active.discard(v)
             cur[v] = idx + 1 if idx + 1 < width else 0
-            p = parents[c][v]
-            inflight.append((p, c))
+            inflight.append((parents[c][v], c))
             sent[v] += 1
-            if track_edges:
-                edge_src.append(v)
-                edge_dst.append(p)
         if inflight:
             last_send = tick
         tick += 1
-    edges = (edge_src, edge_dst, 1) if track_edges else None
-    return RoundStats.from_sends(last_send + 1, sent, edges)
+    return RoundStats.from_sends(last_send + 1, sent)
 
 
 __all__ = [

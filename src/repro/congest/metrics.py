@@ -29,10 +29,6 @@ class RoundStats:
         ``node id -> number of messages that node sent``.  Sequential
         composition adds these, matching the paper's notion of congestion
         over a whole execution.
-    per_edge_sent:
-        ``(src, dst) -> number of messages sent over that directed
-        edge``; filled only when the network runs with ``track_edges``
-        (empty otherwise).  Sequential composition adds these too.
     label:
         Optional human-readable phase name.
 
@@ -43,51 +39,22 @@ class RoundStats:
     rounds: int = 0
     messages: int = 0
     per_node_sent: Dict[int, int] = field(default_factory=dict)
-    per_edge_sent: Dict[Tuple[int, int], int] = field(default_factory=dict)
     label: str = ""
 
     @classmethod
-    def from_sends(cls, rounds: int, sent, edges=None,
-                   label: str = "") -> RoundStats:
-        """The stats of a phase from its per-node and per-edge send counts.
+    def from_sends(cls, rounds: int, sent, label: str = "") -> RoundStats:
+        """The stats of a phase from its per-node send counts.
 
         ``sent`` holds each of the ``n`` nodes' send totals; ``messages``
         is their sum, and nodes that sent nothing are left out of
-        ``per_node_sent``, as the engine leaves them out.  ``edges`` is
-        ``None`` (no per-edge loads, as when the network does not track
-        edges) or a ``(src, dst, count)`` triple of equal-length arrays
-        (``count`` may be a scalar): repeated ``(src, dst)`` pairs are
-        summed and zero loads left out.  The edge loads must add up to
-        ``sent`` for every sender, else :class:`ValueError`.
+        ``per_node_sent``, as the engine leaves them out.
         """
         sent = np.asarray(sent, dtype=np.int64)
         nz = np.flatnonzero(sent)
-        per_edge: Dict[Tuple[int, int], int] = {}
-        if edges is not None:
-            src, dst, count = np.broadcast_arrays(
-                *(np.asarray(a, dtype=np.int64) for a in edges))
-            keep = count != 0
-            src, dst, count = src[keep], dst[keep], count[keep]
-            n = len(sent)
-            # float64 bincounts are exact far beyond any phase's traffic
-            loads = np.bincount(src, weights=count, minlength=n)
-            bad = np.flatnonzero(loads != sent)
-            if bad.size:
-                v = int(bad[0])
-                raise ValueError(
-                    f"node {v} sent {int(sent[v])} messages but its edge "
-                    f"loads add up to {int(loads[v])}"
-                )
-            keys, inv = np.unique(src * n + dst, return_inverse=True)
-            totals = np.bincount(inv, weights=count,
-                                 minlength=len(keys)).astype(np.int64)
-            per_edge = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()),
-                                totals.tolist()))
         return cls(
             rounds=int(rounds),
             messages=int(sent.sum()),
             per_node_sent=dict(zip(nz.tolist(), sent[nz].tolist())),
-            per_edge_sent=per_edge,
             label=label,
         )
 
@@ -96,23 +63,12 @@ class RoundStats:
         """Maximum number of messages sent by any single node."""
         return max(self.per_node_sent.values(), default=0)
 
-    @property
-    def max_edge_congestion(self) -> int:
-        """Maximum messages over any directed edge (whole execution).
-
-        The quantity Ghaffari's scheduling result [9] calls the congestion
-        ``c``; recorded only when the engine runs with ``track_edges``.
-        """
-        return max(self.per_edge_sent.values(), default=0)
-
     def merge(self, other: "RoundStats") -> "RoundStats":
         """In-place sequential composition: ``self`` then ``other``."""
         self.rounds += other.rounds
         self.messages += other.messages
         for node, sent in other.per_node_sent.items():
             self.per_node_sent[node] = self.per_node_sent.get(node, 0) + sent
-        for edge, sent in other.per_edge_sent.items():
-            self.per_edge_sent[edge] = self.per_edge_sent.get(edge, 0) + sent
         return self
 
     def __add__(self, other: "RoundStats") -> "RoundStats":
@@ -120,7 +76,6 @@ class RoundStats:
             rounds=self.rounds,
             messages=self.messages,
             per_node_sent=dict(self.per_node_sent),
-            per_edge_sent=dict(self.per_edge_sent),
             label=self.label,
         )
         return out.merge(other)

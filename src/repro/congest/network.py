@@ -35,8 +35,6 @@ organized around four ideas:
   :class:`~repro.congest.message.Message` field layout, never built as
   one) and bumps one counter; the wake loop folds that counter into the
   per-node and total counts once per woken node, not once per message.
-  Per-edge counts (``track_edges``) are tallied from the delivered boxes
-  at the tick boundary, so ``send`` has no branch.
 * **Batched delivery** — outgoing messages land directly in per-destination
   inbox lists that are swapped wholesale at the tick boundary (no
   per-message dict churn), and ``send`` itself does no validation work in
@@ -180,10 +178,6 @@ class CongestNetwork:
         ``strict=False`` skips the validation entirely — the measured fast
         path for large sweeps; delivery order and round accounting are
         identical in both modes.
-    track_edges:
-        Additionally accumulate per-directed-edge send counts into the
-        returned stats (off by default: it is the one remaining
-        per-message dict update, made when each round is delivered).
     compress:
         Execution tier for fixed-schedule phases: when true, the ported
         primitives run round-compressed (see
@@ -214,7 +208,6 @@ class CongestNetwork:
         bandwidth: int = 1,
         word_limit: int = 8,
         strict: bool = True,
-        track_edges: bool = False,
         compress: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -223,7 +216,6 @@ class CongestNetwork:
         self.bandwidth = bandwidth
         self.word_limit = word_limit
         self.strict = strict
-        self.track_edges = track_edges
         self.compress = compress
         #: the plan this network was built with (``None`` = no plan)
         self.fault_plan = faults
@@ -486,7 +478,6 @@ class CongestNetwork:
         n = self.n
         strict = self.strict
         adj = self._adj
-        track_edges = self.track_edges
         faults = self._fault_runtime
         crashed: frozenset = frozenset()
         if faults is not None:
@@ -503,7 +494,6 @@ class CongestNetwork:
         in_touched: List[int] = []
         out_touched: List[int] = []
         per_node_sent = [0] * n
-        per_edge_sent: Dict[Tuple[int, int], int] = {}
         messages_total = 0
         last_send_tick = -1
         tick = 0
@@ -553,12 +543,6 @@ class CongestNetwork:
             # Deliver: last tick's outboxes become this tick's inboxes.
             inboxes, outboxes = outboxes, inboxes
             in_touched, out_touched = out_touched, in_touched
-            if track_edges:
-                # Tally what was sent, before any fault rewrites delivery.
-                for dst in in_touched:
-                    for sender, _kind, _payload in inboxes[dst]:
-                        ekey = (sender, dst)
-                        per_edge_sent[ekey] = per_edge_sent.get(ekey, 0) + 1
             if faults is not None:
                 # Delivery-time fault application: releases due delayed
                 # messages, drops/duplicates/delays fresh ones, and
@@ -627,7 +611,6 @@ class CongestNetwork:
             rounds=last_send_tick + 1,
             messages=messages_total,
             per_node_sent={v: c for v, c in enumerate(per_node_sent) if c},
-            per_edge_sent=per_edge_sent,
             label=label,
         )
         self.total.merge(stats)

@@ -104,8 +104,6 @@ class _CompressedSubtreeRemove(CompressedPhase):
         is_start[starts] = True
         last_tick = np.full(stack.shape[0], -1, dtype=np.int64)
         per_node = np.zeros(n, dtype=np.int64)
-        edge_src: List[np.ndarray] = []
-        edge_dst: List[np.ndarray] = []
         fired = [starts]
         frontier = starts
         tick = 0
@@ -122,18 +120,11 @@ class _CompressedSubtreeRemove(CompressedPhase):
             senders = owner[send]
             per_node += np.bincount(senders % n, minlength=n)
             last_tick[senders // n] = tick
-            if net.track_edges:
-                edge_src.append(senders % n)
-                edge_dst.append(kids[send] % n)
             frontier = kids[inner]
             fired.append(frontier)
             tick += 1
         self.coll.removed.flat[np.concatenate(fired)] = True
-        edges = None
-        if net.track_edges:
-            edges = (np.concatenate(edge_src), np.concatenate(edge_dst), 1)
-        return None, RoundStats.from_sends((last_tick + 1).sum(), per_node,
-                                           edges)
+        return None, RoundStats.from_sends((last_tick + 1).sum(), per_node)
 
 
 def remove_subtrees_sequential(
@@ -263,7 +254,6 @@ class _CompressedParallelPrune(CompressedPhase):
         agg = self.pruner.agg
         totals = self.pruner.totals
         n = net.n
-        track_edges = net.track_edges
 
         # queues[v]: dst -> FIFO of (kind, payload); like the programs,
         # drained deques stay in the dict so the service order (dict
@@ -286,8 +276,6 @@ class _CompressedParallelPrune(CompressedPhase):
                 enqueue(v, c, "rm", (x,))
 
         sent = [0] * n
-        edge_src: List[int] = []
-        edge_dst: List[int] = []
         last_send = -1
         has_work: set = set()  # nodes with a nonempty queue
         inboxes: Dict[int, List[Tuple[str, tuple]]] = {}
@@ -325,9 +313,6 @@ class _CompressedParallelPrune(CompressedPhase):
                         next_inboxes.setdefault(dst, []).append((kind, payload))
                         sent[v] += 1
                         last_send = tick
-                        if track_edges:
-                            edge_src.append(v)
-                            edge_dst.append(dst)
                         if q:
                             busy = True
                 if busy:
@@ -340,8 +325,7 @@ class _CompressedParallelPrune(CompressedPhase):
             if not wake:
                 break
             woken = sorted(wake)
-        edges = (edge_src, edge_dst, 1) if track_edges else None
-        return None, RoundStats.from_sends(last_send + 1, sent, edges)
+        return None, RoundStats.from_sends(last_send + 1, sent)
 
 
 class ParallelPruner:

@@ -136,7 +136,7 @@ class _CompressedRoundRobin(CompressedPhase):
     Delivery content is fixed by the frame structure — each record queued
     at ``x`` for sink ``c`` climbs the unique tree path in ``T_c``, so
     ``delivered[c][x]`` is just ``values[x][c]`` for live members, and
-    the message / per-node / per-edge totals are path sums.  The stats
+    the message and per-node totals are path sums.  The stats
     come from :func:`~repro.congest.compressed.simulate_round_robin`, the
     count-level replay of the cyclic service-order dynamics from the
     initial queue ``rows`` (:func:`_pipeline_queue_rows`).
@@ -159,8 +159,7 @@ class _CompressedRoundRobin(CompressedPhase):
     def run(self, net: CongestNetwork):
         coll = self.coll
         parents = {c: coll.trees[c].parent for c in coll.trees}
-        stats = simulate_round_robin(net.n, parents, self.order, self.rows,
-                                     track_edges=net.track_edges)
+        stats = simulate_round_robin(net.n, parents, self.order, self.rows)
         delivered: Dict[int, Dict[int, Cost]] = {}
         for c, t in coll.trees.items():
             sink: Dict[int, Cost] = {}

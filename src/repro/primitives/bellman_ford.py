@@ -95,7 +95,6 @@ class SSSPBatch:
         runs: Optional[List[SSSPResult]] = None,
         edge: Optional[np.ndarray] = None,
         announce=None,
-        track_edges: bool = False,
     ) -> None:
         self.sources = list(sources)
         self.h = h
@@ -106,7 +105,6 @@ class SSSPBatch:
         self.edge = edge
         self._runs = runs
         self._announce = announce
-        self._track_edges = track_edges
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -128,33 +126,20 @@ class SSSPBatch:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def _stats(self, rounds, sent: np.ndarray, label: str) -> RoundStats:
-        """The stats of send totals ``sent`` read off the accounting planes.
-
-        A node that announced ``t`` times loaded each of its announcement
-        edges ``t`` times (per-edge loads only on a compressed batch of a
-        network that tracks edges).
-        """
-        edges = None
-        if self._track_edges:
-            off, dst = self._announce[0], self._announce[1]
-            src = np.repeat(np.arange(len(off) - 1), np.diff(off))
-            degree = np.maximum(np.diff(off), 1)
-            edges = (src, dst, (sent // degree)[src])
-        return RoundStats.from_sends(rounds, sent, edges, label)
-
     def stats(self, i: int) -> RoundStats:
         """Phase ``i``'s :class:`RoundStats`, labelled ``labels[i]``."""
         if self._runs is not None:
             return self._runs[i].rounds
-        return self._stats(self.rounds[i], self.sent[i], self.labels[i])
+        return RoundStats.from_sends(self.rounds[i], self.sent[i],
+                                     label=self.labels[i])
 
     def total(self, label: str = "") -> RoundStats:
         """Every phase's stats composed in sequence."""
         if self._runs is not None:
             return RoundStats.sequential((r.rounds for r in self._runs),
                                          label=label)
-        return self._stats(self.rounds.sum(), self.sent.sum(axis=0), label)
+        return RoundStats.from_sends(self.rounds.sum(), self.sent.sum(axis=0),
+                                     label=label)
 
     def parent_edge(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(w, tb)`` planes of the edge from each node's parent.
@@ -494,7 +479,6 @@ class _BatchedBellmanFordSolver(CompressedPhase):
             self.labels,
             edge=edge_flat.reshape(shape),
             announce=announce,
-            track_edges=net.track_edges,
         )
         return batch, batch.total()
 
@@ -831,12 +815,8 @@ class _CompressedNotifyChildren(CompressedPhase):
 
     def run(self, net: CongestNetwork) -> Tuple[None, RoundStats]:
         has = self.parents >= 0
-        edges = None
-        if net.track_edges:
-            rows, vs = np.nonzero(has)
-            edges = (vs, self.parents[rows, vs], 1)
         stats = RoundStats.from_sends(int(has.any(axis=1).sum()),
-                                      has.sum(axis=0), edges)
+                                      has.sum(axis=0))
         return None, stats
 
 

@@ -190,7 +190,7 @@ class _CompressedTreeWave(CompressedPhase):
         self.label = label
 
     def run(self, net: CongestNetwork):
-        return self.tree.height, tree_wave_stats(self.tree, net.track_edges)
+        return self.tree.height, tree_wave_stats(self.tree)
 
 
 def build_bfs_tree(

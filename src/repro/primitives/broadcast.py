@@ -159,7 +159,7 @@ class _CompressedGatherBroadcast(CompressedPhase):
         if tree.n > 1:
             rounds = (switch_tick + down
                       + max_internal_depth(tree.children, tree.depth))
-        stats = tree_stats(tree, rounds, up_sends, down, net.track_edges)
+        stats = tree_stats(tree, rounds, up_sends, down)
         return [collected] * tree.n, stats
 
 

@@ -111,7 +111,7 @@ class _CompressedAggregate(CompressedPhase):
             acc[v] = value
         # Identical traffic shape to the height wave: one message up per
         # non-root node, the answer forwarded down every child edge.
-        return acc[tree.root], tree_wave_stats(tree, net.track_edges)
+        return acc[tree.root], tree_wave_stats(tree)
 
 
 def aggregate_and_broadcast(
@@ -248,7 +248,7 @@ class _CompressedPipelinedSum(CompressedPhase):
             max_internal_depth(tree.children, tree.depth), self.bcast,
         )
         stats = tree_stats(tree, rounds, [n_comp] * tree.n,
-                           n_comp if self.bcast else 0, net.track_edges)
+                           n_comp if self.bcast else 0)
         return acc[tree.root].tolist(), stats
 
 

@@ -117,18 +117,17 @@ def test_programs_unpack_inbox_items():
         + "\n".join(problems))
 
 
-_SEND_FIELDS = {"per_node_sent", "per_edge_sent"}
 # The engine counts its own traffic; every other phase goes through
-# RoundStats.from_sends, which checks the per-edge loads against the
-# per-node sends.
+# RoundStats.from_sends.
 _STATS_WRITERS = {"congest/metrics.py", "congest/network.py"}
 
 
 def test_send_counts_become_stats_only_through_from_sends():
     """Outside the engine and ``metrics.py``, no call spells out
-    ``per_node_sent=`` / ``per_edge_sent=``: a compressed phase hands its
-    send counts to :meth:`RoundStats.from_sends` instead, so its per-node
-    counts cannot disagree with its own per-edge loads."""
+    ``per_node_sent=``: a compressed phase hands its send counts to
+    :meth:`RoundStats.from_sends` instead, so ``messages`` is always the
+    sum of the per-node sends and nodes that sent nothing are left out,
+    as the engine leaves them out."""
     root = pathlib.Path(repro.__file__).parent
     problems = [
         f"{rel}:{node.lineno}"
@@ -136,7 +135,7 @@ def test_send_counts_become_stats_only_through_from_sends():
         if (rel := path.relative_to(root).as_posix()) not in _STATS_WRITERS
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
-        and _SEND_FIELDS & {kw.arg for kw in node.keywords}
+        and "per_node_sent" in {kw.arg for kw in node.keywords}
     ]
     assert not problems, (
         "build phase stats with RoundStats.from_sends:\n"

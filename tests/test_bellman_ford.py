@@ -161,7 +161,7 @@ def test_batch_views_match_planes():
     """Indexing, iterating and the stats of an :class:`SSSPBatch`."""
     g = graph_of("er-sparse")
     for compress in (False, True):
-        net = CongestNetwork(g, compress=compress, track_edges=True)
+        net = CongestNetwork(g, compress=compress)
         batch = bellman_ford_many(net, g, [0, 3], h=3, labels=["a", "b"])
         assert len(batch) == 2 and batch.dist.shape == (2, g.n)
         for i, res in enumerate(batch):
@@ -176,7 +176,7 @@ def test_batch_views_match_planes():
         total = batch.total("both")
         assert total.label == "both"
         assert total.rounds == int(batch.rounds.sum()) == net.total.rounds
-        assert total.per_edge_sent == net.total.per_edge_sent
+        assert total.per_node_sent == net.total.per_node_sent
 
 
 def test_empty_batches_and_parentless_trees():

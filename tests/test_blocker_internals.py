@@ -15,11 +15,11 @@ from repro.blocker.derandomized import deterministic_blocker_set, sigma_vectors
 from repro.blocker.randomized import (
     BlockerParams,
     SelectionContext,
-    _stage_of,
     leaf_coverage_structures,
     local_sigma,
 )
 from repro.blocker.sample_space import AffineSampleSpace
+from repro.blocker.setcover import _stage_of
 from repro.blocker.helpers import collect_ancestors, compute_vi_counts
 from repro.graphs import erdos_renyi
 from repro.primitives import build_bfs_tree

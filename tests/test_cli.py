@@ -70,6 +70,26 @@ def test_step6_command(capsys):
     assert "pipelined Step 6" in out and "broadcast Step 6" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["apsp", "--n", "0"],
+    ["apsp", "--n", "-3"],
+    ["apsp", "--n", "1"],
+    ["blocker", "--n", "0"],
+    ["step6", "--n", "-3"],
+    ["blocker", "--h", "0"],
+    ["blocker", "--h", "-1"],
+    ["apsp", "--n", "ten"],
+], ids=lambda argv: " ".join(argv))
+def test_sizes_and_hop_bounds_rejected_at_parse_time(argv, capsys):
+    """``--n`` below 2 (as :class:`ScenarioSpec` refuses) and ``--h``
+    below 1 are usage errors naming the flag, not a crash or a silent
+    default."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family", GRAPH_FAMILIES)
 def test_every_family_constructs(family):
     g = make_graph(family, 16, seed=2)

@@ -139,6 +139,26 @@ def test_numpy_matches_oracle_on_sparse_dag_with_unreachable_pairs():
                 assert c not in values[x]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_and_diagonal_entries_resolve_to_the_lexmin(seed):
+    # Step 4 may hand the closure a cell more than once; each cell keeps
+    # its lexicographic minimum, and a diagonal entry never beats the
+    # zero label.  Worse and better copies differ in one plane each.
+    graph, q_nodes, entries, lab_to = random_instance(seed, n=16, q=6)
+    rng = random.Random(seed)
+    step = quantize_weight(0.25)
+    noisy = list(entries)
+    for ci, cj, d, k, tb in entries:
+        noisy += [(ci, cj, d + step, k, tb), (ci, cj, d, k + 1, tb),
+                  (ci, cj, d, k, tb + 1)]
+        if rng.random() < 0.3:
+            noisy.append((ci, cj, max(d - step, 0.0), k, tb))
+    noisy += [(i, i, 0.0, 1, 0) for i in range(len(q_nodes))]
+    noisy.append((0, 1, float("inf"), 0, 0))
+    rng.shuffle(noisy)
+    assert_backends_agree(q_nodes, noisy, lab_to, graph.n)
+
+
 def test_empty_and_singleton_blocker_sets():
     graph, _, _, _ = random_instance(2, n=8)
     h = 2

@@ -3,17 +3,19 @@
 Every ported phase must be an *equivalent execution* of its message-level
 oracle: identical results (distances, trees, aggregates — bit for bit,
 including float summation order), identical total round counts, and
-identical :class:`~repro.congest.metrics.RoundStats` aggregates (messages,
-per-node congestion, and — under ``track_edges`` — per-edge loads).
+identical :class:`~repro.congest.metrics.RoundStats` aggregates (messages
+and per-node congestion).
 
 A fast subset (two families, one seed, plus the tie-heavy weight models
 for the batched Bellman-Ford solver) runs in tier-1; the full family x
 seed matrix carries the ``slow`` marker and runs in the non-blocking CI
-equivalence job (``pytest -m slow``).  Two slices of it also run in the
+equivalence job (``pytest -m slow``).  Three slices of it also run in the
 blocking tier-1 CI job: the Bellman-Ford solver and its consumers (CSSSP,
-deterministic APSP, reversed q-sink, relay join, Step-7 extension); and
+deterministic APSP, reversed q-sink, relay join, Step-7 extension);
 Step 2 (the blocker constructions and their compute-pi, score,
-subtree-removal and batched convergecast phases).
+subtree-removal and batched convergecast phases); and the tree
+primitives (gather/broadcast, BFS tree, aggregate, pipelined sum) with
+the Step-6 broadcast delivery.
 """
 
 from __future__ import annotations
@@ -95,12 +97,9 @@ def weighted_cases(sizes=(17,)):
     return out
 
 
-def nets(graph, track_edges=False):
+def nets(graph):
     """A (message-level oracle, compressed) network pair."""
-    return (
-        CongestNetwork(graph, track_edges=track_edges),
-        CongestNetwork(graph, track_edges=track_edges, compress=True),
-    )
+    return CongestNetwork(graph), CongestNetwork(graph, compress=True)
 
 
 def assert_stats_equal(oracle, compressed, what=""):
@@ -108,9 +107,6 @@ def assert_stats_equal(oracle, compressed, what=""):
     assert oracle.messages == compressed.messages, f"{what}: messages diverged"
     assert oracle.per_node_sent == compressed.per_node_sent, (
         f"{what}: per-node sends diverged"
-    )
-    assert oracle.per_edge_sent == compressed.per_edge_sent, (
-        f"{what}: per-edge sends diverged"
     )
     assert oracle.max_node_congestion == compressed.max_node_congestion
 
@@ -134,9 +130,9 @@ def assert_live_mask_matches(coll):
         ], f"tree {x}: live mask and removed flags diverged"
 
 
-def build_collection_pair(graph, h=3, removals=0, seed=0, track_edges=False):
+def build_collection_pair(graph, h=3, removals=0, seed=0):
     """Identical CSSSP collections on both engines, optionally pruned."""
-    net_m, net_c = nets(graph, track_edges=track_edges)
+    net_m, net_c = nets(graph)
     coll_m, _ = build_csssp(net_m, graph, range(graph.n), h)
     coll_c = coll_m.copy()
     rng = random.Random(seed)
@@ -156,7 +152,7 @@ def build_collection_pair(graph, h=3, removals=0, seed=0, track_edges=False):
 @pytest.mark.parametrize("family,seed,n", cases())
 def test_bfs_tree_equivalent(family, seed, n):
     graph = make_graph(family, n, seed)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     tree_m, stats_m = build_bfs_tree(net_m)
     tree_c, stats_c = build_bfs_tree(net_c)
     assert (tree_m.parent, tree_m.depth, tree_m.children, tree_m.height) == (
@@ -186,7 +182,7 @@ def test_aggregate_equivalent_incl_float_order(family, seed, n):
 @pytest.mark.parametrize("bcast", [False, True])
 def test_pipelined_sum_equivalent(family, seed, n, bcast):
     graph = make_graph(family, n, seed)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     tree, _ = build_bfs_tree(net_m)
     rng = random.Random(seed * 31 + n)
     vectors = [[rng.uniform(-2.0, 7.0) for _ in range(11)]
@@ -200,7 +196,7 @@ def test_pipelined_sum_equivalent(family, seed, n, bcast):
 @pytest.mark.parametrize("family,seed,n", cases())
 def test_gather_broadcast_equivalent(family, seed, n):
     graph = make_graph(family, n, seed)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     tree, _ = build_bfs_tree(net_m)
     rng = random.Random(seed * 17 + n)
     items = [[(v, i) for i in range(rng.randrange(0, 4))]
@@ -224,7 +220,7 @@ def test_gather_broadcast_equivalent(family, seed, n):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_bellman_ford_equivalent(family, seed, n, reverse):
     graph = make_graph(family, n, seed)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     for h in (1, 3, None):
         res_m = bellman_ford(net_m, graph, seed % graph.n, h=h, reverse=reverse)
         res_c = bellman_ford(net_c, graph, seed % graph.n, h=h, reverse=reverse)
@@ -262,7 +258,7 @@ def chain_drops(graph, coll, h):
 @pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
 def test_csssp_build_equivalent(family, seed, n, weights):
     graph = make_graph(family, n, seed, weights)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     coll_m, stats_m = build_csssp(net_m, graph, range(graph.n), 2)
     coll_c, stats_c = build_csssp(net_c, graph, range(graph.n), 2)
     for x in coll_m.trees:
@@ -293,7 +289,7 @@ def test_csssp_drops_the_subtree_of_a_broken_chain():
     chain = [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1)]
     graph = Graph(9, [(0, 1, 10.0), (1, 2, 1.0), (2, 3, 1.0)]
                   + [(u, v, 0.125) for u, v in chain])
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     coll_m, stats_m = build_csssp(net_m, graph, range(graph.n), 3)
     coll_c, stats_c = build_csssp(net_c, graph, range(graph.n), 3)
     for x in coll_m.trees:
@@ -382,12 +378,11 @@ def test_remove_subtrees_equivalent(family, seed, n):
     The rounds mix random roots with a tree root (depth 0 in its own
     tree, so skipped there), nested starts and starts directly under
     another start with ``c > u`` and ``c < u``.  After every round the
-    stats (per-edge loads included) and the flags equal the engine's,
+    stats and the flags equal the engine's,
     and the stacked live mask equals every tree's ``removed`` row.
     """
     graph = make_graph(family, n, seed)
-    net_m, net_c, coll_m, coll_c = build_collection_pair(
-        graph, track_edges=True)
+    net_m, net_c, coll_m, coll_c = build_collection_pair(graph)
     rng = random.Random(seed * 13)
     source = next(iter(coll_m.trees))
     plan = ["random+root", "under-larger", "under-smaller", "nested",
@@ -434,7 +429,7 @@ def make_values(coll, rng, full=False):
 
 def in_collection_pair(graph, h=3, seed=0, prunes=2):
     """Identical pruned in-CSSSPs + sinks on a (message, compressed) pair."""
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     rng = random.Random(seed * 7 + graph.n)
     sinks = sorted(rng.sample(range(graph.n), min(5, graph.n // 2 + 1)))
     coll_m, _ = build_csssp(net_m, graph, sinks, h, orientation="in")
@@ -481,7 +476,7 @@ def test_broadcast_delivery_equivalent(family, seed, n):
 @pytest.mark.parametrize("family,seed,n", cases())
 def test_relay_join_equivalent(family, seed, n):
     graph = make_graph(family, n, seed)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     rng = random.Random(seed)
     relays = sorted(rng.sample(range(graph.n), min(3, graph.n)))
     sinks = sorted(rng.sample(range(graph.n), min(4, graph.n)))
@@ -577,8 +572,8 @@ def test_bellman_ford_many_equivalent(family, seed, n, weights):
     rng = random.Random(seed + n)
     srcs = sorted(rng.sample(range(graph.n), min(6, graph.n)))
     for reverse in (False, True):
-        net_m = CongestNetwork(graph, track_edges=True)
-        net_b = CongestNetwork(graph, track_edges=True, compress=True)
+        net_m = CongestNetwork(graph)
+        net_b = CongestNetwork(graph, compress=True)
         res_m = bellman_ford_many(net_m, graph, srcs, h=3, reverse=reverse)
         res_b = bellman_ford_many(net_b, graph, srcs, h=3, reverse=reverse)
         for a, b in zip(res_m, res_b):
@@ -602,8 +597,8 @@ def test_bellman_ford_many_multi_init_equivalent(family, seed, n, weights):
                 row[c] = (float(rng.randint(0, 9)), rng.randint(1, 5),
                           rng.randint(1, 1 << 40))
         inits.append(row)
-    net_m = CongestNetwork(graph, track_edges=True)
-    net_b = CongestNetwork(graph, track_edges=True, compress=True)
+    net_m = CongestNetwork(graph)
+    net_b = CongestNetwork(graph, compress=True)
     res_m = bellman_ford_many(net_m, graph, srcs, h=2,
                               inits_per_source=inits,
                               fill_equal_parent=True)
@@ -647,8 +642,8 @@ def test_bellman_ford_many_chunk_boundaries(family, weights, shape, chunk,
                               rng.randint(1, 1 << 40))
             inits.append(row)
         kw.update(h=2, inits_per_source=inits, fill_equal_parent=True)
-    net_m = CongestNetwork(graph, track_edges=True)
-    net_b = CongestNetwork(graph, track_edges=True, compress=True)
+    net_m = CongestNetwork(graph)
+    net_b = CongestNetwork(graph, compress=True)
     res_m = bellman_ford_many(net_m, graph, srcs, **kw)
     res_b = bellman_ford_many(net_b, graph, srcs, **kw)
     for a, b in zip(res_m, res_b):
@@ -704,26 +699,23 @@ def test_blocker_construction_equivalent(family, seed, n, construct):
 
 
 @pytest.mark.parametrize("family,seed,n", cases(sizes=(20,)))
-@pytest.mark.parametrize("variant", ["forced", "edges"])
 @pytest.mark.parametrize(
     "construct", [deterministic_blocker_set, randomized_blocker_set],
-    ids=["derandomized", "randomized"])
-def test_blocker_construction_variants_equivalent(family, seed, n, construct,
-                                                  variant):
-    """Forced good-set picks, and per-edge loads, ledger by ledger.
+    ids=["derandomized-forced", "randomized-forced"])
+def test_blocker_construction_variants_equivalent(family, seed, n, construct):
+    """Forced good-set picks, ledger by ledger.
 
-    ``forced`` disables the heavy-node branch, so every pick goes through
-    a good-set selector, which reads the ``removed`` flags the stacked
-    removal wrote back; ``edges`` tracks per-edge loads on both engines.
+    Forcing disables the heavy-node branch, so every pick goes through a
+    good-set selector, which reads the ``removed`` flags the stacked
+    removal wrote back.
     """
     graph = make_graph(family, n, seed)
-    net_m, net_c, coll_m, coll_c = build_collection_pair(
-        graph, track_edges=variant == "edges")
-    params = BlockerParams(force_selection=variant == "forced")
+    net_m, net_c, coll_m, coll_c = build_collection_pair(graph)
+    params = BlockerParams(force_selection=True)
     res_m = construct(net_m, coll_m, params)
     res_c = construct(net_c, coll_c, params)
     assert_blocker_runs_equal(res_m, res_c)
-    if variant == "forced" and res_m.picks:
+    if res_m.picks:
         assert {p.kind for p in res_m.picks} <= {"good-set", "fallback"}
 
 
@@ -779,7 +771,7 @@ def test_extension_equivalent(family, seed, n, subset):
                  for c in blockers}
     sources = (sorted(rng.sample(range(graph.n), graph.n // 3))
                if subset else None)
-    net_m, net_c = nets(graph, track_edges=True)
+    net_m, net_c = nets(graph)
     d_m, p_m, s_m = extend_h_hop(net_m, graph, 2, delivered, sources=sources)
     d_c, p_c, s_c = extend_h_hop(net_c, graph, 2, delivered, sources=sources)
     assert d_m.tobytes() == d_c.tobytes()

@@ -183,6 +183,15 @@ def test_roundstats_sequential():
     assert total.rounds == 10 and total.messages == 10
 
 
+def test_from_sends_builds_the_stats_of_send_counts():
+    sent = [0, 3, 1, 0]
+    stats = RoundStats.from_sends(5, sent, label="phase")
+    # nodes that sent nothing are left out
+    assert stats.per_node_sent == {1: 3, 2: 1}
+    assert stats.messages == sum(sent) == 4
+    assert (stats.rounds, stats.label) == (5, "phase")
+
+
 def test_phaselog_totals_and_labels():
     log = PhaseLog()
     log.add("a", RoundStats(rounds=1, messages=2))
@@ -265,14 +274,11 @@ def test_pinned_phase_counts_by_hand(strict):
     # Path 0-1-2-3: six directed links greet once each in round 0, and
     # 0 -> 1 carries one more message in round 1.
     g = path_graph(4)
-    net = CongestNetwork(g, strict=strict, track_edges=True)
+    net = CongestNetwork(g, strict=strict)
     stats = net.run([Greeter(v) for v in range(g.n)])
     assert stats.rounds == 2
     assert stats.messages == 7
     assert stats.per_node_sent == {0: 2, 1: 2, 2: 2, 3: 1}
-    assert stats.per_edge_sent == {
-        (0, 1): 2, (1, 0): 1, (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1,
-    }
 
 
 def test_inbox_items_are_plain_tuples_in_sender_order():

@@ -68,7 +68,7 @@ def watch_wakes(monkeypatch, classes):
 @pytest.mark.parametrize("family", ["er", "grid"])
 def test_no_idle_wakes(monkeypatch, family):
     graph = make_graph(family, 17, 1)
-    net = CongestNetwork(graph, track_edges=True)
+    net = CongestNetwork(graph)
     calls = watch_wakes(monkeypatch, WATCHED)
 
     bellman_ford(net, graph, 0, h=4)

@@ -3,7 +3,7 @@
 The fault axis is only trustworthy if two identities hold on every
 family and every phase of the pipeline: a zero :class:`FaultPlan` must
 be *bit-identical* to running with no plan at all (results, rounds,
-messages, per-node and per-edge accounting), and a recorded
+messages and per-node accounting), and a recorded
 :class:`FaultTrace` must reproduce its run exactly — both by re-seeding
 the PRNG plan and by replaying the trace through an explicit decision
 table (:meth:`FaultPlan.from_trace`), including runs that end in a
@@ -50,9 +50,6 @@ def assert_stats_equal(a, b, what=""):
     assert a.per_node_sent == b.per_node_sent, (
         f"{what}: per-node sends diverged"
     )
-    assert a.per_edge_sent == b.per_edge_sent, (
-        f"{what}: per-edge sends diverged"
-    )
     assert a.max_node_congestion == b.max_node_congestion
 
 
@@ -63,7 +60,7 @@ def run_faulted(graph, plan):
     capped ``HardCapExceeded``, a protocol-internal assertion); replay
     identity then means the *same* failure after the same accounting.
     """
-    net = CongestNetwork(graph, strict=False, track_edges=True, faults=plan)
+    net = CongestNetwork(graph, strict=False, faults=plan)
     try:
         result = naive_bf_apsp(net, graph)
         return net, result.dist.tobytes(), None
@@ -76,9 +73,8 @@ def test_zero_fault_plan_bit_identical_to_no_plan(family, seed, n):
     # det-n43 drives every phase of the pipeline (Steps 1-7), so its
     # step_rounds equality is per-phase round equality, not just a total.
     graph = make_graph(family, n, seed)
-    plain = CongestNetwork(graph, track_edges=True)
-    zero = CongestNetwork(graph, track_edges=True,
-                          faults=FaultPlan(FAULT_MODELS["none"], seed=99))
+    plain = CongestNetwork(graph)
+    zero = CongestNetwork(graph, faults=FaultPlan(FAULT_MODELS["none"], seed=99))
     res_p = deterministic_apsp(plain, graph)
     res_z = deterministic_apsp(zero, graph)
     assert res_p.dist.tobytes() == res_z.dist.tobytes()
