@@ -78,8 +78,7 @@ def report_matrix(preset: str = "report") -> ScenarioMatrix:
     ``report`` preset behind the committed ``docs/RESULTS.md``);
     ``repro report`` (and its ``--smoke`` mode) runs exactly this matrix
     through the cached executor, so every report is a pure function of
-    one declared scenario set.  ``repro report --preset faults`` builds
-    the robustness report the same way.
+    one declared scenario set.
     """
     if preset not in SWEEP_PRESETS:
         raise ValueError(
@@ -93,8 +92,6 @@ def report_matrix(preset: str = "report") -> ScenarioMatrix:
         algorithms=data.pop("algorithms"),
         seeds=data.pop("seeds", (1,)),
         weights=data.pop("weights", ("uniform",)),
-        faults=data.pop("faults", ("none",)),
-        fault_seeds=data.pop("fault_seeds", (1,)),
         strict=bool(data.pop("strict", True)),
         compress=bool(data.pop("compress", False)),
     )
@@ -116,12 +113,17 @@ def report_matrix(preset: str = "report") -> ScenarioMatrix:
 def validate_record(record: dict, source: object = None) -> dict:
     """Check one cached record's version and scenario-hash integrity.
 
-    Raises :class:`RecordError` when the record-format version is stale,
-    the embedded spec does not rebuild, or the stored ``hash`` disagrees
-    with the hash recomputed from the spec (a hand-edited or corrupted
-    cache entry).  Returns the record unchanged on success.
+    Raises :class:`RecordError` when the record is not a JSON object,
+    its record-format version is stale, the embedded spec does not
+    rebuild, or the stored ``hash`` disagrees with the hash recomputed
+    from the spec (a hand-edited or corrupted cache entry).  Returns the
+    record unchanged on success.
     """
     where = f" ({source})" if source else ""
+    if not isinstance(record, dict):
+        raise RecordError(
+            f"record{where} is a JSON {type(record).__name__}, not an object"
+        )
     version = record.get("version")
     if version != RECORD_VERSION:
         raise RecordError(
@@ -401,13 +403,7 @@ def fit_groups(
     and the flatness verdict against the family's registered
     :class:`~repro.experiments.registry.ClaimedBound` (families without a
     registered bound get raw fits and a "no claimed bound" verdict).
-
-    Faulted records (``record["faults"]`` present) are excluded: their
-    round counts measure fault recovery, not the algorithm's complexity,
-    and would skew the fits against the claimed bounds.  They feed
-    :func:`robustness_rows` instead.
     """
-    records = [r for r in records if not r.get("faults")]
     out: List[FamilyFit] = []
     for (algo, family, weights), by_n in sorted(group_records(records).items()):
         bound = CLAIMED_BOUNDS.get(algo)
@@ -457,88 +453,6 @@ def fit_table_rows(fits: Sequence[FamilyFit]) -> List[List[object]]:
 def render_fit_table(fits: Sequence[FamilyFit], title: str = "") -> str:
     """The cross-family exponent table in the benches' fixed-width style."""
     return render_table(FIT_TABLE_HEADER, fit_table_rows(fits), title=title)
-
-
-# ----------------------------------------------------------------------
-# Robustness under injected faults
-# ----------------------------------------------------------------------
-
-ROBUSTNESS_TABLE_HEADER = [
-    "algorithm", "family", "fault model", "runs", "ok", "divergent",
-    "failed", "extra rounds", "fault events",
-]
-
-
-def robustness_rows(records: Sequence[dict]) -> List[dict]:
-    """Aggregate faulted records per ``(algorithm, family, fault model)``.
-
-    Each row counts the three deterministic outcomes the runner records
-    (``ok`` — bit-identical distances despite the faults, ``divergent``
-    — completed with a different answer, ``failed:*`` — never finished)
-    plus the mean extra rounds a *completed* faulted run paid over its
-    inline fault-free baseline, and the total injected fault events.
-    Fault-free records contribute nothing; a fault-free record set
-    yields ``[]`` (and the report then renders no robustness section).
-    """
-    groups: Dict[Tuple[str, str, str], List[dict]] = {}
-    for rec in records:
-        if not rec.get("faults"):
-            continue
-        spec = rec["spec"]
-        key = (algorithm_key(spec), spec["family"], rec["faults"]["model"])
-        groups.setdefault(key, []).append(rec)
-    rows: List[dict] = []
-    for (algo, family, model), recs in sorted(groups.items()):
-        outcomes = [str(r.get("fault_outcome", "")) for r in recs]
-        ok = outcomes.count("ok")
-        divergent = outcomes.count("divergent")
-        failed = sum(1 for o in outcomes if o.startswith("failed"))
-        extra = [
-            r["rounds"] - r["baseline"]["rounds"]
-            for r, o in zip(recs, outcomes)
-            if not o.startswith("failed") and "baseline" in r
-        ]
-        events = sum(
-            sum(r["faults"].get("events", {}).values()) for r in recs
-        )
-        rows.append({
-            "algorithm": algo,
-            "graph_family": family,
-            "fault_model": model,
-            "runs": len(recs),
-            "ok": ok,
-            "divergent": divergent,
-            "failed": failed,
-            "mean_extra_rounds": (
-                None if not extra else _round(sum(extra) / len(extra), 2)
-            ),
-            "fault_events": events,
-        })
-    return rows
-
-
-def _fmt_extra_rounds(row: dict) -> str:
-    extra = row["mean_extra_rounds"]
-    return "--" if extra is None else f"{extra:+.1f}"
-
-
-def robustness_table_rows(rows: Sequence[dict]) -> List[List[object]]:
-    """Text/markdown rows for the robustness table (one per group)."""
-    return [
-        [
-            row["algorithm"], row["graph_family"], row["fault_model"],
-            row["runs"], row["ok"], row["divergent"], row["failed"],
-            _fmt_extra_rounds(row), row["fault_events"],
-        ]
-        for row in rows
-    ]
-
-
-def render_robustness_table(rows: Sequence[dict], title: str = "") -> str:
-    """The robustness matrix in the benches' fixed-width table style."""
-    return render_table(
-        ROBUSTNESS_TABLE_HEADER, robustness_table_rows(rows), title=title
-    )
 
 
 def _fmt_fit(m: Optional[MetricFit]) -> str:
@@ -616,9 +530,8 @@ def build_report(
             "verdict": f.verdict,
             "flat": f.flat,
         })
-    fault_free = [r for r in records if not r.get("faults")]
     for (algo, family, weights), by_n in sorted(
-        group_records(fault_free).items()
+        group_records(records).items()
     ):
         try:
             ns, walls = metric_series(by_n, "wall")
@@ -640,7 +553,6 @@ def build_report(
         "scenarios": len(records),
         "scenario_hashes": sorted(r["hash"] for r in records),
         "families": families,
-        "robustness": robustness_rows(records),
         "timing": {"families": timing_families},
     }
 
@@ -754,31 +666,6 @@ def render_results_md(report: dict) -> str:
                         f"- `{fam['algorithm']}` on `{fam['graph_family']}`"
                         f" ({name}): {m['error']}"
                     )
-    robustness = report.get("robustness") or []
-    if robustness:
-        out += [
-            "",
-            "## Robustness under injected faults",
-            "",
-            "Each faulted scenario first runs its fault-free twin inline:",
-            "*ok* means the faulted run still produced bit-identical",
-            "distances, *divergent* that it completed with a different",
-            "answer, *failed* that the protocol never finished (e.g. a",
-            "convergecast waiting forever on a crash-dropped report hits",
-            "the capped round limit).  Extra rounds average over completed",
-            "runs, relative to each scenario's own baseline.",
-            "",
-            "| algorithm | graph family | fault model | runs | ok |"
-            " divergent | failed | mean extra rounds | fault events |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
-        ]
-        for row in robustness:
-            out.append(
-                f"| {row['algorithm']} | {row['graph_family']} |"
-                f" {row['fault_model']} | {row['runs']} | {row['ok']} |"
-                f" {row['divergent']} | {row['failed']} |"
-                f" {_fmt_extra_rounds(row)} | {row['fault_events']} |"
-            )
     out += [
         "",
         "Wall-clock exponents (not deterministic, excluded from the"
@@ -913,9 +800,6 @@ __all__ = [
     "render_fit_table",
     "render_results_md",
     "render_report_json",
-    "render_robustness_table",
-    "robustness_rows",
-    "robustness_table_rows",
     "strip_report_timing",
     "validate_record",
     "verdict_lines",

@@ -60,12 +60,8 @@ from repro.analysis import (
     render_quoted_rows,
     render_table,
 )
-from repro.analysis.sweep_report import (
-    FLAT_TOL,
-    render_robustness_table,
-    robustness_rows,
-)
-from repro.congest import FAULT_MODELS, CongestNetwork
+from repro.analysis.sweep_report import FLAT_TOL
+from repro.congest import CongestNetwork
 from repro.csssp import build_csssp
 from repro.experiments import (
     ALGORITHMS,
@@ -117,17 +113,12 @@ def cmd_sweep(args) -> int:
     sizes = axis("sizes", [16, 24])
     algorithms = axis("algorithms", ["det-n43"])
     seeds = axis("seeds", [1])
-    fault_models = axis("faults", ["none"])
-    fault_seeds = axis("fault_seeds", [1])
     if args.smoke:
-        # Shrink the instance axes to one scenario each while keeping
-        # every requested fault model: the CI fault-smoke step wants all
-        # models exercised once, not a grid.
+        # Shrink the instance axes to one value each.
         families = list(families)[:1]
         sizes = [min(sizes)]
         algorithms = list(algorithms)[:1]
         seeds = list(seeds)[:1]
-        fault_seeds = list(fault_seeds)[:1]
     driver_flags = [flag for flag, value in (
         ("--blockers", args.blockers),
         ("--deliveries", args.deliveries),
@@ -147,8 +138,6 @@ def cmd_sweep(args) -> int:
         h_exponents=args.h_exponents or (None,),
         blockers=args.blockers or (None,),
         deliveries=args.deliveries or (None,),
-        faults=fault_models,
-        fault_seeds=fault_seeds,
         # Tri-state flags: an explicit --strict/--fast or
         # --compressed/--no-compressed overrides the preset; with
         # neither given (None) the preset value applies, then the
@@ -189,16 +178,8 @@ def cmd_sweep(args) -> int:
                   f"re-running the same sweep retries only the failures")
         return 1
     print(f"done: {executor.executed} executed, {executor.cached} from cache")
-    # Faulted records measure fault recovery: fit_groups leaves them out
-    # of the fits and the robustness table counts them instead.
-    fits = fit_groups(records)
-    if fits:
-        print(render_fit_table(
-            fits, title=f"scenario sweep ({len(records)} runs)"))
-    robustness = robustness_rows(records)
-    if robustness:
-        print(render_robustness_table(
-            robustness, title="robustness under injected faults"))
+    print(render_fit_table(
+        fit_groups(records), title=f"scenario sweep ({len(records)} runs)"))
     return 0
 
 
@@ -270,7 +251,7 @@ def cmd_report(args) -> int:
     run_sweep = args.smoke or not args.records
     custom_preset = args.preset != "report"
     # The committed record cache belongs to the 'report' preset; other
-    # presets (e.g. 'faults') default to an uncached generating sweep so
+    # presets default to an uncached generating sweep so
     # their records never land in the tracked directory unasked.
     cache_dir = args.cache_dir
     if cache_dir is None and not custom_preset:
@@ -406,10 +387,6 @@ def cmd_report(args) -> int:
             fits, title="cross-family exponent fits vs claimed bounds"))
         for line in sweep_report.verdict_lines(report):
             print(f"- {line}")
-        if report["robustness"]:
-            print(sweep_report.render_robustness_table(
-                report["robustness"],
-                title="robustness under injected faults"))
     return 0
 
 
@@ -556,8 +533,8 @@ def cmd_build_oracle(args) -> int:
     if not built:
         raise SystemExit(
             "repro build-oracle: no record became an oracle (see the "
-            "skip lines above); point --records at fault-free cached "
-            "sweep records"
+            "skip lines above); point --records at valid cached sweep "
+            "records"
         )
     print(f"oracle store {args.out}: {len(built)} artifact(s), "
           f"{len(skipped)} skipped")
@@ -683,17 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(ALGORITHMS) + [THREE_PHASE])
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--weights", nargs="+", choices=sorted(WEIGHT_MODELS))
-    p.add_argument("--faults", nargs="+", choices=sorted(FAULT_MODELS),
-                   help="fault models injected at delivery time in the "
-                        "message-level engine ('none' = the explicit "
-                        "zero model; incompatible with --compressed)")
-    p.add_argument("--fault-seeds", type=int, nargs="+",
-                   help="fault-plan PRNG streams; multiplies scenarios "
-                        "whose fault model is not 'none'")
     p.add_argument("--smoke", action="store_true",
                    help="shrink the instance axes to one family/size/"
-                        "algorithm/seed while keeping every fault model "
-                        "(the CI fault-smoke step)")
+                        "algorithm/seed")
     p.add_argument("--h-exponents", type=float, nargs="*",
                    help="driver hop exponents (3phase scenarios only)")
     p.add_argument("--blockers", nargs="*",
@@ -738,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--preset", default="report",
                    help="sweep preset behind the generating sweep "
-                        "(default: %(default)s; e.g. 'faults' for the "
-                        "robustness report); non-default presets write "
+                        "(default: %(default)s; e.g. 'quick'); "
+                        "non-default presets write "
                         "only explicitly named --results/--json paths")
     p.add_argument("--records", nargs="+",
                    help="cached sweep record directories to merge "
@@ -833,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--records", nargs="+", required=True,
                    help="cached sweep record directories or files; "
-                        "faulted records are skipped with an explanation")
+                        "records that cannot become an oracle are "
+                        "skipped with an explanation")
     p.add_argument("--out", required=True,
                    help="oracle store directory (one <hash>.oracle per "
                         "scenario)")

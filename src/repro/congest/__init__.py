@@ -19,10 +19,6 @@ This subpackage is a from-scratch, deterministic simulator of that model:
 * :class:`~repro.congest.metrics.RoundStats` — round / message / congestion
   accounting, composable across sequential phases exactly the way the paper
   composes the steps of Algorithm 1.
-* :class:`~repro.congest.faults.FaultPlan` — deterministic, replayable
-  message-level fault injection (drop / duplicate / delay / crash), applied
-  at delivery time with a recorded
-  :class:`~repro.congest.faults.FaultTrace`; see :mod:`repro.congest.faults`.
 * :class:`~repro.congest.compressed.CompressedPhase` — the round-compressed
   execution mode for fixed-schedule phases: one ``run`` call computes the
   aggregate directly and counts the traffic into
@@ -36,28 +32,16 @@ end-to-end APSP algorithms) runs on this engine.
 """
 
 from repro.congest.compressed import CompressedPhase
-from repro.congest.faults import (
-    FAULT_MODELS,
-    FaultPlan,
-    FaultSpec,
-    FaultTrace,
-    FaultsUnsupported,
-)
 from repro.congest.message import Message
 from repro.congest.metrics import PhaseLog, RoundStats
 from repro.congest.network import BandwidthExceeded, CongestNetwork, NotANeighbor
 from repro.congest.node import Ctx, NodeProgram
 
 __all__ = [
-    "FAULT_MODELS",
     "BandwidthExceeded",
     "CompressedPhase",
     "CongestNetwork",
     "Ctx",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultTrace",
-    "FaultsUnsupported",
     "Message",
     "NodeProgram",
     "NotANeighbor",

@@ -57,11 +57,11 @@ organized around four ideas:
   both report the same exception types.
 * **Wakes cost only the nodes woken** — the engine keeps the set of
   nodes whose ``active`` flag is set, and each tick runs that set merged
-  with the tick's destinations, sorted, on every network size and with
-  or without faults.  Nothing sweeps all ``n`` nodes, so a node that is
-  inactive and receives nothing costs nothing; programs keep it that way
-  by starting inactive unless they have tick-0 work, and phases that
-  involve only some nodes give the rest the shared never-active
+  with the tick's destinations, sorted, on every network size.  Nothing
+  sweeps all ``n`` nodes, so a node that is inactive and receives
+  nothing costs nothing; programs keep it that way by starting inactive
+  unless they have tick-0 work, and phases that involve only some nodes
+  give the rest the shared never-active
   ``_Silent`` program (see :class:`~repro.congest.node.NodeProgram`).
 
 Validation therefore happens *after* the violating round, not inside the
@@ -82,12 +82,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.congest.faults import (
-    FAULT_HARD_CAP,
-    FaultPlan,
-    FaultTrace,
-    FaultsUnsupported,
-)
 from repro.congest.message import Wire, _count_words
 from repro.congest.metrics import RoundStats
 from repro.congest.node import Ctx, NodeProgram
@@ -190,16 +184,6 @@ class CongestNetwork:
         multi-tree convergecasts, the Step-6 delivery pipeline) replay
         all their phases in one :meth:`run_compressed` call; a single
         phase is a batch of one.
-    faults:
-        An optional :class:`~repro.congest.faults.FaultPlan` applied at
-        delivery time in the message-level engine (see
-        :mod:`repro.congest.faults` for the semantics); the decisions a
-        run makes accumulate in :attr:`fault_trace`.  A zero plan takes
-        the untouched fault-free path (bit-identical to no plan at all);
-        a non-zero plan is incompatible with round-compressed execution
-        and raises :class:`~repro.congest.faults.FaultsUnsupported`
-        here when ``compress=True`` and from every
-        :meth:`run_compressed` call — never silently ignored.
     """
 
     def __init__(
@@ -209,7 +193,6 @@ class CongestNetwork:
         word_limit: int = 8,
         strict: bool = True,
         compress: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.graph = graph
         self.n: int = graph.n
@@ -217,26 +200,6 @@ class CongestNetwork:
         self.word_limit = word_limit
         self.strict = strict
         self.compress = compress
-        #: the plan this network was built with (``None`` = no plan)
-        self.fault_plan = faults
-        #: accumulated :class:`~repro.congest.faults.FaultTrace` of every
-        #: fault decision made on this network (empty for a zero plan;
-        #: ``None`` when no plan was given)
-        self.fault_trace: Optional[FaultTrace] = None
-        if faults is not None and not faults.is_zero:
-            if compress:
-                raise FaultsUnsupported(
-                    f"fault plan {faults!r} cannot run round-compressed: "
-                    "compressed phases materialize no messages to fault; "
-                    "use compress=False or replay a recorded trace on the "
-                    "message-level engine"
-                )
-            self._fault_runtime = faults.bind(self.n)
-            self.fault_trace = self._fault_runtime.trace
-        else:
-            self._fault_runtime = None
-            if faults is not None:
-                self.fault_trace = FaultTrace()
         self._adj: List[Sequence[int]] = [
             tuple(graph.und_neighbors(v)) for v in range(self.n)
         ]
@@ -290,14 +253,6 @@ class CongestNetwork:
         phase's own label), and merges the stats into :attr:`total`,
         mirroring :meth:`run`.
         """
-        if self._fault_runtime is not None:
-            raise FaultsUnsupported(
-                f"phase {(label or getattr(phase, 'label', '?'))!r}: "
-                f"round-compressed execution materializes no messages, so "
-                f"it cannot apply fault plan {self.fault_plan!r}; run with "
-                "compress=False (or replay the recorded FaultTrace on the "
-                "message-level engine)"
-            )
         result, stats = phase.run(self)
         stats.label = label or phase.label
         self.total.merge(stats)
@@ -478,13 +433,6 @@ class CongestNetwork:
         n = self.n
         strict = self.strict
         adj = self._adj
-        faults = self._fault_runtime
-        crashed: frozenset = frozenset()
-        if faults is not None:
-            faults.start_phase()
-            # Fault-induced divergence (a node waiting forever on a
-            # dropped message) must surface promptly, not after 5M ticks.
-            hard_cap = min(hard_cap, FAULT_HARD_CAP)
 
         # Batched delivery: per-destination inbox lists, swapped wholesale
         # at the tick boundary.  ``None`` means "no messages this round" so
@@ -543,29 +491,14 @@ class CongestNetwork:
             # Deliver: last tick's outboxes become this tick's inboxes.
             inboxes, outboxes = outboxes, inboxes
             in_touched, out_touched = out_touched, in_touched
-            if faults is not None:
-                # Delivery-time fault application: releases due delayed
-                # messages, drops/duplicates/delays fresh ones, and
-                # swallows traffic to crashed nodes.  Replaces inbox
-                # slots with new lists (delivered boxes stay unmutated
-                # for the strict-mode batch checks) and rewrites
-                # in_touched in place.
-                crashed = faults.apply(tick, inboxes, in_touched)
-                if not in_touched and not active and not faults.pending:
-                    break
-            elif not in_touched and not active:
+            if not in_touched and not active:
                 break
 
             # Wake = has inbox or active, processed in increasing node id
-            # (deterministic execution order).  Fault application already
-            # removed crashed nodes from in_touched.
+            # (deterministic execution order).
             ctx.round = tick
             if active:
                 wake = sorted(active.union(in_touched))
-                if crashed:
-                    # Down this tick: no execution, state and active
-                    # flag preserved for recovery.
-                    wake = [v for v in wake if v not in crashed]
             else:
                 in_touched.sort()
                 wake = in_touched

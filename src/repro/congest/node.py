@@ -22,8 +22,8 @@ class Ctx:
     Instances are created by the engine and reused across rounds; programs
     must not retain references to ``inbox`` across rounds (copy if needed).
     ``inbox`` holds plain ``(src, kind, payload)`` tuples (the field layout
-    of :class:`~repro.congest.message.Message`), in ascending sender order
-    on a fault-free run; programs unpack them:
+    of :class:`~repro.congest.message.Message`), in ascending sender order;
+    programs unpack them:
     ``for src, kind, payload in ctx.inbox``.
     """
 

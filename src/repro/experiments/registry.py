@@ -186,20 +186,6 @@ SWEEP_PRESETS: Dict[str, Dict[str, object]] = {
         "algorithms": sorted(ALGORITHMS),
         "strict": False,
     },
-    # The robustness sweep behind the fault axis: every single-mode fault
-    # model over a small grid, one fault stream each.  `repro sweep
-    # --preset faults` runs it; `repro report --preset faults` renders
-    # the per-family robustness section from its records.  Faulted runs
-    # execute their fault-free baseline inline, so strict would only
-    # double the (already tier-1-covered) validation cost.
-    "faults": {
-        "families": ["er", "path", "ws"],
-        "sizes": [16, 24],
-        "algorithms": ["det-n43", "naive-bf"],
-        "strict": False,
-        "faults": ["drop", "duplicate", "delay", "crash"],
-        "fault_seeds": [1],
-    },
 }
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from repro.apsp.driver import BLOCKERS, DELIVERIES
-from repro.congest.faults import FAULT_MODELS
 from repro.experiments.registry import ALGORITHMS, GRAPH_FAMILIES, WEIGHT_MODELS
 
 #: The generic driver pseudo-algorithm: any (h, blocker, delivery) triple.
@@ -36,12 +35,7 @@ class ScenarioSpec:
     ``compress`` additionally runs the fixed-schedule phases
     round-compressed (:mod:`repro.congest.compressed`) — records and round
     counts are bit-identical to the message-level run, so the axis only
-    affects wall-clock time.  ``faults`` selects a
-    :data:`~repro.congest.faults.FAULT_MODELS` entry applied at delivery
-    time in the message-level engine, and ``fault_seed`` the plan's PRNG
-    stream; the default ``"none"`` model is normalized out of the
-    canonical form, so fault-free scenario hashes (and every committed
-    record keyed by them) are unchanged by the axis existing.
+    affects wall-clock time.
     """
 
     family: str
@@ -54,8 +48,6 @@ class ScenarioSpec:
     delivery: Optional[str] = None
     strict: bool = True
     compress: bool = False
-    faults: str = "none"
-    fault_seed: int = 1
 
     def __post_init__(self) -> None:
         if self.family not in GRAPH_FAMILIES:
@@ -92,36 +84,10 @@ class ScenarioSpec:
             )
         if self.n < 2:
             raise ValueError("scenarios need n >= 2")
-        if self.faults not in FAULT_MODELS:
-            raise ValueError(
-                f"unknown fault model {self.faults!r}; available: "
-                f"{', '.join(sorted(FAULT_MODELS))}"
-            )
-        if self.faults == "none":
-            # Normalize the unused stream seed so "defaults left
-            # implicit" and "defaults spelled out" are the same scenario
-            # (same hash, same cache entry) — mirroring the driver axes.
-            object.__setattr__(self, "fault_seed", 1)
-        elif self.compress:
-            raise ValueError(
-                f"fault model {self.faults!r} cannot run round-compressed: "
-                "compressed phases materialize no messages to fault "
-                "(the engine raises FaultsUnsupported rather than "
-                "silently ignoring the plan); drop compress=True"
-            )
 
     def to_dict(self) -> dict:
-        """Canonical JSON-safe form (declaration order).
-
-        The fault axes are omitted while at their defaults so that every
-        fault-free scenario hash — and with it the committed record
-        cache, REPORT.json, and the perf-trajectory baselines — is
-        byte-identical to what it was before the axes existed.
-        """
-        d = asdict(self)
-        if self.faults == "none":
-            del d["faults"], d["fault_seed"]
-        return d
+        """Canonical JSON-safe form (declaration order)."""
+        return asdict(self)
 
     @property
     def key(self) -> str:
@@ -142,15 +108,16 @@ class ScenarioSpec:
             parts.append("fast")
         if self.compress:
             parts.append("compressed")
-        if self.faults != "none":
-            parts.append(f"faults={self.faults}#{self.fault_seed}")
         return "/".join(parts)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        """Rebuild a spec from its :meth:`to_dict` form (extras ignored)."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in names})
+        """Rebuild a spec from its :meth:`to_dict` form.
+
+        A non-mapping ``d`` or an unknown key raises ``TypeError``; the
+        field checks raise ``TypeError`` or ``ValueError`` on a bad value.
+        """
+        return cls(**d)
 
 
 @dataclass
@@ -176,11 +143,6 @@ class ScenarioMatrix:
     h_exponents: Sequence[Optional[float]] = (None,)
     blockers: Sequence[Optional[str]] = (None,)
     deliveries: Sequence[Optional[str]] = (None,)
-    #: fault models applied per scenario; like the driver axes,
-    #: ``fault_seeds`` only multiplies scenarios whose model is not
-    #: ``"none"`` (a fault-free scenario has no fault stream to seed)
-    faults: Sequence[str] = ("none",)
-    fault_seeds: Sequence[int] = (1,)
     #: engine mode for every scenario (False = the measured fast path;
     #: the large-n presets in the registry set this)
     strict: bool = True
@@ -192,30 +154,25 @@ class ScenarioMatrix:
         """Concrete scenarios, in deterministic axis order, deduplicated."""
         out: List[ScenarioSpec] = []
         seen = set()
-        for family, n, weights, algorithm, seed, fault_model in product(
+        for family, n, weights, algorithm, seed in product(
             self.families, self.sizes, self.weights, self.algorithms,
-            self.seeds, self.faults,
+            self.seeds,
         ):
             driver_axes: Sequence[Tuple] = (
                 tuple(product(self.h_exponents, self.blockers, self.deliveries))
                 if algorithm == THREE_PHASE
                 else ((None, None, None),)
             )
-            fault_seeds: Sequence[int] = (
-                self.fault_seeds if fault_model != "none" else (1,)
-            )
             for h_exp, blocker, delivery in driver_axes:
-                for fault_seed in fault_seeds:
-                    spec = ScenarioSpec(
-                        family=family, n=n, algorithm=algorithm, seed=seed,
-                        weights=weights, h_exponent=h_exp, blocker=blocker,
-                        delivery=delivery, strict=self.strict,
-                        compress=self.compress, faults=fault_model,
-                        fault_seed=fault_seed,
-                    )
-                    if spec.key not in seen:
-                        seen.add(spec.key)
-                        out.append(spec)
+                spec = ScenarioSpec(
+                    family=family, n=n, algorithm=algorithm, seed=seed,
+                    weights=weights, h_exponent=h_exp, blocker=blocker,
+                    delivery=delivery, strict=self.strict,
+                    compress=self.compress,
+                )
+                if spec.key not in seen:
+                    seen.add(spec.key)
+                    out.append(spec)
         return out
 
     def __len__(self) -> int:

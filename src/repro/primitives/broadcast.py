@@ -38,14 +38,10 @@ class _GatherBroadcastProgram(NodeProgram):
     item ``dit`` or the end marker ``dd``) goes on to every child in the
     round it arrives.  The node is active only while it has something to
     send, so waiting on its children costs no wakes.
-
-    On a fault-free run one record arrives per round at most.  Under
-    duplicate or delay faults a few can arrive at once; the extras wait in
-    ``_backlog`` so each child edge still carries one record per round.
     """
 
     __slots__ = ("parent", "children", "upq", "pending_up", "received",
-                 "_sent_ud", "_backlog")
+                 "_sent_ud")
 
     def __init__(self, node: int, tree: BFSTree, items: Sequence[tuple]) -> None:
         super().__init__(node)
@@ -55,21 +51,14 @@ class _GatherBroadcastProgram(NodeProgram):
         self.pending_up = set(self.children)
         self.received: List[tuple] = []
         self._sent_ud = False
-        self._backlog: deque = deque()
         self.active = bool(items) or not self.pending_up
 
     def on_round(self, ctx: Ctx) -> None:
         send = ctx.send
         if self._sent_ud:
-            # Downcast: only records from the parent arrive now.
-            inbox = ctx.inbox
-            if len(inbox) == 1 and not self._backlog:
-                _src, kind, payload = inbox[0]
-            else:
-                backlog = self._backlog
-                backlog.extend(inbox)
-                _src, kind, payload = backlog.popleft()
-                self.active = bool(backlog)
+            # Downcast: only records from the parent arrive now, one per
+            # round (strict mode's per-edge bandwidth check guarantees it).
+            _src, kind, payload = ctx.inbox[0]
             if kind == "dit":
                 self.received.append(payload)
             for c in self.children:
@@ -189,8 +178,8 @@ def gather_and_broadcast(
     stats = net.run(programs, label=label)
     root = programs[tree.root]
     if root.pending_up:
-        # An end marker was lost (a fault): the phase went quiet before
-        # the root could start the downcast.
+        # An end marker never arrived (a malformed tree): the phase went
+        # quiet before the root could start the downcast.
         raise AssertionError(
             f"broadcast incomplete at node {tree.root}: the root never heard "
             f"the end of children {sorted(root.pending_up)}"

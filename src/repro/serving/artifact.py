@@ -210,9 +210,8 @@ def build_artifact(record: dict, store_dir,
     predecessor matrices, verifies the distance hash against the
     record's ``dist_sha256`` and certifies both planes (refusing to
     write on any failure), and atomically writes ``<hash>.oracle`` under
-    ``store_dir``.  Faulted records are rejected — only the fault-free
-    exact output is a servable oracle.  An existing artifact is left
-    untouched unless ``force`` is set.
+    ``store_dir``.  A record whose spec does not rebuild is rejected.
+    An existing artifact is left untouched unless ``force`` is set.
     """
     from repro.apsp.result import CertificateError, certify
     from repro.experiments.runner import RECORD_VERSION
@@ -223,15 +222,15 @@ def build_artifact(record: dict, store_dir,
             f"record version {record.get('version')!r} != {RECORD_VERSION}; "
             f"re-run the sweep to refresh the record"
         )
-    if record.get("fault_outcome") is not None or record.get("faults"):
-        raise ArtifactError(
-            f"record {record.get('hash')} is a faulted scenario; only "
-            f"fault-free records build oracles"
-        )
     for field in ("hash", "spec", "dist_sha256"):
         if not record.get(field):
             raise ArtifactError(f"record is missing {field!r}")
-    spec = ScenarioSpec.from_dict(record["spec"])
+    try:
+        spec = ScenarioSpec.from_dict(record["spec"])
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(
+            f"record {record['hash']} has an unreadable spec: {exc}"
+        ) from exc
     if spec.key != record["hash"]:
         raise ArtifactError(
             f"record hash {record['hash']} does not match its spec "
@@ -424,7 +423,7 @@ def build_store(record_paths: Iterable, store_dir, force: bool = False,
     """Build every buildable record under ``record_paths`` into a store.
 
     Returns ``(built, skipped)`` where ``skipped`` holds one explanatory
-    line per record that cannot become an oracle (faulted scenarios,
+    line per record that cannot become an oracle (unreadable specs,
     foreign record versions).  ``progress(info)`` is called per artifact.
     """
     built: List[ArtifactInfo] = []

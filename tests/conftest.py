@@ -119,3 +119,36 @@ def beta_per_tree(counts) -> Dict[int, Dict[int, int]]:
 @pytest.fixture
 def network(any_graph):
     return CongestNetwork(any_graph)
+
+
+def faulted_record() -> dict:
+    """A faulted-scenario record as releases with a fault axis wrote it.
+
+    Same ``RECORD_VERSION`` (2) as today's records and a hash that
+    matches its spec under that release's canonical form; the spec
+    carries ``faults``/``fault_seed`` keys that no longer exist, so every
+    loader must refuse it as an unreadable spec.
+    """
+    return {
+        "version": 2, "hash": "cf91d1f4b9aaedee",
+        "spec": {"family": "er", "n": 10, "algorithm": "naive-bf",
+                 "seed": 1, "weights": "uniform", "h_exponent": None,
+                 "blocker": None, "delivery": None, "strict": False,
+                 "compress": False, "faults": "drop", "fault_seed": 1},
+        "graph": "er(n=10,p=0.4)", "actual_n": 10, "algorithm": "naive-bf",
+        "rounds": 45, "messages": 597, "max_node_congestion": 96,
+        "step_rounds": {"bellman-ford": 45},
+        "step_congestion": {"bellman-ford": 15}, "meta": {},
+        "dist_sha256": "21bb09ad70c2dc93b7673c151bd0c29e"
+                       "003c2ce59aa48e04b7107cce793816b6",
+        "finite_pairs": 100, "dist_sum": 5024.063781738281,
+        "verified": False,
+        "faults": {"model": "drop", "fault_seed": 1,
+                   "plan_seed": 117965182691534, "events": {"drop": 13},
+                   "trace_sha256": "a80b7868b6e645cb"},
+        "fault_outcome": "divergent",
+        "baseline": {"rounds": 44, "messages": 607,
+                     "dist_sha256": "b9c96f43f8d645ca4343218a7102584c"
+                                    "3cf2595538c7428782eda6222c09e442"},
+        "timing": {"wall_s": 0.0024, "baseline_wall_s": 0.0017},
+    }

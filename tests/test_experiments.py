@@ -15,11 +15,7 @@ from repro.experiments import (
 )
 from repro.experiments.executor import strip_timing
 from repro.experiments.registry import ALGORITHMS
-from repro.experiments.runner import (
-    RECORD_VERSION,
-    fault_plan_seed,
-    scenario_seed,
-)
+from repro.experiments.runner import RECORD_VERSION, scenario_seed
 from repro.experiments.spec import THREE_PHASE
 
 # ---------------------------------------------------------------------------
@@ -238,8 +234,6 @@ RECORD_KEYS = (
     "spec", "step_congestion", "step_rounds", "timing", "verified",
     "version",
 )
-FAULTED_RECORD_KEYS = tuple(sorted(
-    RECORD_KEYS + ("baseline", "fault_outcome", "faults")))
 THREE_PHASE_META = ("blocker", "bottlenecks", "delivery", "h",
                     "pipeline_rounds", "q", "q_prime")
 META_KEYS = {
@@ -251,18 +245,13 @@ META_KEYS = {
 }
 
 
-@pytest.mark.parametrize("algorithm,faults", [
-    *((a, "none") for a in sorted(ALGORITHMS)),
-    ("naive-bf", "drop"),
-])
-def test_record_layout_is_pinned_to_record_version(algorithm, faults):
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_record_layout_is_pinned_to_record_version(algorithm):
     spec = ScenarioSpec(family="er", n=10, algorithm=algorithm, seed=1,
-                        strict=False, compress=faults == "none",
-                        faults=faults)
+                        strict=False, compress=True)
     record = run_scenario(spec, verify=False)
     layout = (tuple(sorted(record)), tuple(sorted(record["meta"])))
-    pinned = (FAULTED_RECORD_KEYS if faults != "none" else RECORD_KEYS,
-              () if faults != "none" else META_KEYS[algorithm])
+    pinned = (RECORD_KEYS, META_KEYS[algorithm])
     assert (RECORD_VERSION, layout) == (PINNED_RECORD_VERSION, pinned), (
         f"{spec.label}: record layout {layout} (RECORD_VERSION "
         f"{RECORD_VERSION}) differs from the layout pinned for version "
@@ -304,105 +293,3 @@ def test_sweep_fit_table_renders(tmp_path):
     assert "er" in table and "path" in table
     assert "rounds alpha" in table
 
-
-# ---------------------------------------------------------------------------
-# fault axes: hash stability, expansion, record contract, cache identity
-
-
-def test_fault_axes_leave_fault_free_hashes_untouched():
-    # The committed record cache, REPORT.json, and the perf baselines are
-    # all keyed on fault-free scenario hashes; the axis existing (or
-    # being spelled out at its defaults) must not move any of them.
-    base = ScenarioSpec(family="er", n=16, algorithm="naive-bf", seed=1)
-    spelled = ScenarioSpec(family="er", n=16, algorithm="naive-bf", seed=1,
-                           faults="none", fault_seed=9)
-    assert spelled.key == base.key  # unused stream seed normalized away
-    assert "faults" not in base.to_dict()
-    assert "fault_seed" not in base.to_dict()
-
-    faulted = ScenarioSpec(family="er", n=16, algorithm="naive-bf", seed=1,
-                           faults="drop", strict=False)
-    assert faulted.key != base.key
-    other_stream = ScenarioSpec(family="er", n=16, algorithm="naive-bf",
-                                seed=1, faults="drop", fault_seed=2,
-                                strict=False)
-    assert other_stream.key != faulted.key  # the stream is a real axis
-    again = ScenarioSpec.from_dict(json.loads(json.dumps(faulted.to_dict())))
-    assert again == faulted and again.key == faulted.key
-    assert "faults=drop#1" in faulted.label
-
-
-def test_matrix_fault_axes_multiply_only_faulted_scenarios():
-    matrix = ScenarioMatrix(families=["er"], sizes=[16],
-                            algorithms=["naive-bf"], strict=False,
-                            faults=["none", "drop"], fault_seeds=[1, 2])
-    specs = matrix.expand()
-    # 1 fault-free + 2 drop streams: "none" collapses the seed axis.
-    assert [(s.faults, s.fault_seed) for s in specs] == [
-        ("none", 1), ("drop", 1), ("drop", 2)]
-
-
-def test_faulted_record_contract_and_determinism():
-    spec = ScenarioSpec(family="er", n=14, algorithm="naive-bf", seed=2,
-                        faults="drop", strict=False)
-    rec = run_scenario(spec)
-    assert rec["hash"] == spec.key
-    assert rec["faults"]["model"] == "drop"
-    assert rec["faults"]["fault_seed"] == 1
-    assert rec["faults"]["plan_seed"] == fault_plan_seed(spec)
-    assert rec["faults"]["events"].get("drop", 0) > 0
-    assert len(rec["faults"]["trace_sha256"]) == 16
-    assert rec["fault_outcome"] in ("ok", "divergent")
-    assert rec["baseline"]["rounds"] > 0
-    assert rec["baseline"]["dist_sha256"]
-    assert rec["verified"] is True
-    json.dumps(rec)  # JSON-safe end to end
-    # The whole faulted record is a pure function of the spec.
-    assert strip_timing(run_scenario(spec)) == strip_timing(rec)
-
-
-def test_fault_plan_seed_is_a_function_of_key_and_stream():
-    a = ScenarioSpec(family="er", n=16, algorithm="naive-bf", seed=1,
-                     faults="drop", strict=False)
-    b = ScenarioSpec(family="er", n=16, algorithm="naive-bf", seed=1,
-                     faults="drop", fault_seed=2, strict=False)
-    c = ScenarioSpec(family="er", n=24, algorithm="naive-bf", seed=1,
-                     faults="drop", strict=False)
-    assert fault_plan_seed(a) == fault_plan_seed(a)
-    assert len({fault_plan_seed(s) for s in (a, b, c)}) == 3
-
-
-def test_faulted_records_cache_byte_identically(tmp_path):
-    # The ISSUE acceptance check: sweeping the same faulted matrix twice
-    # leaves byte-identical cached records (the second pass is all cache
-    # hits and rewrites nothing).
-    matrix = ScenarioMatrix(families=["er"], sizes=[14],
-                            algorithms=["naive-bf"], strict=False,
-                            faults=["drop", "crash"])
-    specs = matrix.expand()
-    ex = SweepExecutor(cache_dir=str(tmp_path), workers=1)
-    first = ex.run(specs)
-    assert (ex.executed, ex.cached) == (2, 0)
-    blobs = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
-    second = ex.run(specs)
-    assert (ex.executed, ex.cached) == (0, 2)
-    assert [strip_timing(r) for r in first] == [strip_timing(r) for r in second]
-    assert blobs == {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
-    # A fresh directory reproduces the same deterministic payloads.
-    other = SweepExecutor(cache_dir=str(tmp_path / "b"), workers=1).run(specs)
-    for a, b in zip(first, other):
-        assert strip_timing(a) == strip_timing(b)
-
-
-def test_faulted_timing_charges_each_side_its_own_clock():
-    # The faulted path runs the fault-free twin first; the faulted run's
-    # wall_s must not be double-charged with the baseline's wall time.
-    spec = ScenarioSpec(family="er", n=10, algorithm="naive-bf",
-                        strict=False, faults="drop")
-    timing = run_scenario(spec, verify=False)["timing"]
-    assert set(timing) == {"wall_s", "baseline_wall_s"}
-    assert timing["wall_s"] > 0 and timing["baseline_wall_s"] > 0
-    # fault-free records keep the single-clock shape
-    free = ScenarioSpec(family="er", n=10, algorithm="naive-bf",
-                        strict=False)
-    assert set(run_scenario(free, verify=False)["timing"]) == {"wall_s"}

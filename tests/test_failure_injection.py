@@ -157,45 +157,3 @@ def test_bad_blocker_params_rejected_early():
     with pytest.raises(ValueError):
         BlockerParams(delta=-0.1)
 
-
-# ---------------------------------------------------------------------------
-# fault plans: unsupported execution modes refuse loudly
-
-
-def test_nonzero_fault_plan_rejected_on_compressed_network():
-    from repro.congest import FAULT_MODELS, FaultPlan, FaultsUnsupported
-
-    g = path_graph(4)
-    plan = FaultPlan.from_model("drop", seed=1)
-    # At construction: a compressed network can never apply the plan.
-    with pytest.raises(FaultsUnsupported):
-        CongestNetwork(g, compress=True, faults=plan)
-    # At run_compressed on a message-level network holding a plan: a
-    # compressed phase reaching it (here by switching the network's tier
-    # after construction) raises instead of silently skipping the plan.
-    from repro.primitives.bellman_ford import bellman_ford as bf
-
-    net = CongestNetwork(g, faults=plan)
-    net.compress = True
-    with pytest.raises(FaultsUnsupported):
-        bf(net, g, 0)
-    # The message-level path on the same network applies the plan.
-    net.compress = False
-    res = bf(net, g, 0)
-    assert res.dist[0] == 0.0
-    assert net.fault_trace is not None
-
-    # The zero model is compatible everywhere: nothing to apply.
-    CongestNetwork(g, compress=True,
-                   faults=FaultPlan(FAULT_MODELS["none"], seed=1))
-
-
-def test_faulted_spec_rejects_compressed_execution():
-    from repro.experiments import ScenarioSpec
-
-    with pytest.raises(ValueError, match="round-compressed"):
-        ScenarioSpec(family="er", n=16, algorithm="naive-bf",
-                     faults="drop", compress=True, strict=False)
-    with pytest.raises(ValueError, match="unknown fault model"):
-        ScenarioSpec(family="er", n=16, algorithm="naive-bf",
-                     faults="meteor")

@@ -24,6 +24,8 @@ from repro.serving import (
 )
 from repro.serving.artifact import MAGIC, artifact_path
 
+from conftest import faulted_record
+
 
 def _spec(seed: int = 1, n: int = 14) -> ScenarioSpec:
     return ScenarioSpec(family="er", n=n, algorithm="naive-bf", seed=seed,
@@ -106,13 +108,18 @@ def test_build_refuses_mismatched_record_hash(record, tmp_path):
 
 
 def test_build_rejects_faulted_records(tmp_path):
-    faulted = run_scenario(
-        ScenarioSpec(family="er", n=10, algorithm="naive-bf", strict=False,
-                     faults="drop"),
-        verify=False,
-    )
-    with pytest.raises(ArtifactError, match="faulted"):
-        build_artifact(faulted, tmp_path)
+    # A record from a release with the fault axis no longer rebuilds.
+    with pytest.raises(ArtifactError, match="unreadable spec.*fault"):
+        build_artifact(faulted_record(), tmp_path)
+
+
+@pytest.mark.parametrize("spec", [
+    [1], "er", None, {"family": "er", "n": "abc", "algorithm": "naive-bf"},
+], ids=["list", "string", "null", "n-not-int"])
+def test_build_rejects_malformed_specs(record, spec, tmp_path):
+    with pytest.raises(ArtifactError, match="missing 'spec'|unreadable spec"):
+        build_artifact(dict(record, spec=spec), tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_corrupt_plane_fails_checksum_verification(record, tmp_path):
@@ -146,16 +153,14 @@ def test_build_store_skips_unbuildable_records(tmp_path):
     records = tmp_path / "records"
     records.mkdir()
     ok = run_scenario(_spec(n=10), verify=False)
-    bad = run_scenario(
-        ScenarioSpec(family="er", n=10, algorithm="naive-bf", strict=False,
-                     faults="drop"),
-        verify=False,
-    )
-    for rec in (ok, bad):
-        (records / f"{rec['hash']}.json").write_text(json.dumps(rec))
+    (records / f"{ok['hash']}.json").write_text(json.dumps(ok))
+    for name, spec in (("list", [1]), ("n", dict(ok["spec"], n="abc"))):
+        bad = dict(ok, spec=spec)
+        (records / f"bad-{name}.json").write_text(json.dumps(bad))
     built, skipped = build_store([records], tmp_path / "store")
     assert [info.hash for info in built] == [ok["hash"]]
-    assert len(skipped) == 1 and "faulted" in skipped[0]
+    assert len(skipped) == 2
+    assert all("unreadable spec" in line for line in skipped)
 
 
 # ----------------------------------------------------------------------

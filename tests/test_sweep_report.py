@@ -22,9 +22,7 @@ from repro.analysis.sweep_report import (
     load_records,
     merge_records,
     render_results_md,
-    render_robustness_table,
     report_matrix,
-    robustness_rows,
     strip_report_timing,
     validate_record,
     write_report,
@@ -33,6 +31,8 @@ from repro.cli import main
 from repro.experiments import ScenarioMatrix, SweepExecutor
 from repro.experiments.runner import RECORD_VERSION
 from repro.experiments.spec import ScenarioSpec
+
+from conftest import faulted_record
 
 
 def run_sweep(cache_dir, sizes, algorithms=("naive-bf",), families=("er",)):
@@ -123,6 +123,36 @@ def test_validate_record_requires_metrics():
     del record["messages"]
     with pytest.raises(RecordError, match="missing 'messages'"):
         validate_record(record)
+
+
+@pytest.mark.parametrize("spec", [[1], "er", 3, None],
+                         ids=["list", "string", "number", "null"])
+def test_validate_record_rejects_non_object_spec(spec):
+    record = fake_record(ScenarioSpec(family="er", n=10,
+                                      algorithm="naive-bf"), 5, 10)
+    record["spec"] = spec
+    with pytest.raises(RecordError, match="unreadable spec"):
+        validate_record(record)
+
+
+def test_validate_record_rejects_non_object_record():
+    with pytest.raises(RecordError, match="JSON list, not an object"):
+        validate_record([1, 2], source="r.json")
+
+
+def test_load_records_rejects_top_level_array(tmp_path):
+    (tmp_path / "r.json").write_text("[1, 2]")
+    with pytest.raises(RecordError, match="not an object"):
+        load_records([tmp_path])
+
+
+def test_faulted_record_is_an_unreadable_spec(tmp_path):
+    # A record from a release with the fault axis: its spec names keys
+    # ScenarioSpec no longer has, which must read as unreadable, not as
+    # a hand-edited "hash mismatch".
+    (tmp_path / "f.json").write_text(json.dumps(faulted_record()))
+    with pytest.raises(RecordError, match="unreadable spec.*fault"):
+        load_records([tmp_path])
 
 
 def test_merge_records_rejects_mismatched_source_names():
@@ -296,6 +326,8 @@ def test_report_matrix_covers_three_bounded_families():
 
     bounded = {s.algorithm for s in specs} & set(CLAIMED_BOUNDS)
     assert len(bounded) >= 3  # the acceptance bar for verdict coverage
+    with pytest.raises(ValueError, match="unknown sweep preset"):
+        report_matrix("nope")
 
 
 def test_report_matrix_consumes_every_preset_axis(monkeypatch):
@@ -408,116 +440,29 @@ def test_cli_report_check_ignores_wall_clock(tmp_path, capsys):
     capsys.readouterr()
 
 
-# ----------------------------------------------------------------------
-# Robustness section (fault axis)
-# ----------------------------------------------------------------------
-
-def faulted_fake_record(spec, rounds, base_rounds, outcome, events) -> dict:
-    rec = fake_record(spec, rounds, 50 * spec.n)
-    rec["faults"] = {
-        "model": spec.faults,
-        "fault_seed": spec.fault_seed,
-        "plan_seed": 7,
-        "events": events,
-        "trace_sha256": "0" * 16,
-    }
-    rec["fault_outcome"] = outcome
-    rec["baseline"] = {"rounds": base_rounds, "messages": 50 * spec.n,
-                       "dist_sha256": "1" * 64}
-    return rec
-
-
-def faulted_spec(seed=1, fault_seed=1, model="drop", algorithm="naive-bf"):
-    return ScenarioSpec(family="er", n=16, algorithm=algorithm, seed=seed,
-                        faults=model, fault_seed=fault_seed, strict=False)
-
-
-def test_robustness_rows_aggregate_per_group():
-    records = [
-        faulted_fake_record(faulted_spec(fault_seed=1), 110, 100, "ok",
-                            {"drop": 4}),
-        faulted_fake_record(faulted_spec(fault_seed=2), 130, 100,
-                            "divergent", {"drop": 6}),
-        faulted_fake_record(faulted_spec(fault_seed=3), 10, 100,
-                            "failed:HardCapExceeded", {"drop": 2}),
-        faulted_fake_record(faulted_spec(model="crash"), 100, 100, "ok",
-                            {"crash": 1, "crash-drop": 5}),
-        # fault-free records contribute nothing to robustness
-        fake_record(ScenarioSpec(family="er", n=16, algorithm="naive-bf"),
-                    100, 800),
-    ]
-    rows = robustness_rows(records)
-    assert [(r["fault_model"], r["runs"]) for r in rows] == [
-        ("crash", 1), ("drop", 3)]
-    drop = rows[1]
-    assert (drop["ok"], drop["divergent"], drop["failed"]) == (1, 1, 1)
-    # extra rounds average over *completed* runs only: (10 + 30) / 2
-    assert drop["mean_extra_rounds"] == 20.0
-    assert drop["fault_events"] == 12
-    crash = rows[0]
-    assert crash["mean_extra_rounds"] == 0.0
-    assert crash["fault_events"] == 6
-    assert robustness_rows([records[-1]]) == []
-
-
-def test_faulted_records_excluded_from_fits_but_reported():
-    clean = synthetic_records(lambda n: 4 * n, algorithm="naive-bf")
-    faulted = [faulted_fake_record(faulted_spec(), 10_000, 100, "divergent",
-                                   {"drop": 3})]
-    fits = fit_groups(clean + faulted)
-    # The absurd faulted round count must not bend the complexity fit.
-    [fit] = [f for f in fits if f.algorithm == "naive-bf"]
-    assert fit.metrics["rounds"].fit.alpha == pytest.approx(1.0, abs=0.05)
-    report = build_report(clean + faulted)
-    assert len(report["robustness"]) == 1
-    md = render_results_md(report)
-    assert "## Robustness under injected faults" in md
-    assert "| naive-bf | er | drop | 1 | 0 | 1 | 0 |" in md
-    # A fault-free record set renders no robustness section at all.
-    assert "Robustness" not in render_results_md(build_report(clean))
-
-
-def test_robustness_table_renders():
-    rows = robustness_rows([
-        faulted_fake_record(faulted_spec(), 120, 100, "ok", {"drop": 9})])
-    text = render_robustness_table(rows, title="robustness")
-    assert "drop" in text and "+20.0" in text
-
-
-def test_report_matrix_faults_preset():
-    specs = report_matrix("faults").expand()
-    assert specs  # the preset expands
-    assert {s.faults for s in specs} == {"drop", "duplicate", "delay",
-                                         "crash"}
-    assert all(s.fault_seed == 1 for s in specs)
-    with pytest.raises(ValueError, match="unknown sweep preset"):
-        report_matrix("nope")
-
-
-def test_cli_report_faults_preset_writes_only_named_paths(tmp_path, capsys):
-    results = tmp_path / "ROBUSTNESS.md"
-    payload = tmp_path / "ROBUSTNESS.json"
+def test_cli_report_quick_preset_writes_only_named_paths(
+        tmp_path, capsys, monkeypatch):
+    results = tmp_path / "QUICK.md"
+    payload = tmp_path / "QUICK.json"
     cache = tmp_path / "cache"
-    # Shrink the preset so the test stays fast but still faulted.
-    import repro.experiments.registry as registry
+    # Shrink the preset so the test stays fast.
+    from repro.experiments.registry import SWEEP_PRESETS
 
-    small = dict(registry.SWEEP_PRESETS["faults"], families=["er"],
-                 sizes=[12], algorithms=["naive-bf"], faults=["drop"])
-    orig = registry.SWEEP_PRESETS["faults"]
-    registry.SWEEP_PRESETS["faults"] = small
-    try:
-        rc = main(["report", "--preset", "faults",
-                   "--cache-dir", str(cache),
-                   "--results", str(results), "--json", str(payload)])
-    finally:
-        registry.SWEEP_PRESETS["faults"] = orig
+    monkeypatch.setitem(SWEEP_PRESETS, "quick", dict(
+        SWEEP_PRESETS["quick"], families=["er"], sizes=[12],
+        algorithms=["naive-bf"]))
+    # The default artifact paths are relative to the CWD.
+    monkeypatch.chdir(tmp_path)
+    rc = main(["report", "--preset", "quick", "--cache-dir", str(cache),
+               "--results", str(results), "--json", str(payload)])
     assert rc == 0
     report = json.loads(payload.read_text())
-    assert report["robustness"]
-    assert "Robustness under injected faults" in results.read_text()
-    out = capsys.readouterr().out
-    assert "robustness under injected faults" in out
+    assert report["scenarios"] == 1
+    assert "naive-bf" in results.read_text()
+    assert "naive-bf" in capsys.readouterr().out
+    assert not (tmp_path / "docs").exists()
+    assert not (tmp_path / "benchmarks").exists()
     # --check against the committed report-preset artifacts is refused.
     with pytest.raises(SystemExit, match="--results and --json"):
-        main(["report", "--preset", "faults", "--check",
+        main(["report", "--preset", "quick", "--check",
               "--cache-dir", str(cache)])

@@ -31,11 +31,6 @@ API = [
                                "BandwidthExceeded", "NotANeighbor",
                                "HardCapExceeded"]),
     ("repro.congest.node", ["NodeProgram", "Ctx", "Ctx.send"]),
-    ("repro.congest.faults", ["FaultSpec", "FaultPlan",
-                              "FaultPlan.from_model",
-                              "FaultPlan.from_table",
-                              "FaultPlan.from_trace",
-                              "FaultTrace", "FaultsUnsupported"]),
     ("repro.congest.metrics", ["RoundStats", "RoundStats.from_sends"]),
     ("repro.congest.compressed", ["CompressedPhase", "CompressedPhase.run",
                                   "simulate_upcast"]),
@@ -49,8 +44,7 @@ API = [
     ("repro.experiments.spec", ["ScenarioSpec", "ScenarioMatrix",
                                 "ScenarioMatrix.expand", "shard_specs"]),
     ("repro.experiments.registry", ["make_graph", "ClaimedBound"]),
-    ("repro.experiments.runner", ["run_scenario", "scenario_seed",
-                                  "fault_plan_seed"]),
+    ("repro.experiments.runner", ["run_scenario", "scenario_seed"]),
     ("repro.experiments.executor", ["SweepExecutor", "SweepExecutor.run",
                                     "SweepExecutor.load_cached",
                                     "SweepError", "ScenarioFailure"]),
@@ -70,8 +64,7 @@ API = [
                                      "FamilyFit", "MetricFit",
                                      "build_report", "render_results_md",
                                      "write_report", "check_report",
-                                     "report_matrix",
-                                     "robustness_rows"]),
+                                     "report_matrix"]),
     ("repro.analysis.trajectory", ["BenchRecord", "BenchRecord.from_dict",
                                    "make_record", "load_history",
                                    "append_history", "latest_baselines",
